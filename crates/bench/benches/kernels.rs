@@ -145,6 +145,11 @@ fn parallel_kernels(c: &mut BenchHarness) {
     let design = large_design();
     let pools = [("t1", Pool::serial()), ("t4", Pool::new(4))];
 
+    // Dispatch cost alone: one 2-wide region whose two chunks do nothing.
+    c.bench_function("pool_region_t2", |b| {
+        b.iter(|| black_box(Pool::new(2).map_chunks(2, 1, |ci, _| ci)))
+    });
+
     let wa = WaModel::new(2.0);
     for (tag, pool) in pools {
         let mut grad = vec![Point::default(); design.num_cells()];

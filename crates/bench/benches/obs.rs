@@ -58,7 +58,12 @@ fn obs(c: &mut BenchHarness) {
 fn main() {
     let mut harness = BenchHarness::new("obs").sample_size(20);
     obs(&mut harness);
+    let smoke = harness.test_mode;
     let results = harness.finish();
+    if smoke {
+        // A smoke run takes no samples, so there is no overhead to report.
+        return;
+    }
 
     let min_of = |name: &str| {
         results

@@ -1,7 +1,8 @@
 //! # rdp-bench — experiment harnesses
 //!
 //! Binaries that regenerate every table and figure of the paper on the
-//! synthetic suite, plus Criterion micro-benchmarks of the hot kernels:
+//! synthetic suite, plus micro-benchmarks of the hot kernels on the
+//! in-repo `rdp-testkit` bench harness:
 //!
 //! | target | artifact |
 //! |---|---|

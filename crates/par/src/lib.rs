@@ -1,6 +1,6 @@
 //! # rdp-par — deterministic data parallelism for the placement stack
 //!
-//! A zero-dependency scoped thread pool with a **deterministic**
+//! A zero-dependency thread pool with a **deterministic**
 //! parallel-map/reduce API. The workspace's hermetic-build policy rules
 //! out `rayon`; more importantly, rayon's reductions associate partial
 //! results in scheduling order, which breaks the workspace contract that
@@ -21,11 +21,22 @@
 //! bit-identical outputs; the single-thread path is a plain inline loop
 //! over the same chunks (an exact serial fallback with zero spawn cost).
 //!
-//! Workers are spawned per parallel region with [`std::thread::scope`],
-//! which is what keeps the crate free of `unsafe` while still borrowing
-//! the caller's data. The spawn cost (a few µs per worker) is amortized
-//! over kernel-sized regions — per-net wirelength fan-outs, per-cell
-//! density binning, DCT passes — not per item.
+//! A parallel region runs on the calling thread plus helper threads
+//! that the calling thread keeps between regions: each thread that
+//! opens regions gets its own helpers, spawned on first use and joined
+//! when it exits, so independent callers never share or wait on each
+//! other's helpers. Dispatching a region to warm helpers costs well
+//! under a microsecond when they are spinning, against tens of
+//! microseconds to spawn a thread (the `pool_region_t2` row of the
+//! kernels bench), which matters for the thousands of
+//! sub-millisecond regions (DCT passes, density binning) in one
+//! placement. A waiting thread spins for at most 50 µs, and only while
+//! the widths of all open regions fit within the host's cores;
+//! otherwise it parks. A region opened inside another region's job
+//! runs inline on that thread. Helpers reach the job, which borrows the
+//! caller's data, through a lifetime-erased reference: that one module
+//! is the crate's only `unsafe`, and a region neither returns nor
+//! unwinds until every helper it posted to has given the job back.
 //!
 //! ```
 //! use rdp_par::Pool;
@@ -39,11 +50,13 @@
 //! assert_eq!(total, 499_500.0);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod fastexp;
 mod pool;
+#[allow(unsafe_code)]
+mod region;
 
 pub use fastexp::fast_exp;
 pub use pool::{chunk_len, global_threads, set_global_threads, with_local_threads, Pool};

@@ -1,8 +1,10 @@
-//! The deterministic scoped thread pool.
+//! The deterministic thread pool.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
+
+use crate::region::{cores, run_region};
 
 /// Process-wide thread-count override; 0 means "not yet resolved".
 static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -71,17 +73,11 @@ fn threads_from_env() -> usize {
             Ok(n) => n.max(1),
             Err(_) => {
                 eprintln!("warning: ignoring unparsable RDP_THREADS={v:?}");
-                default_parallelism()
+                cores()
             }
         },
-        Err(_) => default_parallelism(),
+        Err(_) => cores(),
     })
-}
-
-fn default_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Deterministic chunk length for `n` items: large enough that at most
@@ -93,11 +89,12 @@ pub fn chunk_len(n: usize, max_chunks: usize, min_len: usize) -> usize {
     n.div_ceil(max_chunks.max(1)).max(min_len).max(1)
 }
 
-/// A deterministic scoped thread pool of a fixed logical width.
+/// A deterministic thread pool of a fixed logical width.
 ///
-/// `Pool` is a plain value (`Copy`): it carries the worker count and
-/// spawns scoped workers per parallel region. See the crate docs for
-/// the determinism contract.
+/// `Pool` is a plain value (`Copy`): it carries the worker count, and
+/// each parallel region runs on the calling thread plus that thread's
+/// own persistent helpers. See the crate docs for the determinism
+/// contract and the helper lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,
@@ -174,7 +171,8 @@ impl Pool {
         }
 
         let cursor = AtomicUsize::new(0);
-        let worker = || {
+        let done = Mutex::new(Vec::with_capacity(nchunks));
+        run_region(workers, &|| {
             let mut scratch = make_scratch();
             let mut local: Vec<(usize, R)> = Vec::new();
             loop {
@@ -184,26 +182,13 @@ impl Pool {
                 }
                 local.push((ci, f(&mut scratch, ci, chunk_range(ci, chunk, n))));
             }
-            local
-        };
+            done.lock().expect("results lock poisoned").extend(local);
+        });
 
         let mut slots: Vec<Option<R>> = (0..nchunks).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers - 1).map(|_| scope.spawn(worker)).collect();
-            for (ci, r) in worker() {
-                slots[ci] = Some(r);
-            }
-            for h in handles {
-                match h.join() {
-                    Ok(part) => {
-                        for (ci, r) in part {
-                            slots[ci] = Some(r);
-                        }
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
+        for (ci, r) in done.into_inner().expect("results lock poisoned") {
+            slots[ci] = Some(r);
+        }
         slots
             .into_iter()
             .map(|s| s.expect("every chunk was processed"))
@@ -288,22 +273,13 @@ impl Pool {
         items.reverse(); // pop() drains in ascending chunk order
         let queue = Mutex::new(items);
 
-        let worker = || {
+        run_region(workers, &|| {
             let mut scratch = make_scratch();
             loop {
                 let item = queue.lock().expect("queue poisoned").pop();
                 match item {
                     Some((ci, offset, slice)) => f(&mut scratch, ci, offset, slice),
                     None => break,
-                }
-            }
-        };
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers - 1).map(|_| scope.spawn(worker)).collect();
-            worker();
-            for h in handles {
-                if let Err(payload) = h.join() {
-                    std::panic::resume_unwind(payload);
                 }
             }
         });

@@ -187,12 +187,19 @@ impl Client {
             .ok_or_else(|| RdpError::protocol(format!("{} resolves to nothing", self.addr)))?;
         let mut stream = TcpStream::connect_timeout(&target, self.limits.io_timeout)
             .map_err(|e| RdpError::protocol(format!("connect {}: {e}", self.addr)))?;
-        write_frame(&mut stream, payload.as_bytes(), &self.limits)?;
+        // A server at its connection cap answers `Busy` and closes without
+        // reading the request. If the request is still being written, the
+        // close resets the connection under the write, but the answer has
+        // already arrived: read it before reporting the failed write.
+        let sent = write_frame(&mut stream, payload.as_bytes(), &self.limits);
         let read_limits = FrameLimits {
             max_frame: self.limits.max_frame,
             io_timeout: self.limits.io_timeout + Duration::from_millis(extra_wait_ms),
         };
-        let response = read_frame(&mut stream, &read_limits)?;
+        let response = match read_frame(&mut stream, &read_limits) {
+            Ok(response) => response,
+            Err(read_err) => return Err(sent.err().unwrap_or(read_err)),
+        };
         let text = std::str::from_utf8(&response)
             .map_err(|e| RdpError::protocol(format!("response is not UTF-8: {e}")))?;
         let v =

@@ -5,8 +5,9 @@
 #
 # Usage: scripts/ci.sh [--workspace]
 #   default      gate scope: root package tests only (tier-1)
-#   --workspace  also run every member crate's tests and smoke-run
-#                the bench binaries (slower, recommended before merge)
+#   --workspace  also run every member crate's tests and the flowbench
+#                tests, and smoke-run the bench binaries (slower,
+#                recommended before merge)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,6 +34,13 @@ RDP_THREADS=4 cargo test -q --offline ${scope}
 if [[ -n "${scope}" ]]; then
     echo "==> bench smoke (cargo test --benches)"
     RDP_BENCH_SMOKE=1 cargo test -q --offline -p rdp-bench --benches
+
+    # The end-to-end benchmark (BENCHMARK.json) is a package of its own
+    # outside the workspace, so the passes above do not build it. Its
+    # smoke tests run every workload at a small size, the 2-thread ones
+    # through the pool's helpers.
+    echo "==> flowbench tests (cargo test --manifest-path flowbench/Cargo.toml)"
+    cargo test --release --offline --manifest-path flowbench/Cargo.toml
 fi
 
 # Observability gate: a traced 5k-cell flow with an injected fault must
