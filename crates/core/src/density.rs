@@ -14,6 +14,17 @@ fn cell_chunk(num_cells: usize) -> usize {
     chunk_len(num_cells, 16, 128)
 }
 
+/// Bin index of the grid coordinate `f` (in bins), clamped into
+/// `0..n`: `(f.floor().max(0.0) as usize).min(n - 1)` without the
+/// `floor`, which baseline x86-64 lowers to a libm call. After
+/// `max(0.0)` the value is ≥ 0 (NaN maps to 0.0), and for such values
+/// `as usize` truncation equals `floor` — saturating to `usize::MAX` past
+/// the top, exactly as the floored cast does — so the index is unchanged.
+#[inline]
+fn clamp_bin(f: f64, n: usize) -> usize {
+    (f.max(0.0) as usize).min(n - 1)
+}
+
 /// Accumulator lane count for flat reductions. Part of the numeric
 /// contract: changing it reorders sums and requires re-baselining
 /// (DESIGN.md §11).
@@ -115,13 +126,13 @@ impl DensityModel {
         let bin_h = self.grid.bin_h();
         let region_lo = self.grid.region().lo;
         let (inv_bw, inv_bh) = (1.0 / bin_w, 1.0 / bin_h);
-        // Division-free bin-range quantization, local to this kernel: a
+        // Division-free bin-range quantization (`clamp_bin` of the
+        // reciprocal products), local to this kernel: a
         // reciprocal-rounding off-by-one at an exact bin boundary only
         // adds a bin whose clamped overlap width is exactly 0.0, so the
         // accumulated density is unaffected (the shared
         // `GridSpec::bins_overlapping` keeps the true division because
         // its callers rely on the exclusive-boundary index itself).
-        let clamp_bin = |f: f64, n: usize| (f.floor().max(0.0) as usize).min(n - 1);
         let cells = design.cells();
         let positions = design.positions();
         let parts = pool.map_chunks(n, chunk, |_ci, range| {
@@ -282,6 +293,7 @@ impl DensityModel {
 mod tests {
     use super::*;
     use rdp_db::{Cell, CellId, DesignBuilder, Rect, RoutingSpec};
+    use rdp_testkit::{prop_assert_eq, prop_check, range, Gen, PropConfig, Rng};
 
     fn cluster_design() -> Design {
         let mut b = DesignBuilder::new("d", Rect::new(0.0, 0.0, 64.0, 64.0));
@@ -379,6 +391,116 @@ mod tests {
         let m = DensityModel::new(&d);
         let f = m.compute(&d, None, None, 10.0);
         assert_eq!(f.overflow, 0.0);
+    }
+
+    /// Adversarial grid coordinates, in bins, for an axis of `n` bins:
+    /// NaN, ±0, ±∞, subnormals, negatives in (−1, 0], exact bin edges
+    /// and centres, one ulp either side of an edge, values past `n`,
+    /// and plain in-range values.
+    struct GridCoord {
+        n: usize,
+    }
+
+    impl Gen for GridCoord {
+        type Value = f64;
+        fn generate(&self, rng: &mut Rng) -> f64 {
+            const SPECIAL: [f64; 12] = [
+                f64::NAN,
+                0.0,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                5e-324,
+                -5e-324,
+                f64::MIN_POSITIVE / 3.0,
+                -f64::MIN_POSITIVE / 3.0,
+                f64::MAX,
+                f64::MIN,
+                18_446_744_073_709_551_616.0, // 2^64: saturates `as usize`
+            ];
+            let edge = rng.gen_range(0..=self.n + 2) as f64;
+            match rng.gen_range(0u32..8) {
+                0 => *rng.choose(&SPECIAL).expect("non-empty"),
+                1 => -rng.next_f64(),
+                2 => edge,
+                3 => edge + 0.5,
+                4 => edge.next_down(),
+                5 => edge.next_up(),
+                6 => self.n as f64 + rng.gen_range(0.0..1e6),
+                _ => rng.gen_range(-2.0..self.n as f64 + 2.0),
+            }
+        }
+    }
+
+    #[test]
+    fn floor_free_bin_index_matches_floored_index() {
+        prop_check!(
+            PropConfig::cases(2048),
+            (GridCoord { n: 12 }, range(1usize..13)),
+            |(f, n): (f64, usize)| {
+                prop_assert_eq!(clamp_bin(f, n), (f.floor().max(0.0) as usize).min(n - 1));
+                Ok(())
+            }
+        );
+    }
+
+    /// The bilinear samplers as they were with `floor`, for the bitwise
+    /// comparison below (same expressions, same order).
+    fn floored_bilinear2(g: &GridSpec, fa: &Map2d<f64>, fb: &Map2d<f64>, p: Point) -> (f64, f64) {
+        let (nx, ny) = (g.nx(), g.ny());
+        let gx = (p.x - g.region().lo.x) * (1.0 / g.bin_w()) - 0.5;
+        let gy = (p.y - g.region().lo.y) * (1.0 / g.bin_h()) - 0.5;
+        let gx = gx.clamp(0.0, (nx - 1) as f64);
+        let gy = gy.clamp(0.0, (ny - 1) as f64);
+        let x0 = gx.floor() as usize;
+        let y0 = gy.floor() as usize;
+        let x1 = (x0 + 1).min(nx - 1);
+        let y1 = (y0 + 1).min(ny - 1);
+        let tx = gx - x0 as f64;
+        let ty = gy - y0 as f64;
+        let sample = |f: &Map2d<f64>| {
+            f[(x0, y0)] * (1.0 - tx) * (1.0 - ty)
+                + f[(x1, y0)] * tx * (1.0 - ty)
+                + f[(x0, y1)] * (1.0 - tx) * ty
+                + f[(x1, y1)] * tx * ty
+        };
+        (sample(fa), sample(fb))
+    }
+
+    #[test]
+    fn floor_free_samplers_match_floored_copy_bitwise() {
+        let (nx, ny) = (10, 7);
+        let g = GridSpec::new(Rect::new(-3.5, 2.0, 96.5, 52.0), nx, ny);
+        let mut fa = Map2d::new(nx, ny);
+        let mut fb = Map2d::new(nx, ny);
+        for iy in 0..ny {
+            for ix in 0..nx {
+                fa[(ix, iy)] = ((ix * 7 + iy * 3) % 11) as f64 * 0.37 - 2.0;
+                fb[(ix, iy)] = (ix as f64 * 1.3).sin() + iy as f64;
+            }
+        }
+        prop_check!(
+            PropConfig::cases(2048),
+            (GridCoord { n: nx }, GridCoord { n: ny }, range(0u8..2)),
+            |(cx, cy, raw): (f64, f64, u8)| {
+                // Either the coordinate is the sampler's bin-centred grid
+                // value, or (NaN, ±∞ and friends) the raw point itself.
+                let p = if raw == 1 {
+                    Point::new(cx, cy)
+                } else {
+                    let lo = g.region().lo;
+                    Point::new(lo.x + (cx + 0.5) * g.bin_w(), lo.y + (cy + 0.5) * g.bin_h())
+                };
+                let (wa, wb) = floored_bilinear2(&g, &fa, &fb, p);
+                let (a, b) = g.sample_bilinear2(&fa, &fb, p);
+                prop_assert_eq!(a.to_bits(), wa.to_bits(), "bilinear2 a at {p:?}");
+                prop_assert_eq!(b.to_bits(), wb.to_bits(), "bilinear2 b at {p:?}");
+                let (sa, sb) = (g.sample_bilinear(&fa, p), g.sample_bilinear(&fb, p));
+                prop_assert_eq!(sa.to_bits(), wa.to_bits(), "bilinear a at {p:?}");
+                prop_assert_eq!(sb.to_bits(), wb.to_bits(), "bilinear b at {p:?}");
+                Ok(())
+            }
+        );
     }
 
     #[test]

@@ -117,7 +117,8 @@ pub struct GpSession {
     stage: Stage,
     /// Full-design gradient scratch reused across iterations.
     full_grad: Vec<Point>,
-    /// WA per-pin scratch reused across iterations.
+    /// WA scratch reused across iterations: per-pin buffer plus the flat
+    /// netlist view of the session's design.
     wa_scratch: WaScratch,
     /// Observability sink (disabled by default). Records spans and
     /// convergence telemetry only; nothing here is ever read back, so
@@ -147,10 +148,18 @@ impl GpSession {
             }
         }
 
-        // Initial λ₁ = ‖∇WA‖₁ / ‖∇D‖₁ (ePlace).
+        // Initial λ₁ = ‖∇WA‖₁ / ‖∇D‖₁ (ePlace). The first gradient binds
+        // the session's WA scratch (and its flat netlist view) to the
+        // design; every later step reuses it.
         let field = model.compute(design, None, None, cfg.target_density);
         let mut gw = vec![Point::default(); design.num_cells()];
-        WaModel::new(base_gamma * gamma_scale(field.overflow)).accumulate_gradient(design, &mut gw);
+        let mut wa_scratch = WaScratch::new();
+        WaModel::new(base_gamma * gamma_scale(field.overflow)).accumulate_gradient_with(
+            design,
+            &mut gw,
+            Pool::global(),
+            &mut wa_scratch,
+        );
         let mut gd = vec![Point::default(); design.num_cells()];
         model.accumulate_gradient(design, &field, None, 1.0, &mut gd);
         let l1_w: f64 = movable.iter().map(|&c| l1(gw[c.index()])).sum();
@@ -174,7 +183,7 @@ impl GpSession {
             steps_done: 0,
             stage: Stage::WirelengthGp,
             full_grad: vec![Point::default(); num_cells],
-            wa_scratch: WaScratch::new(),
+            wa_scratch,
             obs: Collector::disabled(),
         }
     }
@@ -348,7 +357,12 @@ impl GpSession {
             self.cfg.target_density,
         );
         let mut gw = vec![Point::default(); design.num_cells()];
-        WaModel::new(gamma).accumulate_gradient(design, &mut gw);
+        WaModel::new(gamma).accumulate_gradient_with(
+            design,
+            &mut gw,
+            Pool::global(),
+            &mut self.wa_scratch,
+        );
         let mut gd = vec![Point::default(); design.num_cells()];
         self.model
             .accumulate_gradient(design, &field, extras.inflation, 1.0, &mut gd);

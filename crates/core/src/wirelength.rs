@@ -22,24 +22,107 @@ use rdp_par::{chunk_len, fast_exp, Pool};
 /// re-baseline (DESIGN.md §11).
 const LANES: usize = 4;
 
-/// Reusable buffers for WA evaluations. One instance amortizes every
-/// allocation of [`WaModel::accumulate_gradient_with`] across Nesterov
-/// iterations: `pin_grad` holds one gradient contribution per pin, and
-/// `pin_cell` caches the pin → cell index map (netlist topology is fixed
-/// within a placement session, so it is built once and keyed on the pin
-/// count — a scratch must not be shared across *different* designs).
+/// Reusable buffers for WA gradient evaluations. One instance amortizes
+/// every allocation of [`WaModel::accumulate_gradient_with`] across
+/// Nesterov iterations: `pin_grad` holds one gradient contribution per
+/// pin, and `view` is the flat netlist view of the design the scratch
+/// last served. The view is bound to that design's
+/// [`Design::netlist_id`] when it is built and rebuilt whenever a design
+/// with another netlist comes in, so one scratch may serve any number of
+/// designs.
 #[derive(Debug, Clone, Default)]
 pub struct WaScratch {
     /// Per-pin ∂WA/∂pin contributions (net weight folded in).
     pin_grad: Vec<Point>,
-    /// Owning cell index of every pin (scatter target).
-    pin_cell: Vec<u32>,
+    /// Flat netlist view of the bound design.
+    view: NetlistView,
 }
 
 impl WaScratch {
     /// Creates an empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         WaScratch::default()
+    }
+
+    /// Binds the scratch to `design`: rebuilds the view (and re-zeroes
+    /// the per-pin buffer) unless it was built from the same netlist.
+    fn bind(&mut self, design: &Design) {
+        if self.view.netlist != Some(design.netlist_id()) {
+            self.view = NetlistView::new(design);
+            self.pin_grad.clear();
+            self.pin_grad.resize(design.num_pins(), Point::default());
+        }
+    }
+}
+
+/// Flat structure-of-arrays copy of the netlist topology the WA gradient
+/// walks every iteration, in place of the per-net `Net` records and
+/// their heap-allocated pin lists. Positions are not copied: the kernel
+/// reads them from the design as `positions[pin_cell] + offset`.
+#[derive(Debug, Clone, Default)]
+struct NetlistView {
+    /// [`Design::netlist_id`] of the design the view was built from.
+    netlist: Option<u64>,
+    /// CSR offsets: net `i` owns pins `net_start[i]..net_start[i + 1]`.
+    net_start: Vec<u32>,
+    /// Owning cell index of every pin (gather source, scatter target).
+    pin_cell: Vec<u32>,
+    /// Pin offsets from the cell center, x axis.
+    off_x: Vec<f64>,
+    /// Pin offsets from the cell center, y axis.
+    off_y: Vec<f64>,
+    /// Net weights.
+    weight: Vec<f64>,
+    /// Net-chunk boundaries (see [`net_chunk`]) as pin offsets: the
+    /// disjoint `pin_grad` windows of the parallel fan-out.
+    chunk_pins: Vec<usize>,
+}
+
+impl NetlistView {
+    /// Builds the view of `design`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the design has 2³² or more pins or cells, or if a net's
+    /// pins are not one contiguous ascending id range
+    /// (`DesignBuilder::build` creates pins net by net, so every built
+    /// design satisfies this).
+    fn new(design: &Design) -> Self {
+        let (num_pins, num_cells) = (design.num_pins(), design.num_cells());
+        assert!(
+            u32::try_from(num_pins.max(num_cells)).is_ok(),
+            "pin or cell count exceeds u32"
+        );
+        let mut net_start = Vec::with_capacity(design.num_nets() + 1);
+        net_start.push(0u32);
+        for net in design.nets() {
+            let start = *net_start.last().expect("non-empty") as usize;
+            assert!(
+                net.pins
+                    .iter()
+                    .enumerate()
+                    .all(|(k, p)| p.index() == start + k),
+                "net `{}` pins are not a contiguous id range",
+                net.name
+            );
+            net_start.push((start + net.pins.len()) as u32);
+        }
+
+        let num_nets = design.num_nets();
+        let chunk = net_chunk(num_nets);
+        let chunk_pins = (0..=num_nets.div_ceil(chunk))
+            .map(|ci| net_start[(ci * chunk).min(num_nets)] as usize)
+            .collect();
+        let pins = design.pins();
+        NetlistView {
+            netlist: Some(design.netlist_id()),
+            net_start,
+            pin_cell: pins.iter().map(|p| p.cell.index() as u32).collect(),
+            off_x: pins.iter().map(|p| p.offset.x).collect(),
+            off_y: pins.iter().map(|p| p.offset.y).collect(),
+            weight: design.nets().iter().map(|n| n.weight).collect(),
+            chunk_pins,
+        }
     }
 }
 
@@ -129,6 +212,13 @@ impl WaModel {
     /// contributions into `grad` in pin order. Because each pin value is
     /// computed independently and the scatter order is fixed, the result
     /// is bit-identical to the serial evaluation for any thread count.
+    ///
+    /// Each chunk gathers its pins' coordinates from the flat netlist
+    /// view, then runs every net through a kernel picked by degree: the
+    /// closed form `wa_grad_2` for two pins, the fixed-size
+    /// `wa_grad_fixed` for 3–8 pins, and the lane loop `wa_grad_1d`
+    /// beyond. The first two return exactly the bits `wa_grad_1d` would,
+    /// so the degree split never changes a result.
     pub fn accumulate_gradient_with(
         &self,
         design: &Design,
@@ -137,77 +227,65 @@ impl WaModel {
         scratch: &mut WaScratch,
     ) {
         assert_eq!(grad.len(), design.num_cells(), "gradient buffer size");
+        scratch.bind(design);
+        let WaScratch { pin_grad, view } = scratch;
         let num_nets = design.num_nets();
-        let num_pins = design.num_pins();
-        scratch.pin_grad.clear();
-        scratch.pin_grad.resize(num_pins, Point::default());
-
-        // Chunk boundaries over nets, expressed as pin offsets. Pins are
-        // created net-by-net (see `DesignBuilder::build`), so every
-        // net's pins occupy one contiguous ascending id range.
         let chunk = net_chunk(num_nets);
-        let nchunks = num_nets.div_ceil(chunk);
-        let bounds: Vec<usize> = (0..=nchunks)
-            .map(|ci| {
-                let net = (ci * chunk).min(num_nets);
-                if net == num_nets {
-                    num_pins
-                } else {
-                    design.net(NetId::from_index(net)).pins[0].index()
-                }
-            })
-            .collect();
-
-        let gamma = self.gamma;
-        let inv_g = 1.0 / gamma;
+        let positions = design.positions();
+        let inv_g = 1.0 / self.gamma;
         pool.for_uneven_chunks_mut(
-            &mut scratch.pin_grad,
-            &bounds,
+            pin_grad,
+            &view.chunk_pins,
             || (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new()),
-            |(xs, ys, ep, en, grads), ci, offset, window| {
+            |(xs, ys, ep, en, g), ci, offset, window| {
+                // Gather the chunk's pin coordinates in one pass.
+                let pins = offset..offset + window.len();
+                xs.clear();
+                xs.extend(
+                    pins.clone()
+                        .map(|p| positions[view.pin_cell[p] as usize].x + view.off_x[p]),
+                );
+                ys.clear();
+                ys.extend(pins.map(|p| positions[view.pin_cell[p] as usize].y + view.off_y[p]));
+
                 let net_end = ((ci + 1) * chunk).min(num_nets);
                 for ni in ci * chunk..net_end {
-                    let net = design.net(NetId::from_index(ni));
-                    if net.pins.len() < 2 {
-                        continue;
-                    }
-                    let w = net.weight;
-                    let start = net.pins[0].index() - offset;
-                    debug_assert!(net
-                        .pins
-                        .iter()
-                        .enumerate()
-                        .all(|(k, p)| p.index() == offset + start + k));
-                    // Two-pin nets dominate real netlists (≈⅔ here); the
-                    // register-only closed form skips every buffer.
-                    if net.pins.len() == 2 {
-                        let p0 = design.pin_position(net.pins[0]);
-                        let p1 = design.pin_position(net.pins[1]);
-                        let (gx0, gx1) = wa_grad_2(p0.x, p1.x, inv_g);
-                        let (gy0, gy1) = wa_grad_2(p0.y, p1.y, inv_g);
-                        window[start] = Point::new(w * gx0, w * gy0);
-                        window[start + 1] = Point::new(w * gx1, w * gy1);
-                        continue;
-                    }
-                    // Gather both axes in one pass over the pins: the
-                    // pin-table walk (id → cell → position + offset) is a
-                    // real fraction of the kernel on small nets.
-                    xs.clear();
-                    ys.clear();
-                    for &p in &net.pins {
-                        let pos = design.pin_position(p);
-                        xs.push(pos.x);
-                        ys.push(pos.y);
-                    }
-                    grads.clear();
-                    grads.resize(xs.len(), 0.0);
-                    wa_grad_1d(xs, gamma, ep, en, grads);
-                    for (k, g) in grads.iter().enumerate() {
-                        window[start + k].x = w * g;
-                    }
-                    wa_grad_1d(ys, gamma, ep, en, grads);
-                    for (k, g) in grads.iter().enumerate() {
-                        window[start + k].y = w * g;
+                    let s = view.net_start[ni] as usize - offset;
+                    let e = view.net_start[ni + 1] as usize - offset;
+                    let w = view.weight[ni];
+                    match e - s {
+                        // Pins of < 2-pin nets keep the zero `bind` wrote.
+                        0 | 1 => {}
+                        // Two-pin nets dominate real netlists (≈⅔ here);
+                        // the register-only closed form skips every buffer.
+                        2 => {
+                            let (gx0, gx1) = wa_grad_2(xs[s], xs[s + 1], inv_g);
+                            let (gy0, gy1) = wa_grad_2(ys[s], ys[s + 1], inv_g);
+                            window[s] = Point::new(w * gx0, w * gy0);
+                            window[s + 1] = Point::new(w * gx1, w * gy1);
+                        }
+                        3 => net_grad_fixed::<3>(xs, ys, s, w, inv_g, window),
+                        4 => net_grad_fixed::<4>(xs, ys, s, w, inv_g, window),
+                        5 => net_grad_fixed::<5>(xs, ys, s, w, inv_g, window),
+                        6 => net_grad_fixed::<6>(xs, ys, s, w, inv_g, window),
+                        7 => net_grad_fixed::<7>(xs, ys, s, w, inv_g, window),
+                        8 => net_grad_fixed::<8>(xs, ys, s, w, inv_g, window),
+                        n => {
+                            if g.len() < n {
+                                ep.resize(n, 0.0);
+                                en.resize(n, 0.0);
+                                g.resize(n, 0.0);
+                            }
+                            let (ep, en, g) = (&mut ep[..n], &mut en[..n], &mut g[..n]);
+                            wa_grad_1d(&xs[s..e], inv_g, ep, en, g);
+                            for (pg, &gx) in window[s..e].iter_mut().zip(g.iter()) {
+                                pg.x = w * gx;
+                            }
+                            wa_grad_1d(&ys[s..e], inv_g, ep, en, g);
+                            for (pg, &gy) in window[s..e].iter_mut().zip(g.iter()) {
+                                pg.y = w * gy;
+                            }
+                        }
                     }
                 }
             },
@@ -215,19 +293,33 @@ impl WaModel {
 
         // Sequential deterministic scatter in pin order. Pins of skipped
         // (< 2-pin) nets carry a zeroed contribution, so one flat pass
-        // over the cached pin → cell map replaces the per-net pin-table
-        // walk without reordering any non-trivial addition.
-        if scratch.pin_cell.len() != num_pins {
-            scratch.pin_cell.clear();
-            scratch.pin_cell.extend(
-                (0..num_pins).map(|p| design.pin(rdp_db::PinId::from_index(p)).cell.index() as u32),
-            );
-        }
-        for (pg, &cell) in scratch.pin_grad.iter().zip(scratch.pin_cell.iter()) {
+        // over the pin → cell map replaces the per-net pin-table walk
+        // without reordering any non-trivial addition.
+        for (pg, &cell) in pin_grad.iter().zip(view.pin_cell.iter()) {
             let g = &mut grad[cell as usize];
             g.x += pg.x;
             g.y += pg.y;
         }
+    }
+}
+
+/// Gradient of one `N`-pin net whose gathered coordinates start at `s`
+/// in `xs`/`ys`, written (weighted) into `out[s..s + N]`.
+#[inline]
+fn net_grad_fixed<const N: usize>(
+    xs: &[f64],
+    ys: &[f64],
+    s: usize,
+    w: f64,
+    inv_g: f64,
+    out: &mut [Point],
+) {
+    let x: &[f64; N] = xs[s..s + N].try_into().expect("N coordinates");
+    let y: &[f64; N] = ys[s..s + N].try_into().expect("N coordinates");
+    let gx = wa_grad_fixed(x, inv_g);
+    let gy = wa_grad_fixed(y, inv_g);
+    for (k, pg) in out[s..s + N].iter_mut().enumerate() {
+        *pg = Point::new(w * gx[k], w * gy[k]);
     }
 }
 
@@ -292,13 +384,13 @@ fn wa_1d(v: &[f64], gamma: f64) -> f64 {
     ap / sp - an / sn
 }
 
-/// One-dimensional WA gradient: out[i] = ∂WA/∂v[i].
+/// One-dimensional WA gradient: out[i] = ∂WA/∂v[i], with `inv_g = 1/γ`.
 ///
 /// The exponentials are computed **once** into the caller's `ep`/`en`
-/// scratch (the scalar reference recomputed them in the output pass —
-/// exp is the dominant cost of the whole GP step), the four sums use the
-/// same fixed-lane accumulators as [`wa_1d`], and the output pass is the
-/// hoisted two-coefficient form
+/// slices, one entry per element (the scalar reference recomputed them
+/// in the output pass — exp is the dominant cost of the whole GP step),
+/// the four sums use the same fixed-lane accumulators as [`wa_1d`], and
+/// the output pass is the hoisted two-coefficient form
 ///
 /// ```text
 ///   out[i] = ep[i]·(a0 + a1·v[i]) − en[i]·(b0 − b1·v[i])
@@ -308,13 +400,12 @@ fn wa_1d(v: &[f64], gamma: f64) -> f64 {
 ///
 /// which is algebraically identical to the reference formula but
 /// division-free per element, so the pass vectorizes cleanly.
-fn wa_grad_1d(v: &[f64], gamma: f64, ep: &mut Vec<f64>, en: &mut Vec<f64>, out: &mut [f64]) {
+fn wa_grad_1d(v: &[f64], inv_g: f64, ep: &mut [f64], en: &mut [f64], out: &mut [f64]) {
     let (hi, lo) = minmax_1d(v);
-    let inv_g = 1.0 / gamma;
-    ep.clear();
-    ep.extend(v.iter().map(|&x| fast_exp((x - hi) * inv_g)));
-    en.clear();
-    en.extend(v.iter().map(|&x| fast_exp((lo - x) * inv_g)));
+    for ((p, n), &x) in ep.iter_mut().zip(en.iter_mut()).zip(v) {
+        *p = fast_exp((x - hi) * inv_g);
+        *n = fast_exp((lo - x) * inv_g);
+    }
 
     let (mut sp, mut ap) = ([0.0f64; LANES], [0.0f64; LANES]);
     let (mut sn, mut an) = ([0.0f64; LANES], [0.0f64; LANES]);
@@ -353,6 +444,50 @@ fn wa_grad_1d(v: &[f64], gamma: f64, ep: &mut Vec<f64>, en: &mut Vec<f64>, out: 
     for (i, &x) in v.iter().enumerate() {
         out[i] = ep[i] * (a0 + a1 * x) - en[i] * (b0 - b1 * x);
     }
+}
+
+/// [`wa_grad_1d`] for exactly `N` elements, on arrays: with `N` a
+/// constant every loop unrolls fully and the exponentials stay in
+/// registers, which removes the per-net loop and buffer overhead that
+/// dominates small nets. Element `i` accumulates into lane `i % LANES`,
+/// in ascending order, and the lanes fold as `(l0 + l1) + (l2 + l3)` —
+/// the chunked lane loop's operation sequence (its remainder elements
+/// also land in lane `i % LANES`) — and every other expression is
+/// copied verbatim, so both kernels return the same bits.
+#[inline(always)]
+fn wa_grad_fixed<const N: usize>(v: &[f64; N], inv_g: f64) -> [f64; N] {
+    let mut hi = [f64::NEG_INFINITY; LANES];
+    let mut lo = [f64::INFINITY; LANES];
+    for (i, &x) in v.iter().enumerate() {
+        hi[i % LANES] = hi[i % LANES].max(x);
+        lo[i % LANES] = lo[i % LANES].min(x);
+    }
+    let hi = (hi[0].max(hi[1])).max(hi[2].max(hi[3]));
+    let lo = (lo[0].min(lo[1])).min(lo[2].min(lo[3]));
+    let ep: [f64; N] = std::array::from_fn(|i| fast_exp((v[i] - hi) * inv_g));
+    let en: [f64; N] = std::array::from_fn(|i| fast_exp((lo - v[i]) * inv_g));
+
+    let (mut sp, mut ap) = ([0.0f64; LANES], [0.0f64; LANES]);
+    let (mut sn, mut an) = ([0.0f64; LANES], [0.0f64; LANES]);
+    for (i, &x) in v.iter().enumerate() {
+        let l = i % LANES;
+        sp[l] += ep[i];
+        ap[l] += x * ep[i];
+        sn[l] += en[i];
+        an[l] += x * en[i];
+    }
+    let sp = (sp[0] + sp[1]) + (sp[2] + sp[3]);
+    let ap = (ap[0] + ap[1]) + (ap[2] + ap[3]);
+    let sn = (sn[0] + sn[1]) + (sn[2] + sn[3]);
+    let an = (an[0] + an[1]) + (an[2] + an[3]);
+
+    let inv_sp = 1.0 / sp;
+    let inv_sn = 1.0 / sn;
+    let a1 = inv_g * inv_sp;
+    let a0 = inv_sp - ap * a1 * inv_sp;
+    let b1 = inv_g * inv_sn;
+    let b0 = inv_sn + an * b1 * inv_sn;
+    std::array::from_fn(|i| ep[i] * (a0 + a1 * v[i]) - en[i] * (b0 - b1 * v[i]))
 }
 
 /// Closed-form 1-D WA gradient for a two-pin net (the [`wa_grad_1d`]
@@ -572,6 +707,145 @@ mod tests {
         assert!((grad[0].x - 3.0 * g1[0].x).abs() < 1e-12);
     }
 
+    /// The per-net gradient path the flat kernels replaced, kept as the
+    /// bitwise oracle: gather every net through `Design::pin_position`,
+    /// run [`wa_grad_1d`] per axis, then scatter in pin order.
+    fn per_net_oracle(design: &Design, gamma: f64, grad: &mut [Point]) {
+        let inv_g = 1.0 / gamma;
+        let mut pin_grad = vec![Point::default(); design.num_pins()];
+        for net in design.nets() {
+            let n = net.pins.len();
+            if n < 2 {
+                continue;
+            }
+            let xs: Vec<f64> = net.pins.iter().map(|&p| design.pin_position(p).x).collect();
+            let ys: Vec<f64> = net.pins.iter().map(|&p| design.pin_position(p).y).collect();
+            let (mut ep, mut en) = (vec![0.0; n], vec![0.0; n]);
+            let (mut gx, mut gy) = (vec![0.0; n], vec![0.0; n]);
+            wa_grad_1d(&xs, inv_g, &mut ep, &mut en, &mut gx);
+            wa_grad_1d(&ys, inv_g, &mut ep, &mut en, &mut gy);
+            for (k, &p) in net.pins.iter().enumerate() {
+                pin_grad[p.index()] = Point::new(net.weight * gx[k], net.weight * gy[k]);
+            }
+        }
+        for (pg, pin) in pin_grad.iter().zip(design.pins()) {
+            let g = &mut grad[pin.cell.index()];
+            g.x += pg.x;
+            g.y += pg.y;
+        }
+    }
+
+    /// Asserts that the flat-view gradient equals [`per_net_oracle`] bit
+    /// for bit at 1 and 4 threads and γ ∈ {0.05, 2, 50}.
+    fn assert_matches_oracle(design: &Design, label: &str) {
+        for gamma in [0.05, 2.0, 50.0] {
+            let mut want = vec![Point::default(); design.num_cells()];
+            per_net_oracle(design, gamma, &mut want);
+            for pool in [Pool::serial(), Pool::new(4)] {
+                let mut got = vec![Point::default(); design.num_cells()];
+                WaModel::new(gamma).accumulate_gradient_with(
+                    design,
+                    &mut got,
+                    pool,
+                    &mut WaScratch::new(),
+                );
+                for (ci, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        g.x.to_bits() == w.x.to_bits() && g.y.to_bits() == w.y.to_bits(),
+                        "{label}: γ={gamma} threads={} cell {ci}: {g:?} vs oracle {w:?}",
+                        pool.threads()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gradient_matches_per_net_oracle_on_every_scenario_class() {
+        use rdp_gen::{scenario_matrix, Scale};
+        for scenario in scenario_matrix() {
+            let mut d = scenario.build(Scale::Small);
+            assert_matches_oracle(&d, scenario.name);
+            // Collapse the movable cells into a small box (the center
+            // start of every GP session): near-equal coordinates put the
+            // exponents near 0.
+            let c = d.die().center();
+            let movable: Vec<_> = d.movable_cells().collect();
+            for (k, &id) in movable.iter().enumerate() {
+                let j = ((k * 7919) % 101) as f64 / 101.0 - 0.5;
+                d.set_pos(id, Point::new(c.x + j, c.y - 0.5 * j));
+            }
+            assert_matches_oracle(&d, &format!("{} (collapsed)", scenario.name));
+        }
+    }
+
+    #[test]
+    fn gradient_matches_per_net_oracle_on_every_degree() {
+        // One net of each degree 2–12 (the builder rejects nets of
+        // fewer than two pins) plus one weighted net, over cells with
+        // distinct positions and nonzero pin offsets.
+        let mut db = DesignBuilder::new("deg", Rect::new(0.0, 0.0, 100.0, 100.0));
+        let cells: Vec<_> = (0..40)
+            .map(|i| {
+                let p = Point::new(((i * 37) % 97) as f64, ((i * 53) % 89) as f64 + 0.25);
+                db.add_cell(Cell::std(format!("c{i}"), 1.0, 1.0), p)
+            })
+            .collect();
+        for degree in 2..=12usize {
+            let pins = (0..degree)
+                .map(|k| {
+                    let c = cells[(degree * 3 + k * 5) % cells.len()];
+                    (c, Point::new(0.1 * k as f64 - 0.3, 0.05 * degree as f64))
+                })
+                .collect();
+            db.add_net(format!("n{degree}"), pins);
+        }
+        db.add_weighted_net(
+            "heavy",
+            3.5,
+            (0..5)
+                .map(|k| (cells[k * 7], Point::new(0.2, -0.1)))
+                .collect(),
+        );
+        db.routing(RoutingSpec::uniform(2, 1.0, 4, 4));
+        let d = db.build().unwrap();
+        assert_matches_oracle(&d, "degree ladder");
+    }
+
+    /// One scratch serving two designs with the same pin count but
+    /// different pin → cell maps must give each design its own gradient.
+    #[test]
+    fn scratch_reused_across_designs_with_equal_pin_counts() {
+        let build = |name: &str, nets: [[usize; 2]; 2], shift: f64| {
+            let mut db = DesignBuilder::new(name, Rect::new(0.0, 0.0, 100.0, 100.0));
+            let cells: Vec<_> = (0..4)
+                .map(|i| {
+                    let p = Point::new(10.0 + 20.0 * i as f64 + shift, 5.0 * (i * i) as f64);
+                    db.add_cell(Cell::std(format!("c{i}"), 1.0, 1.0), p)
+                })
+                .collect();
+            for (k, net) in nets.iter().enumerate() {
+                let pins = net.iter().map(|&c| (cells[c], Point::default())).collect();
+                db.add_net(format!("n{k}"), pins);
+            }
+            db.routing(RoutingSpec::uniform(2, 1.0, 4, 4));
+            db.build().unwrap()
+        };
+        let a = build("a", [[0, 1], [2, 3]], 0.0);
+        let b = build("b", [[0, 2], [3, 1]], 3.0);
+        assert_eq!(a.num_pins(), b.num_pins());
+
+        let wa = WaModel::new(2.0);
+        let mut shared = WaScratch::new();
+        for d in [&a, &b, &a] {
+            let mut got = vec![Point::default(); d.num_cells()];
+            let mut want = vec![Point::default(); d.num_cells()];
+            wa.accumulate_gradient_with(d, &mut got, Pool::serial(), &mut shared);
+            wa.accumulate_gradient_with(d, &mut want, Pool::serial(), &mut WaScratch::new());
+            assert_eq!(got, want, "design `{}` with a shared scratch", d.name());
+        }
+    }
+
     #[test]
     #[should_panic(expected = "gamma must be positive")]
     fn zero_gamma_rejected() {
@@ -597,8 +871,8 @@ mod tests {
 
                 let mut out = vec![0.0; n];
                 let mut want_out = vec![0.0; n];
-                let (mut ep, mut en) = (Vec::new(), Vec::new());
-                wa_grad_1d(&v, gamma, &mut ep, &mut en, &mut out);
+                let (mut ep, mut en) = (vec![0.0; n], vec![0.0; n]);
+                wa_grad_1d(&v, 1.0 / gamma, &mut ep, &mut en, &mut out);
                 reference::wa_grad_1d(&v, gamma, &mut want_out);
                 for i in 0..n {
                     assert!(

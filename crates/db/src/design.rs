@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::floorplan::{Obstruction, PgRail, RoutingSpec, Row};
 use crate::geom::{Point, Rect};
@@ -59,6 +60,8 @@ impl Error for BuildDesignError {}
 #[derive(Debug, Clone)]
 pub struct Design {
     name: String,
+    /// Identity of the netlist (cells, nets, pins), fixed at build time.
+    netlist_id: u64,
     die: Rect,
     cells: Vec<Cell>,
     nets: Vec<Net>,
@@ -72,6 +75,15 @@ pub struct Design {
 }
 
 impl Design {
+    /// Identity of this design's netlist: unique per
+    /// [`DesignBuilder::build`] call in the process, shared by clones.
+    /// Cells, nets and pins cannot change after the build, so two designs
+    /// with the same id have the same netlist — the key for caches
+    /// derived from the netlist alone.
+    pub fn netlist_id(&self) -> u64 {
+        self.netlist_id
+    }
+
     /// Design name.
     pub fn name(&self) -> &str {
         &self.name
@@ -524,8 +536,11 @@ impl DesignBuilder {
             });
         }
 
+        // A plain counter: ids only need to be unique, and publish no data.
+        static NEXT_NETLIST_ID: AtomicU64 = AtomicU64::new(0);
         Ok(Design {
             name: self.name,
+            netlist_id: NEXT_NETLIST_ID.fetch_add(1, Ordering::Relaxed),
             die: self.die,
             cells: self.cells,
             nets,

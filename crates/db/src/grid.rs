@@ -155,6 +155,11 @@ impl GridSpec {
     /// Points beyond the outer ring of centers are clamped (constant
     /// extrapolation), which matches the Neumann boundary condition of the
     /// placement Poisson problem.
+    ///
+    /// The clamped coordinate is ≥ 0 or NaN, and for such values `as
+    /// usize` truncation equals `floor()` (NaN casts to 0 either way), so
+    /// the index needs no out-of-line `floor` call.
+    #[inline]
     pub fn sample_bilinear(&self, field: &crate::Map2d<f64>, p: Point) -> f64 {
         assert_eq!(field.nx(), self.nx);
         assert_eq!(field.ny(), self.ny);
@@ -162,8 +167,8 @@ impl GridSpec {
         let gy = (p.y - self.region.lo.y) * self.inv_bh - 0.5;
         let gx = gx.clamp(0.0, (self.nx - 1) as f64);
         let gy = gy.clamp(0.0, (self.ny - 1) as f64);
-        let x0 = gx.floor() as usize;
-        let y0 = gy.floor() as usize;
+        let x0 = gx as usize;
+        let y0 = gy as usize;
         let x1 = (x0 + 1).min(self.nx - 1);
         let y1 = (y0 + 1).min(self.ny - 1);
         let tx = gx - x0 as f64;
@@ -184,6 +189,7 @@ impl GridSpec {
     /// are bitwise identical to two separate calls — the density gradient
     /// samples `E_x` and `E_y` at every cell and was paying the address
     /// math twice.
+    #[inline]
     pub fn sample_bilinear2(
         &self,
         fa: &crate::Map2d<f64>,
@@ -198,8 +204,8 @@ impl GridSpec {
         let gy = (p.y - self.region.lo.y) * self.inv_bh - 0.5;
         let gx = gx.clamp(0.0, (self.nx - 1) as f64);
         let gy = gy.clamp(0.0, (self.ny - 1) as f64);
-        let x0 = gx.floor() as usize;
-        let y0 = gy.floor() as usize;
+        let x0 = gx as usize;
+        let y0 = gy as usize;
         let x1 = (x0 + 1).min(self.nx - 1);
         let y1 = (y0 + 1).min(self.ny - 1);
         let tx = gx - x0 as f64;

@@ -18,9 +18,13 @@ if [[ ${#suites[@]} -eq 0 ]]; then
     suites=(kernels guard obs)
 fi
 
+# RDP_THREADS=1 here and in scripts/regress.sh: rows on the process-wide
+# pool then measure the serial kernels whatever the caller's RDP_THREADS,
+# so the gate compares the same configuration it recorded (rows ending
+# _t1/_t2/_t4 name their pool explicitly and ignore the variable).
 for suite in "${suites[@]}"; do
     echo "==> rebaseline: bench $suite ($samples samples)"
-    RDP_BENCH_DIR="$baselines" RDP_BENCH_SAMPLES="$samples" \
+    RDP_THREADS=1 RDP_BENCH_DIR="$baselines" RDP_BENCH_SAMPLES="$samples" \
         cargo bench --offline -q -p rdp-bench --bench "$suite" >/dev/null
     echo "    wrote $baselines/BENCH_$suite.json"
 done

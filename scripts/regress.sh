@@ -41,7 +41,8 @@ for ((run = 1; run <= runs; run++)); do
     mkdir -p "$dir"
     for suite in "${suites[@]}"; do
         echo "==> run $run/$runs: bench $suite"
-        RDP_BENCH_DIR="$dir" RDP_BENCH_SAMPLES="$samples" \
+        # Same pinned thread count as scripts/rebaseline.sh.
+        RDP_THREADS=1 RDP_BENCH_DIR="$dir" RDP_BENCH_SAMPLES="$samples" \
             cargo bench --offline -q -p rdp-bench --bench "$suite" >/dev/null
     done
     current_args+=(--current "$dir")
