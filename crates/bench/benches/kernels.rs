@@ -12,7 +12,7 @@ use rdp_db::Point;
 use rdp_gen::{generate, GenParams};
 use rdp_par::Pool;
 use rdp_poisson::{dct2, fft_in_place, Complex, PoissonSolver};
-use rdp_route::{rudy_map, rudy_map_with, GlobalRouter, IncrementalConfig, IncrementalRouter};
+use rdp_route::{rudy_map, rudy_map_with, GlobalRouter};
 
 fn bench_design() -> rdp_db::Design {
     generate(
@@ -235,54 +235,6 @@ fn parallel_kernels(c: &mut BenchHarness) {
     }
 }
 
-/// Incremental rip-up-and-reroute on the 20k design: a full route warms
-/// the retained state, then each sample flips the movable cells of one
-/// die-corner quadrant-of-a-quadrant between two position sets and
-/// re-routes only the dirtied nets. The movement is spatially clustered
-/// (a local detailed-placement-style touch-up, the router's intended
-/// incremental workload) — index-scattered movement would mark G-cells
-/// across the whole grid and dirty nearly every net through the
-/// effect-region test. Compare against `route_20k_cells_*` for the
-/// incremental saving.
-fn incremental_route(c: &mut BenchHarness) {
-    for (tag, threads) in [("t1", 1), ("t4", 4)] {
-        rdp_par::set_global_threads(threads);
-        let mut design = large_design();
-        let base: Vec<Point> = design.positions().to_vec();
-        let die = design.die();
-        let (cx, cy) = (
-            die.lo.x + 0.25 * die.width(),
-            die.lo.y + 0.25 * die.height(),
-        );
-        let mut shifted = base.clone();
-        for (i, p) in shifted.iter_mut().enumerate() {
-            if p.x >= cx || p.y >= cy || design.cell(rdp_db::CellId::from_index(i)).fixed {
-                continue;
-            }
-            p.x = (p.x + 2.0).clamp(die.lo.x, die.hi.x);
-            p.y = (p.y + 2.0).clamp(die.lo.y, die.hi.y);
-        }
-        let mut inc = IncrementalRouter::new(
-            GlobalRouter::default(),
-            IncrementalConfig {
-                move_threshold: 0.5,
-                resync_every: 0,
-                drift_frac: f64::INFINITY,
-            },
-        );
-        inc.route(&design);
-        let mut flip = false;
-        c.bench_function(&format!("route_20k_incremental_{tag}"), |b| {
-            b.iter(|| {
-                flip = !flip;
-                design.set_positions(if flip { &shifted } else { &base });
-                black_box(inc.route(&design).wirelength)
-            })
-        });
-    }
-    rdp_par::set_global_threads(1);
-}
-
 /// The 200k tier: per-iteration placement kernels only, 4 threads (the
 /// realistic configuration at this scale; thread invariance is already
 /// proven at 20k).
@@ -318,7 +270,6 @@ fn main() {
     let mut harness = BenchHarness::new("kernels").sample_size(20);
     kernels(&mut harness);
     parallel_kernels(&mut harness);
-    incremental_route(&mut harness);
     huge_kernels(&mut harness);
     harness.finish();
 }

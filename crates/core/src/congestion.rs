@@ -103,53 +103,6 @@ impl CongestionField {
         })
     }
 
-    /// Builds the field from a predicted utilization map `ρ = Dmd/Cap`
-    /// (the congestion fast-path in `rdp-predict`), with the same sentinel
-    /// screening as [`CongestionField::try_from_route`]: the charge is
-    /// screened for NaN/Inf and the Poisson solve is checked. The Eq. (3)
-    /// congestion map is derived as `max(ρ − 1, 0)` — the identical
-    /// arithmetic [`rdp_route::RouteMaps::congestion_eq3`] applies to
-    /// routed demand.
-    pub fn try_from_charge(
-        design: &Design,
-        charge: &Map2d<f64>,
-        health: &HealthPolicy,
-    ) -> Result<Self, RdpError> {
-        let grid = design.gcell_grid();
-        if charge.nx() != grid.nx() || charge.ny() != grid.ny() {
-            return Err(RdpError::Config {
-                detail: format!(
-                    "charge grid {}x{} does not match the design G-cell grid {}x{}",
-                    charge.nx(),
-                    charge.ny(),
-                    grid.nx(),
-                    grid.ny()
-                ),
-            });
-        }
-        health.check_slice(Stage::Routing, "predicted charge", None, charge.as_slice())?;
-        let mut cmap = Map2d::new(grid.nx(), grid.ny());
-        for (o, &c) in cmap.as_mut_slice().iter_mut().zip(charge.as_slice()) {
-            *o = (c - 1.0).max(0.0);
-        }
-        let solver = PoissonSolver::try_new(
-            grid.nx(),
-            grid.ny(),
-            grid.region().width(),
-            grid.region().height(),
-        )?;
-        let sol = solver.solve_checked(charge.as_slice(), health)?;
-        let mean_congestion = cmap.mean();
-        Ok(CongestionField {
-            grid,
-            cmap,
-            psi: Map2d::from_vec(grid.nx(), grid.ny(), sol.psi),
-            ex: Map2d::from_vec(grid.nx(), grid.ny(), sol.ex),
-            ey: Map2d::from_vec(grid.nx(), grid.ny(), sol.ey),
-            mean_congestion,
-        })
-    }
-
     /// Checked variant of [`CongestionField::from_rudy`] with the same
     /// sentinel screening as [`CongestionField::try_from_route`]. RUDY
     /// clamps capacity away from zero, so this succeeds on designs whose

@@ -34,11 +34,7 @@ use std::time::Instant;
 use rdp_db::{Design, Point};
 use rdp_guard::{RdpError, SnapshotReader, SnapshotWriter, Stage, Warning};
 use rdp_obs::Collector;
-use rdp_par::Pool;
-use rdp_predict::{qor_drift, CongestionPredictor, FeatureExtractor, PredictConfig, RoutedQor};
-use rdp_route::{
-    CapacityMaps, GlobalRouter, IncrementalConfig, IncrementalRouter, ResyncReason, RouterConfig,
-};
+use rdp_route::{GlobalRouter, RouterConfig};
 
 use crate::congestion::CongestionField;
 use crate::dpa::{DpaConfig, PgDensity};
@@ -112,40 +108,6 @@ pub struct RoutabilityConfig {
     /// Scale on the Eq. (10) congestion weight λ₂ (1.0 = the paper's
     /// formula; exposed for the ablation benches).
     pub lambda2_scale: f64,
-    /// Use the incremental router for the per-iteration congestion
-    /// estimate: between routability iterations only nets dirtied by cell
-    /// movement are ripped up and re-routed. The final route is always a
-    /// full route. Off by default. Checkpointed runs (an `on_checkpoint`
-    /// hook installed) force a full resync at every checkpoint boundary so
-    /// a killed-and-resumed run — which starts the incremental state
-    /// fresh — reproduces the uninterrupted run bit-for-bit; the
-    /// incremental speedup therefore only materializes in
-    /// non-checkpointed runs.
-    pub incremental_routing: bool,
-    /// Movement threshold for incremental dirtiness, as a fraction of the
-    /// smaller G-cell dimension (cells drifting less than this since their
-    /// last-routed anchor do not dirty their nets). The default of 1.0 —
-    /// one G-cell pitch — keeps the congestion estimate's staleness below
-    /// the grid's own resolution: sub-bin drift rarely changes a route,
-    /// and the periodic/drift-triggered full resync bounds accumulation.
-    pub incremental_move_threshold: f64,
-    /// Incremental-router periodic resync cadence: a full re-route every
-    /// this many router calls (`0` disables the periodic trigger; the
-    /// drift trigger still applies). Mirrors
-    /// [`rdp_route::IncrementalConfig::resync_every`].
-    pub incremental_resync_every: usize,
-    /// Incremental-router drift bail: fraction of dirty nets above which
-    /// a call falls back to a full re-route. Mirrors
-    /// [`rdp_route::IncrementalConfig::drift_frac`].
-    pub incremental_drift_frac: f64,
-    /// Online congestion prediction (the `rdp-predict` fast-path): after
-    /// `warmup_routes` real routes the flow alternates model-predicted
-    /// congestion maps for MCI / DPA / net-moving iterations, skipping the
-    /// router on those iterations. Every real route measures
-    /// predicted-vs-routed drift; drift above `drift_tol` suspends
-    /// substitution (full routing) until the model re-earns trust.
-    /// `None` disables the fast-path.
-    pub predict: Option<PredictConfig>,
 }
 
 impl RoutabilityConfig {
@@ -165,11 +127,6 @@ impl RoutabilityConfig {
             dc_source: DcSource::Router,
             lambda1_rebalance: 2.0,
             lambda2_scale: 1.0,
-            incremental_routing: false,
-            incremental_move_threshold: 1.0,
-            incremental_resync_every: 16,
-            incremental_drift_frac: 0.5,
-            predict: None,
         };
         match p {
             PlacerPreset::Xplace => base,
@@ -246,10 +203,6 @@ pub struct RouteIterLog {
     pub virtual_cells: usize,
     /// HPWL after the placement steps of this iteration.
     pub hpwl: f64,
-    /// Whether this iteration's congestion came from the learned
-    /// predictor instead of the router (`overflow` / `max_congestion` are
-    /// then model estimates).
-    pub predicted: bool,
 }
 
 /// Result of [`run_flow`].
@@ -261,9 +214,6 @@ pub struct FlowReport {
     pub gp_iterations: usize,
     /// Routability iterations executed.
     pub route_iterations: usize,
-    /// Routability iterations that substituted a predicted congestion map
-    /// for the router (subset of `route_iterations`).
-    pub predicted_iterations: usize,
     /// Final HPWL of the global placement.
     pub hpwl: f64,
     /// Final density overflow.
@@ -288,20 +238,18 @@ impl FlowReport {
     /// Serializes the per-iteration log as CSV (header + one row per
     /// routability iteration) for external plotting.
     pub fn log_csv(&self) -> String {
-        let mut out = String::from(
-            "iter,overflow,max_congestion,c_penalty,lambda2,virtual_cells,hpwl,predicted\n",
-        );
+        let mut out =
+            String::from("iter,overflow,max_congestion,c_penalty,lambda2,virtual_cells,hpwl\n");
         for l in &self.log {
             out.push_str(&format!(
-                "{},{:.4},{:.4},{:.6},{:.6},{},{:.1},{}\n",
+                "{},{:.4},{:.4},{:.6},{:.6},{},{:.1}\n",
                 l.iter,
                 l.overflow,
                 l.max_congestion,
                 l.c_penalty,
                 l.lambda2,
                 l.virtual_cells,
-                l.hpwl,
-                u8::from(l.predicted)
+                l.hpwl
             ));
         }
         out
@@ -315,13 +263,6 @@ impl std::fmt::Display for FlowReport {
             "flow: {} wirelength iters + {} routability iters in {:.2}s",
             self.gp_iterations, self.route_iterations, self.place_seconds
         )?;
-        if self.predicted_iterations > 0 {
-            writeln!(
-                f,
-                "  {} of {} routability iters used predicted congestion (router skipped)",
-                self.predicted_iterations, self.route_iterations
-            )?;
-        }
         writeln!(
             f,
             "  HPWL {:.0} um, density overflow {:.3}",
@@ -369,14 +310,6 @@ pub enum FlowFault {
     /// iteration `route_iter`.
     NanCongestionGrad {
         /// Routability iteration at which to poison the gradient.
-        route_iter: usize,
-    },
-    /// Triple the routed wire demand at routability iteration
-    /// `route_iter` (after routing, before the congestion field is
-    /// built), simulating a sudden congestion regime shift the learned
-    /// predictor cannot have seen — the drift gate must trip.
-    CongestionSpike {
-        /// Routability iteration at which to spike the routed demand.
         route_iter: usize,
     },
 }
@@ -437,10 +370,6 @@ pub struct FlowCheckpoint {
     pub warnings: Vec<Warning>,
     /// Rollbacks performed so far.
     pub rollbacks: usize,
-    /// Congestion-predictor state (normal equations, weights, schedule)
-    /// when the prediction fast-path is active; resuming restores it so
-    /// the substitution schedule and fitted model continue bitwise.
-    pub predictor: Option<CongestionPredictor>,
 }
 
 fn stage_code(s: Stage) -> u64 {
@@ -475,10 +404,10 @@ fn stage_from_code(c: u64) -> Result<Stage, RdpError> {
 }
 
 impl FlowCheckpoint {
-    /// Current checkpoint format version. Version 2 added the per-entry
-    /// `predicted` flag in the log and the optional predictor section;
-    /// version-1 checkpoints still load (no predictor, all-real log).
-    pub const VERSION: u32 = 2;
+    /// Checkpoint format version. [`FlowCheckpoint::from_bytes`] reads
+    /// this version only: a checkpoint written by a build with another
+    /// version is a typed `Checkpoint` error, never a misread.
+    pub const VERSION: u32 = 3;
 
     /// Serializes into the versioned, checksummed `RDPSNAP` binary format.
     /// All floats are stored bit-exactly.
@@ -517,7 +446,6 @@ impl FlowCheckpoint {
             w.put_f64(l.lambda2);
             w.put_u64(l.virtual_cells as u64);
             w.put_f64(l.hpwl);
-            w.put_u64(u64::from(l.predicted));
         }
         w.put_u64(self.warnings.len() as u64);
         for warn in &self.warnings {
@@ -526,13 +454,6 @@ impl FlowCheckpoint {
             w.put_str(&warn.message);
         }
         w.put_u64(self.rollbacks as u64);
-        match &self.predictor {
-            Some(p) => {
-                w.put_u64(1);
-                p.write_into(&mut w);
-            }
-            None => w.put_u64(0),
-        }
         w.finish()
     }
 
@@ -540,7 +461,6 @@ impl FlowCheckpoint {
     /// version, checksum, and exact length.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, RdpError> {
         let mut r = SnapshotReader::new(bytes, Self::VERSION)?;
-        let version = r.version();
         let next_route_iter = r.take_u64()? as usize;
         let gp_iterations = r.take_u64()? as usize;
         let positions = r.take_points()?;
@@ -586,11 +506,6 @@ impl FlowCheckpoint {
                 lambda2: r.take_f64()?,
                 virtual_cells: r.take_u64()? as usize,
                 hpwl: r.take_f64()?,
-                predicted: if version >= 2 {
-                    r.take_u64()? != 0
-                } else {
-                    false
-                },
             });
         }
         let n_warn = r.take_u64()? as usize;
@@ -611,19 +526,6 @@ impl FlowCheckpoint {
             });
         }
         let rollbacks = r.take_u64()? as usize;
-        let predictor = if version >= 2 {
-            match r.take_u64()? {
-                0 => None,
-                1 => Some(CongestionPredictor::read_from(&mut r)?),
-                other => {
-                    return Err(RdpError::checkpoint(format!(
-                        "invalid predictor flag {other}"
-                    )))
-                }
-            }
-        } else {
-            None
-        };
         r.finish()?;
         Ok(FlowCheckpoint {
             next_route_iter,
@@ -637,7 +539,6 @@ impl FlowCheckpoint {
             log,
             warnings,
             rollbacks,
-            predictor,
         })
     }
 }
@@ -716,7 +617,6 @@ pub fn run_flow_with(
             place_seconds: t0.elapsed().as_secs_f64(),
             gp_iterations: 0,
             route_iterations: 0,
-            predicted_iterations: 0,
             hpwl: design.hpwl(),
             density_overflow: 0.0,
             log: Vec::new(),
@@ -784,18 +684,7 @@ pub fn run_flow_with(
     let mut best_penalty = f64::INFINITY;
     let mut stale = 0usize;
     let mut route_iterations = 0usize;
-    let mut predicted_iterations = 0usize;
     let mut best_positions: Option<(f64, Vec<Point>)> = None;
-    // Congestion-prediction fast-path: the extractor's static features
-    // are position-independent and recompute identically on resume; the
-    // predictor itself (model + schedule) is checkpoint state.
-    let mut predictor: Option<CongestionPredictor> = None;
-    let extractor = cfg.predict.as_ref().map(|_| {
-        // Same capacity model the router measures overflow against, so
-        // predicted and routed QoR share units.
-        let caps = CapacityMaps::build(design, &cfg.router.capacity);
-        FeatureExtractor::new(design, &caps)
-    });
     // Rollback target: the last optimizer state that passed the health
     // checks. Re-captured after every successful step (allocation-free).
     let mut good = GpSnapshot::default();
@@ -820,17 +709,8 @@ pub fn run_flow_with(
             stale = cp.stale;
             best_positions = cp.best;
             route_iterations = cp.next_route_iter.saturating_sub(1);
-            predicted_iterations = log.iter().filter(|l| l.predicted).count();
             warnings = cp.warnings;
             rollbacks = cp.rollbacks;
-            if let Some(pc) = &cfg.predict {
-                // Restore the fitted model + schedule; a checkpoint from a
-                // predict-less run starts the predictor fresh.
-                predictor = Some(
-                    cp.predictor
-                        .unwrap_or_else(|| CongestionPredictor::new(pc.clone())),
-                );
-            }
             start_iter = cp.next_route_iter;
             session
         }
@@ -892,9 +772,6 @@ pub fn run_flow_with(
                 }
             }
             start_iter = 1;
-            if let Some(pc) = &cfg.predict {
-                predictor = Some(CongestionPredictor::new(pc.clone()));
-            }
             session
         }
     };
@@ -902,23 +779,6 @@ pub fn run_flow_with(
     // Phase 2: routability-driven iterations.
     session.set_stage(Stage::Routability);
     let router = GlobalRouter::new(cfg.router.clone());
-    let checkpointing = ctrl.on_checkpoint.is_some();
-    // Optional incremental re-routing between iterations. Resuming from a
-    // checkpoint starts with empty incremental state, so the first call
-    // after a resume is a full re-route (documented on the config flag).
-    let mut inc_router = if cfg.incremental_routing {
-        let thr = cfg.incremental_move_threshold * grid.bin_w().min(grid.bin_h());
-        Some(IncrementalRouter::new(
-            GlobalRouter::new(cfg.router.clone()),
-            IncrementalConfig {
-                move_threshold: thr,
-                resync_every: cfg.incremental_resync_every,
-                drift_frac: cfg.incremental_drift_frac,
-            },
-        ))
-    } else {
-        None
-    };
     // Best-so-far snapshot: the routability iterations can regress (or,
     // with aggressive settings, diverge), so the flow keeps the placement
     // with the lowest observed score and restores it at the end. Total
@@ -959,7 +819,6 @@ pub fn run_flow_with(
                 log: log.clone(),
                 warnings: warnings.clone(),
                 rollbacks,
-                predictor: predictor.clone(),
             };
             cb(&cp);
         }
@@ -969,185 +828,29 @@ pub fn run_flow_with(
             }
         }
 
-        // Prediction fast-path: when the schedule allows it (model warmed
-        // up, drift gate open, alternation streak not exhausted),
-        // substitute the learned congestion map and skip the router.
-        let pool = Pool::global();
-        let mut predicted_field: Option<(rdp_predict::PredictedCongestion, CongestionField)> = None;
-        if let (Some(p), Some(fx)) = (predictor.as_mut(), extractor.as_ref()) {
-            if p.want_predicted() {
-                let _eval_span = obs.span_iter("predict_eval", "predict", t as i64);
-                let feats = fx.extract(design, p.prev_util(), pool.clone());
-                if let Some(pred) = p.predict(&feats, fx.capacity(), pool.clone()) {
-                    match CongestionField::try_from_charge(design, &pred.util, &health) {
-                        Ok(f) => predicted_field = Some((pred, f)),
+        let route = {
+            let _route_span = obs.span_iter("route", "route", t as i64);
+            router.route_obs(design, &obs)
+        };
+        let field = {
+            let _field_span = obs.span_iter("congestion_field", "flow", t as i64);
+            match cfg.dc_source {
+                DcSource::Router => {
+                    match CongestionField::try_from_route(design, &route, &health) {
+                        Ok(f) => f,
                         Err(e) => {
-                            // Degraded mode: an unusable prediction falls
-                            // back to real routing this iteration.
-                            obs.counter_add("predict_fallbacks", 1);
-                            note_warning(
-                                &obs,
-                                &mut warnings,
-                                Warning::new(
-                                    Stage::Routing,
-                                    t,
-                                    format!("predicted congestion unusable ({e}); routing instead"),
-                                ),
-                            );
+                            // Degraded mode: an unusable routed congestion map
+                            // (e.g. zero-capacity layers ⇒ Eq. (3) = +∞) falls
+                            // back to the RUDY estimate, which clamps capacity.
+                            let msg =
+                                format!("router congestion unusable ({e}); falling back to RUDY");
+                            note_warning(&obs, &mut warnings, Warning::new(Stage::Routing, t, msg));
+                            CongestionField::try_from_rudy(design, &health)?
                         }
                     }
                 }
+                DcSource::Rudy => CongestionField::try_from_rudy(design, &health)?,
             }
-        }
-
-        let (route, field, pred_qor) = if let Some((pred, f)) = predicted_field {
-            let p = predictor.as_mut().expect("fast-path requires predictor");
-            p.note_predicted();
-            predicted_iterations += 1;
-            obs.counter_add("predict_substituted", 1);
-            obs.instant(
-                "predict_substituted",
-                t as i64,
-                format!("iteration {t}: predicted congestion substituted for routing"),
-            );
-            (None, f, Some(pred))
-        } else {
-            let mut route = {
-                let _route_span = obs.span_iter("route", "route", t as i64);
-                match inc_router.as_mut() {
-                    Some(inc) => {
-                        // Checkpointed flows must resume bitwise: a resumed run
-                        // starts with empty incremental state, so force the
-                        // uninterrupted run onto the same all-dirty path by
-                        // resyncing at every checkpoint boundary. The speedup
-                        // is preserved for non-checkpointed runs.
-                        if checkpointing {
-                            inc.reset();
-                        }
-                        let r = inc.route_obs(design, &obs);
-                        if let Some(st) = inc.last_stats() {
-                            if st.full_resync {
-                                obs.counter_add("route_resyncs", 1);
-                                obs.instant(
-                                    "route_resync",
-                                    t as i64,
-                                    format!(
-                                        "{} resync ({}/{} nets dirty)",
-                                        st.reason.label(),
-                                        st.dirty_nets,
-                                        st.total_nets
-                                    ),
-                                );
-                            }
-                            // Periodic/drift bails are degraded-mode events the
-                            // report should carry; forced and first-call resyncs
-                            // are expected and stay trace-only so resumed runs
-                            // keep identical warning lists.
-                            if matches!(st.reason, ResyncReason::Periodic | ResyncReason::Drift) {
-                                note_warning(
-                                &obs,
-                                &mut warnings,
-                                Warning::new(
-                                    Stage::Routing,
-                                    t,
-                                    format!(
-                                        "incremental routing bailed to a full re-route ({}; {}/{} nets dirty)",
-                                        st.reason.label(),
-                                        st.dirty_nets,
-                                        st.total_nets
-                                    ),
-                                ),
-                            );
-                            }
-                        }
-                        r
-                    }
-                    None => router.route_obs(design, &obs),
-                }
-            };
-            // Fault hook: spike the routed demand to simulate a regime
-            // shift the fitted model cannot anticipate (the drift gate
-            // below must catch it).
-            if matches!(fault, Some(FlowFault::CongestionSpike { route_iter }) if route_iter == t) {
-                fault = None;
-                route.maps.h_demand.scale_in_place(3.0);
-                route.maps.v_demand.scale_in_place(3.0);
-                route.congestion = route.maps.congestion_eq3();
-            }
-            // Predictor upkeep on every real route: measure drift of the
-            // *pre-fit* model against routed reality (the substitution
-            // error a predicted iteration would have incurred), then learn
-            // from the route. Features are extracted before `observe` so
-            // the drift check sees the same prev_util a substituted
-            // iteration would have used.
-            if let (Some(p), Some(fx)) = (predictor.as_mut(), extractor.as_ref()) {
-                let feats = fx.extract(design, p.prev_util(), pool.clone());
-                if p.fits() >= p.cfg().warmup_routes as u64 {
-                    let _eval_span = obs.span_iter("predict_eval", "predict", t as i64);
-                    if let Some(pred) = p.predict(&feats, fx.capacity(), pool.clone()) {
-                        let routed = RoutedQor {
-                            total_overflow: route.maps.total_overflow(),
-                            max_congestion: route.max_congestion(),
-                            overflowed_gcells: route.maps.overflowed_gcells(),
-                        };
-                        let drift = qor_drift(&pred, &routed);
-                        if obs.is_enabled() {
-                            obs.series_push("predict_drift", t as u64, drift);
-                        }
-                        if drift > p.cfg().drift_tol {
-                            let cooldown = p.cfg().cooldown_routes;
-                            p.trip_gate();
-                            obs.counter_add("predict_fallbacks", 1);
-                            note_warning(
-                                &obs,
-                                &mut warnings,
-                                Warning::new(
-                                    Stage::Routing,
-                                    t,
-                                    format!(
-                                        "prediction drift {drift:.2} exceeds gate {:.2}; \
-                                         full routing for the next {cooldown} route(s)",
-                                        p.cfg().drift_tol
-                                    ),
-                                ),
-                            );
-                        }
-                    }
-                }
-                p.note_real();
-                {
-                    let _fit_span = obs.span_iter("predict_fit", "predict", t as i64);
-                    p.observe(&feats, &route.maps.charge_density(), pool.clone());
-                    obs.counter_add("predict_fits", 1);
-                }
-            }
-            let field = {
-                let _field_span = obs.span_iter("congestion_field", "flow", t as i64);
-                match cfg.dc_source {
-                    DcSource::Router => {
-                        match CongestionField::try_from_route(design, &route, &health) {
-                            Ok(f) => f,
-                            Err(e) => {
-                                // Degraded mode: an unusable routed congestion map
-                                // (e.g. zero-capacity layers ⇒ Eq. (3) = +∞) falls
-                                // back to the RUDY estimate, which clamps capacity.
-                                note_warning(
-                            &obs,
-                            &mut warnings,
-                            Warning::new(
-                                Stage::Routing,
-                                t,
-                                format!("router congestion unusable ({e}); falling back to RUDY"),
-                            ),
-                        );
-                                CongestionField::try_from_rudy(design, &health)?
-                            }
-                        }
-                    }
-                    DcSource::Rudy => CongestionField::try_from_rudy(design, &health)?,
-                }
-            };
-            (Some(route), field, None)
         };
         // One density evaluation serves both the snapshot score and the
         // per-iteration frame capture, so traced runs perform exactly the
@@ -1156,18 +859,12 @@ pub fn run_flow_with(
             .model()
             .compute(design, None, None, cfg.gp.target_density);
         if obs.is_enabled() {
-            // Predicted iterations frame the model's congestion estimate
-            // (field.cmap IS the predicted Eq. (3) map on those iters).
-            let cmap = match &route {
-                Some(r) => &r.congestion,
-                None => &field.cmap,
-            };
             obs.frame(
                 "congestion",
                 t as i64,
-                cmap.nx(),
-                cmap.ny(),
-                cmap.as_slice(),
+                route.congestion.nx(),
+                route.congestion.ny(),
+                route.congestion.as_slice(),
             );
             obs.frame(
                 "density",
@@ -1177,17 +874,13 @@ pub fn run_flow_with(
                 dens.density.as_slice(),
             );
         }
-        // The best-snapshot guard only trusts *routed* scores: a predicted
-        // iteration has no ground truth to rank the placement by.
-        if let Some(r) = &route {
-            let score_now = snapshot_score(r, dens.overflow);
-            if best_positions
-                .as_ref()
-                .map(|(s, _)| score_now < *s)
-                .unwrap_or(true)
-            {
-                best_positions = Some((score_now, design.positions().to_vec()));
-            }
+        let score_now = snapshot_score(&route, dens.overflow);
+        if best_positions
+            .as_ref()
+            .map(|(s, _)| score_now < *s)
+            .unwrap_or(true)
+        {
+            best_positions = Some((score_now, design.positions().to_vec()));
         }
 
         // MCI.
@@ -1350,40 +1043,27 @@ pub fn run_flow_with(
 
         route_iterations = t;
         let hpwl_now = design.hpwl();
-        // Predicted iterations log the model's QoR estimates (flagged).
-        let (iter_overflow, iter_maxc) = match (&route, &pred_qor) {
-            (Some(r), _) => (r.maps.total_overflow(), r.max_congestion()),
-            (None, Some(p)) => (p.total_overflow, p.max_congestion),
-            (None, None) => unreachable!("iteration produced neither route nor prediction"),
-        };
+        let iter_overflow = route.maps.total_overflow();
         log.push(RouteIterLog {
             iter: t,
             overflow: iter_overflow,
-            max_congestion: iter_maxc,
+            max_congestion: route.max_congestion(),
             c_penalty,
             lambda2: l2,
             virtual_cells,
             hpwl: hpwl_now,
-            predicted: route.is_none(),
         });
         if obs.is_enabled() {
             // Per-iteration convergence telemetry (recorded, never read).
-            // Routed series carry only router-measured values so a
-            // predict-on run diffs cleanly against a predict-off run;
-            // predicted iterations get their own series.
             let step = t as u64;
             obs.series_push("hpwl", step, hpwl_now);
-            match (&route, &pred_qor) {
-                (Some(r), _) => {
-                    obs.series_push("route_overflow", step, r.maps.total_overflow());
-                    obs.series_push("max_congestion", step, r.max_congestion());
-                    obs.series_push("overflowed_gcells", step, r.maps.overflowed_gcells() as f64);
-                }
-                (None, Some(p)) => {
-                    obs.series_push("predict_overflow", step, p.total_overflow);
-                }
-                (None, None) => {}
-            }
+            obs.series_push("route_overflow", step, iter_overflow);
+            obs.series_push("max_congestion", step, route.max_congestion());
+            obs.series_push(
+                "overflowed_gcells",
+                step,
+                route.maps.overflowed_gcells() as f64,
+            );
             obs.series_push("c_penalty", step, c_penalty);
             obs.series_push("lambda2", step, l2);
             obs.series_push("virtual_cells", step, virtual_cells as f64);
@@ -1398,8 +1078,7 @@ pub fn run_flow_with(
         }
 
         // Stop when the congestion objective no longer decreases
-        // (C(x, y) when DC is active; routing overflow otherwise — the
-        // model estimate stands in on predicted iterations).
+        // (C(x, y) when DC is active; routing overflow otherwise).
         let score = if cfg.enable_dc {
             c_penalty
         } else {
@@ -1447,7 +1126,6 @@ pub fn run_flow_with(
         place_seconds: t0.elapsed().as_secs_f64(),
         gp_iterations,
         route_iterations,
-        predicted_iterations,
         hpwl: design.hpwl(),
         density_overflow: session.overflow(),
         log,
@@ -1619,7 +1297,7 @@ mod tests {
         assert!(csv.starts_with("iter,overflow"));
         // Every row parses back to the right column count.
         for line in csv.lines().skip(1) {
-            assert_eq!(line.split(',').count(), 8, "{line}");
+            assert_eq!(line.split(',').count(), 7, "{line}");
         }
     }
 
@@ -1681,7 +1359,6 @@ mod tests {
                     lambda2: 0.01,
                     virtual_cells: 7,
                     hpwl: 1234.5,
-                    predicted: false,
                 },
                 RouteIterLog {
                     iter: 2,
@@ -1691,17 +1368,10 @@ mod tests {
                     lambda2: 0.01,
                     virtual_cells: 5,
                     hpwl: 1230.0,
-                    predicted: true,
                 },
             ],
             warnings: vec![Warning::new(Stage::Routing, 2, "fell back to RUDY")],
             rollbacks: 1,
-            predictor: Some({
-                let mut p = CongestionPredictor::new(PredictConfig::default());
-                p.note_predicted();
-                p.trip_gate();
-                p
-            }),
         };
         let bytes = cp.to_bytes();
         let back = FlowCheckpoint::from_bytes(&bytes).unwrap();
@@ -1722,7 +1392,6 @@ mod tests {
             log: Vec::new(),
             warnings: Vec::new(),
             rollbacks: 0,
-            predictor: None,
         };
         let mut bytes = cp.to_bytes();
         let mid = bytes.len() / 2;

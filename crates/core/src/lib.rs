@@ -66,5 +66,4 @@ pub use placer::{
     GlobalPlacer, GpSession, GpSnapshot, PlaceStats, PlacerConfig, StepExtras, StepReport,
 };
 pub use rdp_guard::{HealthPolicy, RdpError, Stage, Warning};
-pub use rdp_predict::{CongestionPredictor, PredictConfig};
 pub use wirelength::{WaModel, WaScratch};

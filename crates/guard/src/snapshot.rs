@@ -7,9 +7,9 @@
 //!
 //! The codec is deliberately schema-free: the *owner* of a snapshot (e.g.
 //! `rdp-core`'s `FlowCheckpoint`) defines field order and bumps its own
-//! version when that order changes. The reader validates magic, version
-//! range, checksum, and exact consumption, turning any mismatch into a
-//! typed [`RdpError::Checkpoint`].
+//! version when that order changes. The reader validates magic, version,
+//! checksum, and exact consumption, turning any mismatch into a typed
+//! [`RdpError::Checkpoint`].
 
 use crate::error::RdpError;
 use rdp_db::Point;
@@ -85,13 +85,12 @@ impl SnapshotWriter {
 pub struct SnapshotReader<'a> {
     data: &'a [u8],
     pos: usize,
-    version: u32,
 }
 
 impl<'a> SnapshotReader<'a> {
-    /// Opens a snapshot, verifying magic and checksum. `max_version` is
-    /// the newest format the caller understands.
-    pub fn new(bytes: &'a [u8], max_version: u32) -> Result<Self, RdpError> {
+    /// Opens a snapshot, verifying magic, checksum, and that it was
+    /// written with exactly the owner's format `version`.
+    pub fn new(bytes: &'a [u8], version: u32) -> Result<Self, RdpError> {
         let min_len = SNAPSHOT_MAGIC.len() + 4 + 8;
         if bytes.len() < min_len {
             return Err(RdpError::checkpoint(format!(
@@ -110,22 +109,16 @@ impl<'a> SnapshotReader<'a> {
         }
         let mut ver = [0u8; 4];
         ver.copy_from_slice(&bytes[8..12]);
-        let version = u32::from_le_bytes(ver);
-        if version == 0 || version > max_version {
+        let found = u32::from_le_bytes(ver);
+        if found != version {
             return Err(RdpError::checkpoint(format!(
-                "unsupported snapshot version {version} (newest understood: {max_version})"
+                "unsupported snapshot version {found} (this build reads version {version})"
             )));
         }
         Ok(SnapshotReader {
             data: body,
             pos: 12,
-            version,
         })
-    }
-
-    /// Format version recorded by the writer.
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], RdpError> {
@@ -221,7 +214,6 @@ mod tests {
         let bytes = w.finish();
 
         let mut r = SnapshotReader::new(&bytes, 3).unwrap();
-        assert_eq!(r.version(), 3);
         assert_eq!(r.take_u64().unwrap(), 42);
         assert_eq!(
             r.take_f64().unwrap().to_bits(),
@@ -264,11 +256,12 @@ mod tests {
 
     #[test]
     fn version_gate() {
-        let w = SnapshotWriter::new(7);
-        let bytes = w.finish();
-        assert!(SnapshotReader::new(&bytes, 6).is_err());
-        assert_eq!(SnapshotReader::new(&bytes, 7).unwrap().version(), 7);
-        assert_eq!(SnapshotReader::new(&bytes, 9).unwrap().version(), 7);
+        let bytes = SnapshotWriter::new(7).finish();
+        assert!(SnapshotReader::new(&bytes, 7).is_ok());
+        for other in [0, 1, 6, 8, 9, u32::MAX] {
+            let err = SnapshotReader::new(&bytes, other).unwrap_err();
+            assert!(matches!(err, RdpError::Checkpoint { .. }), "{other}: {err}");
+        }
     }
 
     #[test]

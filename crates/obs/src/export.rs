@@ -323,8 +323,9 @@ pub fn stage_table(col: &Collector) -> String {
             );
         }
     }
+    // The rows sum spans only, so only dropped spans make them incomplete.
     let drops = col.drop_stats();
-    if drops.any() {
+    if drops.spans > 0 {
         let _ = writeln!(
             out,
             "(warning: ring buffer dropped {} events: {} spans, {} instants; {} frames evicted — stage totals above are incomplete)",
@@ -613,6 +614,22 @@ mod tests {
         let table = stage_table(&c);
         assert!(table.contains("warning"), "{table}");
         assert!(table.contains("1 spans, 1 instants"), "{table}");
+    }
+
+    #[test]
+    fn frame_eviction_alone_leaves_stage_totals_complete() {
+        let c = Collector::with_capacity_and_frame_budget(64, 2 * 900);
+        {
+            let _gp = c.span("gp_step", "gp");
+        }
+        for i in 0..5 {
+            c.frame("congestion", i, 10, 10, &vec![i as f64; 100]);
+        }
+        let drops = c.drop_stats();
+        assert!(drops.frames > 0 && drops.events == 0, "{drops:?}");
+        let table = stage_table(&c);
+        assert!(table.contains("gp_step"), "{table}");
+        assert!(!table.contains("incomplete"), "{table}");
     }
 
     #[test]

@@ -114,10 +114,8 @@ impl RunDiff {
 }
 
 /// Signed relative delta `(b − a) / max(|a|, floor)` — the comparison
-/// primitive behind every QoR/perf gate in `rdp diff`. Public so other
-/// gates (the congestion-prediction drift gate in `rdp-predict`) measure
-/// divergence with the exact same arithmetic the diff tool reports.
-pub fn rel_delta(a: f64, b: f64, floor: f64) -> f64 {
+/// primitive behind every QoR/perf gate in `rdp diff`.
+fn rel_delta(a: f64, b: f64, floor: f64) -> f64 {
     (b - a) / a.abs().max(floor)
 }
 

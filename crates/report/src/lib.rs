@@ -34,7 +34,7 @@ mod html;
 mod model;
 mod validate;
 
-pub use diff::{diff_runs, rel_delta, Delta, DeltaKind, DiffThresholds, RunDiff};
+pub use diff::{diff_runs, Delta, DeltaKind, DiffThresholds, RunDiff};
 pub use html::render_report;
 pub use model::{FrameRec, HistogramSummary, InstantRec, RunModel, SpanRec};
 pub use validate::{validate_report, ReportStats};

@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 mod capacity;
-mod incremental;
 mod layers;
 mod maps;
 mod maze;
@@ -46,7 +45,6 @@ pub mod rsmt;
 mod rudy;
 
 pub use capacity::{CapacityMaps, CapacityOptions};
-pub use incremental::{IncrementalConfig, IncrementalRouter, IncrementalStats, ResyncReason};
 pub use layers::{assign_layers, LayerAssignment};
 pub use maps::RouteMaps;
 pub use maze::{astar, MazePath, MazeStep};

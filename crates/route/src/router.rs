@@ -7,12 +7,6 @@
 //! candidates under a logistic congestion cost, and its demand is
 //! committed to the maps. A configurable number of rip-up-and-reroute
 //! passes refines the solution against the accumulated demand.
-//!
-//! The routing machinery (decomposition, the pass/batch loop, the maze
-//! phase) is factored into `pub(crate)` pieces shared with
-//! [`crate::incremental`], so an incremental re-route that marks every net
-//! dirty runs the exact instruction sequence of a full route — the basis
-//! of the bit-exact equivalence the incremental router guarantees.
 
 use crate::capacity::{CapacityMaps, CapacityOptions};
 use crate::maps::RouteMaps;
@@ -98,22 +92,22 @@ impl RouteResult {
 
 /// One monotone run of a committed path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Run {
+struct Run {
     /// True for a horizontal run.
-    pub(crate) horizontal: bool,
+    horizontal: bool,
     /// Row (for horizontal) or column (for vertical).
-    pub(crate) fixed: usize,
+    fixed: usize,
     /// Inclusive start index along the run.
-    pub(crate) from: usize,
+    from: usize,
     /// Inclusive end index along the run.
-    pub(crate) to: usize,
+    to: usize,
 }
 
 /// A pattern route: at most three monotone runs plus the bend count,
 /// stored inline. Candidate enumeration creates and discards dozens of
 /// these per segment, so the fixed-size representation (no heap) matters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Path {
+struct Path {
     runs: [Run; 3],
     nruns: u8,
     bends: u8,
@@ -149,56 +143,40 @@ impl Path {
 
     /// The populated runs.
     #[inline]
-    pub(crate) fn runs(&self) -> &[Run] {
+    fn runs(&self) -> &[Run] {
         &self.runs[..self.nruns as usize]
     }
 
     /// Bend count (0 for straight, 1 for L, 2 for Z).
     #[inline]
-    pub(crate) fn bends(&self) -> usize {
+    fn bends(&self) -> usize {
         self.bends as usize
     }
 }
 
-/// Durable route of one two-pin segment: the pattern path, plus the maze
-/// detour that replaced it (if any). Keeping the maze steps around lets a
-/// later rip-up subtract exactly what was committed — the invariant the
-/// incremental router's demand bookkeeping rests on.
+/// Committed route of one two-pin segment: the pattern path, or the
+/// bends and extra length of the maze detour that replaced it.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct SegRoute {
+struct SegRoute {
     /// Pattern route; cleared (empty) when a maze detour replaced it.
-    pub(crate) path: Path,
-    /// Maze steps, empty unless the maze phase re-routed this segment.
-    pub(crate) maze: Vec<MazeStep>,
+    path: Path,
     /// Bends of the maze detour.
-    pub(crate) maze_bends: usize,
+    maze_bends: usize,
     /// Extra wirelength (microns) the maze detour added.
-    pub(crate) detour: f64,
+    detour: f64,
 }
 
-impl SegRoute {
-    /// Bounding box of the maze detour's cells (pattern paths stay inside
-    /// their segment bbox; maze detours may not).
-    pub(crate) fn maze_bbox(&self) -> Option<BinRect> {
-        self.maze
-            .iter()
-            .map(|s| BinRect::of(s.cell, s.cell))
-            .reduce(BinRect::union)
-    }
-}
-
-/// Inclusive G-cell rectangle used for batch-conflict and dirty-region
-/// tests.
+/// Inclusive G-cell rectangle used for batch-conflict tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct BinRect {
-    pub(crate) x0: usize,
-    pub(crate) x1: usize,
-    pub(crate) y0: usize,
-    pub(crate) y1: usize,
+struct BinRect {
+    x0: usize,
+    x1: usize,
+    y0: usize,
+    y1: usize,
 }
 
 impl BinRect {
-    pub(crate) fn of(a: (usize, usize), b: (usize, usize)) -> Self {
+    fn of(a: (usize, usize), b: (usize, usize)) -> Self {
         BinRect {
             x0: a.0.min(b.0),
             x1: a.0.max(b.0),
@@ -207,7 +185,7 @@ impl BinRect {
         }
     }
 
-    pub(crate) fn union(self, o: BinRect) -> BinRect {
+    fn union(self, o: BinRect) -> BinRect {
         BinRect {
             x0: self.x0.min(o.x0),
             x1: self.x1.max(o.x1),
@@ -216,34 +194,30 @@ impl BinRect {
         }
     }
 
-    pub(crate) fn intersects(&self, o: &BinRect) -> bool {
+    fn intersects(&self, o: &BinRect) -> bool {
         self.x0 <= o.x1 && o.x0 <= self.x1 && self.y0 <= o.y1 && o.y0 <= self.y1
     }
 }
 
 /// A two-pin segment in G-cell coordinates.
-pub(crate) type Seg = ((usize, usize), (usize, usize));
+type Seg = ((usize, usize), (usize, usize));
 
-/// Per-net decomposition: the data a route needs about a net, cacheable
-/// across routability iterations while the net's pins stand still.
+/// Per-net decomposition: the data a route needs about a net.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct NetDecomp {
+struct NetDecomp {
     /// Two-pin segments in G-cell coordinates.
-    pub(crate) cells: Vec<Seg>,
+    cells: Vec<Seg>,
     /// G-cells of the net's pins (one pin-via charge each).
-    pub(crate) pin_bins: Vec<(usize, usize)>,
+    pin_bins: Vec<(usize, usize)>,
     /// Total pin-via demand of the net.
-    pub(crate) pin_vias: f64,
+    pin_vias: f64,
     /// RSMT wirelength of the net in microns.
-    pub(crate) net_len: f64,
-    /// Bounding box over segment endpoints and pin bins — every G-cell
-    /// the net's pattern routes or pin vias can touch.
-    pub(crate) bbox: Option<BinRect>,
+    net_len: f64,
 }
 
 /// One two-pin routing task in the flattened per-pass work list.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SegTask {
+struct SegTask {
     /// Net (request) index.
     ri: usize,
     /// Segment index within the net.
@@ -261,7 +235,7 @@ pub(crate) struct SegTask {
 /// Adds (`sign = 1.0`) or subtracts (`sign = -1.0`) a pattern path's
 /// demand. Wire demand is ±1 per cell, bend vias ±1 at run joints — all
 /// dyadic, so add/subtract pairs cancel exactly.
-pub(crate) fn apply_path(maps: &mut RouteMaps, path: &Path, sign: f64) {
+fn apply_path(maps: &mut RouteMaps, path: &Path, sign: f64) {
     for run in path.runs() {
         for i in run.from..=run.to {
             if run.horizontal {
@@ -279,37 +253,31 @@ pub(crate) fn apply_path(maps: &mut RouteMaps, path: &Path, sign: f64) {
     }
 }
 
-/// Adds or subtracts a maze detour's demand: ±1 wire per step in its
-/// direction, ±1 via at each direction change.
-fn apply_maze(maps: &mut RouteMaps, steps: &[MazeStep], sign: f64) {
+/// Adds a maze detour's demand: +1 wire per step in its direction, +1 via
+/// at each direction change.
+fn apply_maze(maps: &mut RouteMaps, steps: &[MazeStep]) {
     for step in steps {
         if step.horizontal {
-            maps.h_demand[step.cell] += sign;
+            maps.h_demand[step.cell] += 1.0;
         } else {
-            maps.v_demand[step.cell] += sign;
+            maps.v_demand[step.cell] += 1.0;
         }
     }
     let mut prev_dir: Option<bool> = None;
     for step in steps {
         if let Some(pd) = prev_dir {
             if pd != step.horizontal {
-                maps.via_demand[step.cell] += sign;
+                maps.via_demand[step.cell] += 1.0;
             }
         }
         prev_dir = Some(step.horizontal);
     }
 }
 
-/// Adds or subtracts everything a committed segment put into the maps.
-pub(crate) fn apply_seg(maps: &mut RouteMaps, seg: &SegRoute, sign: f64) {
-    apply_path(maps, &seg.path, sign);
-    apply_maze(maps, &seg.maze, sign);
-}
-
 /// Flattens per-net segments into the task list the pass loop walks.
 /// `cells[ri]` are net `ri`'s segments; task order is flat (net, segment)
 /// order, which fixes the serial commit order.
-pub(crate) fn build_tasks(cells: &[&[Seg]]) -> Vec<SegTask> {
+fn build_tasks(cells: &[&[Seg]]) -> Vec<SegTask> {
     let mut tasks: Vec<SegTask> = Vec::new();
     for (ri, segs) in cells.iter().enumerate() {
         let net_rect = segs
@@ -330,10 +298,9 @@ pub(crate) fn build_tasks(cells: &[&[Seg]]) -> Vec<SegTask> {
     tasks
 }
 
-/// Builds a [`RouteResult`] from durable per-net state. All sums run in
-/// flat net order, so a full route and an incremental route over the same
-/// state produce bitwise-identical totals.
-pub(crate) fn summarize(
+/// Builds a [`RouteResult`] from the per-net decomposition and committed
+/// segments. All sums run in flat net order.
+fn summarize(
     maps: RouteMaps,
     decomp: &[NetDecomp],
     committed: &[Vec<SegRoute>],
@@ -414,24 +381,8 @@ impl GlobalRouter {
     ) -> RouteResult {
         let pool = Pool::global();
         let caps = CapacityMaps::build_on_grid(design, grid, &self.cfg.capacity);
-        self.route_full_with_caps(design, grid, caps, pool, obs).0
-    }
-
-    /// Full route with an externally supplied capacity model. Also returns
-    /// the durable per-net state the incremental router retains between
-    /// iterations; [`route_on_grid_obs`](GlobalRouter::route_on_grid_obs)
-    /// simply drops it.
-    pub(crate) fn route_full_with_caps(
-        &self,
-        design: &Design,
-        grid: &GridSpec,
-        caps: CapacityMaps,
-        pool: Pool,
-        obs: &Collector,
-    ) -> (RouteResult, Vec<NetDecomp>, Vec<Vec<SegRoute>>) {
         let mut maps = RouteMaps::new(caps, self.cfg.via_weight);
-        let ids: Vec<usize> = (0..design.num_nets()).collect();
-        let decomp = self.decompose_ids(design, grid, &ids, pool, obs);
+        let decomp = self.decompose(design, grid, pool, obs);
 
         // Commit pin vias once in net order, independent of pass structure.
         for d in &decomp {
@@ -444,10 +395,9 @@ impl GlobalRouter {
         let tasks = build_tasks(&cells);
         let mut committed: Vec<Vec<SegRoute>> = vec![Vec::new(); decomp.len()];
         self.route_tasks(&mut maps, &tasks, &mut committed, pool, obs);
-        let (maze_rerouted, _) = self.maze_phase(&mut maps, grid, &cells, &mut committed, obs);
+        let maze_rerouted = self.maze_phase(&mut maps, grid, &cells, &mut committed, obs);
         obs.counter_add("route_maze_rerouted", maze_rerouted as u64);
-        let result = summarize(maps, &decomp, &committed, maze_rerouted);
-        (result, decomp, committed)
+        summarize(maps, &decomp, &committed, maze_rerouted)
     }
 
     /// Decomposes one net into two-pin G-cell segments.
@@ -465,35 +415,29 @@ impl GlobalRouter {
             .map(|s| (grid.bin_of(s.a), grid.bin_of(s.b)))
             .collect();
         let pin_bins: Vec<_> = pins.iter().map(|p| grid.bin_of(*p)).collect();
-        let bbox = cells
-            .iter()
-            .map(|&(a, b)| BinRect::of(a, b))
-            .chain(pin_bins.iter().map(|&p| BinRect::of(p, p)))
-            .reduce(BinRect::union);
         NetDecomp {
             cells,
             pin_vias: self.cfg.pin_via * pins.len() as f64,
             pin_bins,
             net_len,
-            bbox,
         }
     }
 
-    /// Decomposes the given nets in parallel (fixed chunking, results in
-    /// `ids` order).
-    pub(crate) fn decompose_ids(
+    /// Decomposes every net in parallel (fixed chunking, results in net
+    /// order).
+    fn decompose(
         &self,
         design: &Design,
         grid: &GridSpec,
-        ids: &[usize],
         pool: Pool,
         obs: &Collector,
     ) -> Vec<NetDecomp> {
         let _span = obs.span("route_decompose", "route");
-        let chunk = chunk_len(ids.len(), 64, 32);
-        pool.map_chunks(ids.len(), chunk, |_ci, range| {
+        let n = design.num_nets();
+        let chunk = chunk_len(n, 64, 32);
+        pool.map_chunks(n, chunk, |_ci, range| {
             range
-                .map(|k| self.decompose_net(design, grid, ids[k]))
+                .map(|ni| self.decompose_net(design, grid, ni))
                 .collect::<Vec<_>>()
         })
         .into_iter()
@@ -505,7 +449,7 @@ impl GlobalRouter {
     /// passes 1.. rip up and reroute. `committed[ri]` must start empty and
     /// receives net `ri`'s segment routes. Batch scratch is hoisted and
     /// reused across all batches of all passes.
-    pub(crate) fn route_tasks(
+    fn route_tasks(
         &self,
         maps: &mut RouteMaps,
         tasks: &[SegTask],
@@ -551,7 +495,6 @@ impl GlobalRouter {
                     for t in &tasks[i..j] {
                         if t.si == 0 {
                             for seg in &committed[t.ri] {
-                                debug_assert!(seg.maze.is_empty());
                                 apply_path(maps, &seg.path, -1.0);
                             }
                             committed[t.ri].clear();
@@ -598,23 +541,22 @@ impl GlobalRouter {
     }
 
     /// Maze phase: rips up the worst overflow-crossing committed segments
-    /// and lets A* find detours, recording the steps in the segment's
-    /// [`SegRoute`]. Returns the reroute count and detour wirelength added
-    /// by this call. No-op when `maze_rip_up` is 0.
-    pub(crate) fn maze_phase(
+    /// and lets A* find detours, recording the detour's bends and extra
+    /// length in the segment's [`SegRoute`]. Returns the reroute count.
+    /// No-op when `maze_rip_up` is 0.
+    fn maze_phase(
         &self,
         maps: &mut RouteMaps,
         grid: &GridSpec,
         cells: &[&[Seg]],
         committed: &mut [Vec<SegRoute>],
         obs: &Collector,
-    ) -> (usize, f64) {
+    ) -> usize {
         if self.cfg.maze_rip_up == 0 {
-            return (0, 0.0);
+            return 0;
         }
         let _maze_span = obs.span("route_maze", "route");
         let mut maze_rerouted = 0usize;
-        let mut detour_added = 0.0;
         // Score each committed segment by the overflow it crosses.
         let mut scored: Vec<(f64, usize, usize)> = Vec::new(); // (score, req idx, seg idx)
         for (ri, segs) in committed.iter().enumerate() {
@@ -652,17 +594,15 @@ impl GlobalRouter {
             };
             match found {
                 Some(mp) => {
-                    apply_maze(maps, &mp.steps, 1.0);
+                    apply_maze(maps, &mp.steps);
                     let manhattan =
                         (a.0 as f64 - b.0 as f64).abs() + (a.1 as f64 - b.1 as f64).abs();
                     let extra = (mp.steps.len() as f64 - manhattan).max(0.0) * pitch;
-                    detour_added += extra;
                     maze_rerouted += 1;
                     let seg = &mut committed[ri][si];
                     seg.path = Path::default(); // consumed
                     seg.maze_bends = mp.bends;
                     seg.detour = extra;
-                    seg.maze = mp.steps;
                 }
                 None => {
                     // Restore the pattern route (degenerate grids only).
@@ -670,7 +610,7 @@ impl GlobalRouter {
                 }
             }
         }
-        (maze_rerouted, detour_added)
+        maze_rerouted
     }
 
     /// Logistic congestion cost of pushing one more unit of demand through

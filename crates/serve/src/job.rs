@@ -97,9 +97,6 @@ pub struct JobSpec {
     /// Capture a run directory (trace.jsonl + metrics.json) next to the
     /// job record, compatible with `rdp report` / `rdp diff`.
     pub capture: bool,
-    /// Route incrementally between iterations (checkpointing forces a
-    /// resync per iteration, so recovery stays bitwise).
-    pub incremental: bool,
     /// Wall-clock budget in milliseconds, enforced at checkpoint
     /// boundaries and accumulated across restarts. `None` = unbounded.
     pub deadline_ms: Option<u64>,
@@ -112,18 +109,20 @@ pub struct JobSpec {
     pub gp_max_iters: Option<u64>,
     /// Override the Nesterov steps per routability iteration when set.
     pub gp_iters_per_route: Option<u64>,
-    /// Override the incremental-router full-resync cadence when set.
-    pub incremental_resync_every: Option<u64>,
-    /// Override the incremental-router drift fraction when set.
-    pub incremental_drift_frac: Option<f64>,
-    /// Enable the online-learned congestion predictor (`--predict`).
-    pub predict: bool,
-    /// Override the predictor drift gate when set (requires `predict`).
-    pub predict_drift_tol: Option<f64>,
-    /// Override the predictor warmup route count when set (requires
-    /// `predict`).
-    pub predict_warmup: Option<u64>,
 }
+
+/// The keys a `spec` object may carry, one per [`JobSpec`] field.
+const SPEC_KEYS: [&str; 9] = [
+    "input",
+    "preset",
+    "fast",
+    "capture",
+    "deadline_ms",
+    "max_retries",
+    "max_route_iters",
+    "gp_max_iters",
+    "gp_iters_per_route",
+];
 
 impl Default for JobSpec {
     fn default() -> Self {
@@ -132,17 +131,11 @@ impl Default for JobSpec {
             preset: "ours".into(),
             fast: false,
             capture: false,
-            incremental: false,
             deadline_ms: None,
             max_retries: 0,
             max_route_iters: None,
             gp_max_iters: None,
             gp_iters_per_route: None,
-            incremental_resync_every: None,
-            incremental_drift_frac: None,
-            predict: false,
-            predict_drift_tol: None,
-            predict_warmup: None,
         }
     }
 }
@@ -151,13 +144,11 @@ impl JobSpec {
     /// Serializes as the `spec` object of a submit request.
     pub fn to_json(&self) -> String {
         let mut out = format!(
-            "{{\"input\":{},\"preset\":{},\"fast\":{},\"capture\":{},\"incremental\":{},\"predict\":{},\"max_retries\":{}",
+            "{{\"input\":{},\"preset\":{},\"fast\":{},\"capture\":{},\"max_retries\":{}",
             jstr(&self.input),
             jstr(&self.preset),
             self.fast,
             self.capture,
-            self.incremental,
-            self.predict,
             self.max_retries
         );
         for (key, v) in [
@@ -165,29 +156,27 @@ impl JobSpec {
             ("max_route_iters", self.max_route_iters),
             ("gp_max_iters", self.gp_max_iters),
             ("gp_iters_per_route", self.gp_iters_per_route),
-            ("incremental_resync_every", self.incremental_resync_every),
-            ("predict_warmup", self.predict_warmup),
         ] {
             if let Some(v) = v {
                 out.push_str(&format!(",\"{key}\":{v}"));
-            }
-        }
-        for (key, v) in [
-            ("incremental_drift_frac", self.incremental_drift_frac),
-            ("predict_drift_tol", self.predict_drift_tol),
-        ] {
-            if let Some(v) = v {
-                out.push_str(&format!(",\"{key}\":{}", json::num(v)));
             }
         }
         out.push('}');
         out
     }
 
-    /// Parses the `spec` object of a submit request. Malformed specs are
-    /// typed `Protocol` errors (the *content* is validated again by
+    /// Parses the `spec` object of a submit request. Malformed specs —
+    /// an unknown key, a missing `input`, or a value of the wrong type —
+    /// are typed `Protocol` errors (the *content* is validated again by
     /// [`flow_config`] at execution time).
     pub fn from_json(v: &Value) -> Result<Self, RdpError> {
+        if let Value::Obj(fields) = v {
+            if let Some(key) = fields.keys().find(|k| !SPEC_KEYS.contains(&k.as_str())) {
+                return Err(RdpError::protocol(format!(
+                    "spec has unknown field `{key}`"
+                )));
+            }
+        }
         let input = v
             .get("input")
             .and_then(Value::as_str)
@@ -202,18 +191,14 @@ impl JobSpec {
                 ))),
             }
         };
-        let take_f64 = |key: &str| -> Result<Option<f64>, RdpError> {
+        let take_bool = |key: &str| -> Result<bool, RdpError> {
             match v.get(key) {
-                None | Some(Value::Null) => Ok(None),
-                Some(Value::Num(n)) if n.is_finite() => Ok(Some(*n)),
+                None | Some(Value::Null) => Ok(false),
+                Some(Value::Bool(b)) => Ok(*b),
                 Some(_) => Err(RdpError::protocol(format!(
-                    "spec field `{key}` must be a finite number"
+                    "spec field `{key}` must be a bool"
                 ))),
             }
-        };
-        let take_bool = |key: &str| match v.get(key) {
-            Some(Value::Bool(b)) => *b,
-            _ => false,
         };
         Ok(JobSpec {
             input,
@@ -222,19 +207,13 @@ impl JobSpec {
                 .and_then(Value::as_str)
                 .unwrap_or("ours")
                 .to_string(),
-            fast: take_bool("fast"),
-            capture: take_bool("capture"),
-            incremental: take_bool("incremental"),
+            fast: take_bool("fast")?,
+            capture: take_bool("capture")?,
             deadline_ms: take_u64("deadline_ms")?,
             max_retries: take_u64("max_retries")?.unwrap_or(0) as u32,
             max_route_iters: take_u64("max_route_iters")?,
             gp_max_iters: take_u64("gp_max_iters")?,
             gp_iters_per_route: take_u64("gp_iters_per_route")?,
-            incremental_resync_every: take_u64("incremental_resync_every")?,
-            incremental_drift_frac: take_f64("incremental_drift_frac")?,
-            predict: take_bool("predict"),
-            predict_drift_tol: take_f64("predict_drift_tol")?,
-            predict_warmup: take_u64("predict_warmup")?,
         })
     }
 }
@@ -283,10 +262,10 @@ pub struct JobRecord {
 }
 
 impl JobRecord {
-    /// Current record format version. Version 1 records (pre-predictor)
-    /// are still readable; their predictor and incremental-tuning fields
-    /// default off, matching the behavior those jobs actually ran with.
-    pub const VERSION: u32 = 2;
+    /// Record format version. [`JobRecord::from_bytes`] reads this version
+    /// only, so a record written by a build with another version is a
+    /// typed `Checkpoint` error and `Store::scan` quarantines it.
+    pub const VERSION: u32 = 3;
 
     /// A fresh queued record.
     pub fn queued(id: u64, spec: JobSpec) -> Self {
@@ -313,7 +292,6 @@ impl JobRecord {
         w.put_str(&s.preset);
         w.put_u64(s.fast as u64);
         w.put_u64(s.capture as u64);
-        w.put_u64(s.incremental as u64);
         w.put_u64(s.max_retries as u64);
         for opt in [
             s.deadline_ms,
@@ -325,25 +303,6 @@ impl JobRecord {
                 Some(v) => {
                     w.put_u64(1);
                     w.put_u64(v);
-                }
-                None => w.put_u64(0),
-            }
-        }
-        w.put_u64(s.predict as u64);
-        for opt in [s.incremental_resync_every, s.predict_warmup] {
-            match opt {
-                Some(v) => {
-                    w.put_u64(1);
-                    w.put_u64(v);
-                }
-                None => w.put_u64(0),
-            }
-        }
-        for opt in [s.incremental_drift_frac, s.predict_drift_tol] {
-            match opt {
-                Some(v) => {
-                    w.put_u64(1);
-                    w.put_f64(v);
                 }
                 None => w.put_u64(0),
             }
@@ -379,7 +338,6 @@ impl JobRecord {
     /// version, checksum, and exact length.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, RdpError> {
         let mut r = SnapshotReader::new(bytes, Self::VERSION)?;
-        let version = r.version();
         let id = r.take_u64()?;
         let state = JobState::from_code(r.take_u64()?)?;
         let attempt = r.take_u64()? as u32;
@@ -388,7 +346,6 @@ impl JobRecord {
         let preset = r.take_str()?;
         let fast = r.take_u64()? != 0;
         let capture = r.take_u64()? != 0;
-        let incremental = r.take_u64()? != 0;
         let max_retries = r.take_u64()? as u32;
         let mut opts = [None; 4];
         for opt in opts.iter_mut() {
@@ -396,24 +353,6 @@ impl JobRecord {
                 0 => None,
                 _ => Some(r.take_u64()?),
             };
-        }
-        let mut predict = false;
-        let mut u_opts = [None; 2];
-        let mut f_opts = [None; 2];
-        if version >= 2 {
-            predict = r.take_u64()? != 0;
-            for opt in u_opts.iter_mut() {
-                *opt = match r.take_u64()? {
-                    0 => None,
-                    _ => Some(r.take_u64()?),
-                };
-            }
-            for opt in f_opts.iter_mut() {
-                *opt = match r.take_u64()? {
-                    0 => None,
-                    _ => Some(r.take_f64()?),
-                };
-            }
         }
         let error = match r.take_u64()? {
             0 => None,
@@ -457,17 +396,11 @@ impl JobRecord {
                 preset,
                 fast,
                 capture,
-                incremental,
                 deadline_ms: opts[0],
                 max_retries,
                 max_route_iters: opts[1],
                 gp_max_iters: opts[2],
                 gp_iters_per_route: opts[3],
-                incremental_resync_every: u_opts[0],
-                incremental_drift_frac: f_opts[0],
-                predict,
-                predict_drift_tol: f_opts[1],
-                predict_warmup: u_opts[1],
             },
             attempt,
             consumed_ms,
@@ -543,37 +476,6 @@ pub fn flow_config(spec: &JobSpec, attempt: u32) -> Result<RoutabilityConfig, Rd
     if let Some(n) = spec.gp_iters_per_route {
         cfg.gp_iters_per_route = n as usize;
     }
-    cfg.incremental_routing = spec.incremental;
-    if let Some(n) = spec.incremental_resync_every {
-        if n == 0 {
-            return Err(RdpError::Config {
-                detail: "incremental_resync_every must be at least 1".into(),
-            });
-        }
-        cfg.incremental_resync_every = n as usize;
-    }
-    if let Some(f) = spec.incremental_drift_frac {
-        cfg.incremental_drift_frac = f;
-    }
-    if spec.predict {
-        let mut pc = rdp_core::PredictConfig::default();
-        if let Some(tol) = spec.predict_drift_tol {
-            pc.drift_tol = tol;
-        }
-        if let Some(k) = spec.predict_warmup {
-            if k == 0 {
-                return Err(RdpError::Config {
-                    detail: "predict_warmup must be at least 1".into(),
-                });
-            }
-            pc.warmup_routes = k as usize;
-        }
-        cfg.predict = Some(pc);
-    } else if spec.predict_drift_tol.is_some() || spec.predict_warmup.is_some() {
-        return Err(RdpError::Config {
-            detail: "predict_drift_tol/predict_warmup require predict".into(),
-        });
-    }
     for _ in 0..attempt {
         cfg.lambda1_rebalance = 1.0 + (cfg.lambda1_rebalance - 1.0) * 0.5;
         cfg.gp.lambda_growth = 1.0 + (cfg.gp.lambda_growth - 1.0) * 0.5;
@@ -593,17 +495,11 @@ mod tests {
             preset: "ours".into(),
             fast: true,
             capture: true,
-            incremental: true,
             deadline_ms: Some(60_000),
             max_retries: 2,
             max_route_iters: Some(3),
             gp_max_iters: Some(80),
             gp_iters_per_route: None,
-            incremental_resync_every: Some(8),
-            incremental_drift_frac: Some(0.25),
-            predict: true,
-            predict_drift_tol: Some(0.75),
-            predict_warmup: Some(1),
         }
     }
 
@@ -635,36 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn version1_records_parse_with_predictor_defaults_off() {
-        // Bytes laid out exactly as the VERSION=1 writer produced them:
-        // no predict flag, no tuning options.
-        let mut w = SnapshotWriter::new(1);
-        w.put_u64(42); // id
-        w.put_u64(0); // state: queued
-        w.put_u64(0); // attempt
-        w.put_u64(0); // consumed_ms
-        w.put_str("fft_1");
-        w.put_str("ours");
-        w.put_u64(1); // fast
-        w.put_u64(0); // capture
-        w.put_u64(1); // incremental
-        w.put_u64(0); // max_retries
-        for _ in 0..4 {
-            w.put_u64(0); // deadline/iters options absent
-        }
-        w.put_u64(0); // no error
-        w.put_u64(0); // no result
-        let rec = JobRecord::from_bytes(&w.finish()).unwrap();
-        assert_eq!(rec.id, 42);
-        assert!(rec.spec.incremental);
-        assert!(!rec.spec.predict);
-        assert_eq!(rec.spec.incremental_resync_every, None);
-        assert_eq!(rec.spec.incremental_drift_frac, None);
-        assert_eq!(rec.spec.predict_drift_tol, None);
-        assert_eq!(rec.spec.predict_warmup, None);
-    }
-
-    #[test]
     fn corrupt_and_truncated_records_are_typed_errors() {
         let rec = JobRecord::queued(7, spec());
         let mut bytes = rec.to_bytes();
@@ -689,12 +555,26 @@ mod tests {
         assert_eq!(d.deadline_ms, None);
         assert!(!d.fast);
 
-        // Bad field types are typed protocol errors.
-        let v = json::parse("{\"input\":\"x\",\"deadline_ms\":\"soon\"}").unwrap();
-        assert!(matches!(
-            JobSpec::from_json(&v),
-            Err(RdpError::Protocol { .. })
-        ));
+        // Bad field types and unknown keys (a typo, or a knob this build
+        // does not have) are typed protocol errors naming the key.
+        for (text, key) in [
+            ("{\"input\":\"x\",\"deadline_ms\":\"soon\"}", "deadline_ms"),
+            ("{\"input\":\"x\",\"fast\":\"yes\"}", "fast"),
+            ("{\"input\":\"x\",\"capture\":1}", "capture"),
+            (
+                "{\"input\":\"fft_a\",\"max_route_iter\":3}",
+                "max_route_iter",
+            ),
+            ("{\"input\":\"fft_a\",\"predict\":true}", "predict"),
+        ] {
+            let v = json::parse(text).unwrap();
+            match JobSpec::from_json(&v) {
+                Err(e @ RdpError::Protocol { .. }) => {
+                    assert!(e.to_string().contains(&format!("`{key}`")), "{text}: {e}")
+                }
+                other => panic!("{text}: expected a protocol error, got {other:?}"),
+            }
+        }
         let v = json::parse("{\"preset\":\"ours\"}").unwrap();
         assert!(JobSpec::from_json(&v).is_err(), "missing input");
     }
@@ -715,19 +595,6 @@ mod tests {
         // Overrides stick.
         assert_eq!(damped.max_route_iters, 3);
         assert_eq!(damped.gp.max_iters, 80);
-        assert!(damped.incremental_routing);
-        assert_eq!(damped.incremental_resync_every, 8);
-        assert_eq!(damped.incremental_drift_frac, 0.25);
-        let pc = damped.predict.expect("predict enabled by the spec");
-        assert_eq!(pc.drift_tol, 0.75);
-        assert_eq!(pc.warmup_routes, 1);
-
-        // Predictor tuning without the predictor itself is a config error.
-        let bad = JobSpec {
-            predict: false,
-            ..spec()
-        };
-        assert!(matches!(flow_config(&bad, 0), Err(RdpError::Config { .. })));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::job::JobSpec;
 /// incompatibly; `ping` reports it so clients (notably `rdp top`, which
 /// parses streaming responses) can refuse a mismatched peer with a typed
 /// error instead of a JSON parse failure.
-pub const PROTOCOL_VERSION: u64 = 2;
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// Default cap on a single frame's payload (1 MiB holds the positions of
 /// well over 30k cells; larger results stream in run-dir artifacts).

@@ -791,18 +791,13 @@ fn claim_next(shared: &Shared) -> Option<(JobRecord, Arc<JobControl>)> {
 
 /// Applies a finished job's outcome to the in-memory map and the store,
 /// and folds the attempt's telemetry into the service counters (settle
-/// disposition, predictor fallbacks, and a one-line warning when the
-/// job's trace ring dropped anything).
+/// disposition, and a one-line warning when the job's trace ring dropped
+/// anything).
 fn settle(shared: &Shared, rec: JobRecord, ctl: &JobControl, outcome: crate::worker::ExecOutcome) {
     let id = rec.id;
     let mut rec = rec;
     rec.consumed_ms = outcome.consumed_ms;
     let attempt_col = ctl.obs.lock().unwrap().clone();
-    if let Some(fallbacks) =
-        attempt_col.with_metrics(|m| m.counters.get("predict_fallbacks").copied().unwrap_or(0))
-    {
-        shared.metrics.add("predict_fallbacks", fallbacks);
-    }
     let drops = attempt_col.drop_stats();
     if drops.any() {
         eprintln!(

@@ -263,6 +263,7 @@ impl Store {
 mod tests {
     use super::*;
     use crate::job::JobSpec;
+    use rdp_guard::SnapshotWriter;
 
     fn tmp_root(tag: &str) -> PathBuf {
         let dir =
@@ -318,13 +319,58 @@ mod tests {
         fs::write(store.record_path(2), &bytes).unwrap();
         store.persist_checkpoint(1, b"garbage-checkpoint").unwrap();
 
+        // Intact files from a build with the version-2 formats: a queued
+        // record for job 3 and a checkpoint for job 4, each laid out as
+        // that build wrote them. Neither may be misread as version 3.
+        let mut w = SnapshotWriter::new(2);
+        w.put_u64(3); // id
+        w.put_u64(0); // state: queued
+        w.put_u64(0); // attempt
+        w.put_u64(0); // consumed_ms
+        w.put_str("fft_1");
+        w.put_str("ours");
+        for _ in 0..4 {
+            w.put_u64(0); // fast, capture, incremental, max_retries
+        }
+        for _ in 0..4 {
+            w.put_u64(0); // deadline and iteration overrides absent
+        }
+        for _ in 0..5 {
+            w.put_u64(0); // predict off, its four overrides absent
+        }
+        w.put_u64(0); // no error
+        w.put_u64(0); // no result
+        fs::write(store.record_path(3), w.finish()).unwrap();
+        store.persist_record(&rec(4)).unwrap();
+        let mut w = SnapshotWriter::new(2);
+        w.put_u64(1); // next_route_iter
+        w.put_u64(0); // gp_iterations
+        w.put_points(&[]); // positions
+        w.put_points(&[]); // session positions
+        for _ in 0..3 {
+            w.put_f64(1.0); // lambda1, last_overflow, gamma_boost
+        }
+        w.put_u64(0); // steps_done
+        for _ in 0..4 {
+            w.put_f64s(&[]); // inflation r, effective, delta_r, c_prev
+        }
+        w.put_f64(0.0); // inflation mean_prev
+        w.put_u64(0); // inflation t
+        w.put_f64(f64::INFINITY); // best_penalty
+        for _ in 0..5 {
+            w.put_u64(0); // stale, no best, empty log, no warnings, rollbacks
+        }
+        w.put_u64(0); // no predictor
+        store.persist_checkpoint(4, &w.finish()).unwrap();
+
         let (records, report) = store.scan().unwrap();
-        assert_eq!(records.len(), 1);
-        assert!(records.contains_key(&1));
-        assert_eq!(report.quarantined.len(), 2, "{report:?}");
+        assert_eq!(records.keys().copied().collect::<Vec<_>>(), vec![1, 4]);
+        assert_eq!(report.quarantined.len(), 4, "{report:?}");
         assert!(store.jobs.join("job-0000000002.rdpjob.corrupt").exists());
-        // The quarantined checkpoint no longer blocks the job.
+        assert!(store.jobs.join("job-0000000003.rdpjob.corrupt").exists());
+        // The quarantined checkpoints no longer block their jobs.
         assert!(store.load_checkpoint(1).unwrap().is_none());
+        assert!(store.load_checkpoint(4).unwrap().is_none());
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -5,8 +5,8 @@
 //! histograms (the same IEEE-754 log-2 buckets the flow uses), lifecycle
 //! counters (submits, completions, failures, retries, requeues,
 //! cancellations, quarantined records, frame-limit and connection-slot
-//! rejections, predictor fallbacks), and point-in-time gauges (queue
-//! depth, running jobs, live connections, uptime).
+//! rejections), and point-in-time gauges (queue depth, running jobs, live
+//! connections, uptime).
 //!
 //! Two disciplines keep this compatible with the determinism contract:
 //!
@@ -49,8 +49,9 @@ pub const SERVER_VERSION: &str = env!("CARGO_PKG_VERSION");
 const SERVICE_EVENT_CAPACITY: usize = 1 << 14;
 
 /// Series names surfaced in per-job live snapshots when no explicit
-/// filter is given: the convergence trio every dashboard wants.
-pub const CANONICAL_SERIES: [&str; 3] = ["hpwl", "overflow", "predict_drift"];
+/// filter is given: HPWL, the density overflow of every GP step and the
+/// routed overflow of every routability iteration.
+pub const CANONICAL_SERIES: [&str; 3] = ["hpwl", "gp_overflow", "route_overflow"];
 
 /// Cap on points returned per series in one `stats`/`watch` response.
 /// Responses carry the tail (newest points) plus the series total, so a

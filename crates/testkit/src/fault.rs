@@ -62,13 +62,6 @@ pub enum FaultKind {
     /// All routing layers get zero capacity: router congestion becomes
     /// non-finite and the flow must fall back to RUDY-only congestion.
     ZeroCapacity,
-    /// Triple the routed demand maps after the chosen routability
-    /// iteration's real route — the congestion predictor's drift gate
-    /// must trip and fall back to full routing.
-    CongestionSpike {
-        /// Routability iteration whose routed demand is inflated.
-        route_iter: usize,
-    },
     /// Degenerate power-rail geometry: DPA track derivation fails and the
     /// flow must skip the D^PG addend with a warning.
     DegenerateRails,

@@ -60,10 +60,8 @@ RDP_OBS_ASSERT=1 cargo bench --offline -p rdp-bench --bench obs
 # Scenario-matrix gate (fast tier): every scenario class — adversarial
 # generators and hand-built degenerates included — must round-trip
 # through LEF/DEF, complete the flow under the three Table-1 presets
-# plus the predictor-enabled ours+predict column with non-empty
-# telemetry, and respect the DRV ordering
-# Ours <= Xplace-Route <= Xplace (ours+predict included) within the
-# per-class tolerance.
+# with non-empty telemetry, and respect the DRV ordering
+# Ours <= Xplace-Route <= Xplace within the per-class tolerance.
 # Small instances with pinned seeds; the Table-1-sized matrix
 # (scripts/matrix.sh --full) is the nightly tier and is not run here.
 echo "==> scenario matrix gate (scripts/matrix.sh, small tier)"
@@ -87,13 +85,11 @@ RDP_REGRESS_TOL="${RDP_REGRESS_TOL:-0.5}" scripts/regress.sh
 echo "==> fault injection + robustness  (RDP_PROP_SEED=20250806, RDP_THREADS=1)"
 RDP_PROP_SEED=20250806 RDP_THREADS=1 cargo test -q --offline --test robustness
 RDP_PROP_SEED=20250806 RDP_THREADS=1 cargo test -q --offline --test serve_robustness
-RDP_PROP_SEED=20250806 RDP_THREADS=1 cargo test -q --offline --test predict
 RDP_PROP_SEED=20250806 RDP_THREADS=1 cargo test -q --offline -p rdp-route --test properties
 
 echo "==> fault injection + robustness  (RDP_PROP_SEED=20250806, RDP_THREADS=4)"
 RDP_PROP_SEED=20250806 RDP_THREADS=4 cargo test -q --offline --test robustness
 RDP_PROP_SEED=20250806 RDP_THREADS=4 cargo test -q --offline --test serve_robustness
-RDP_PROP_SEED=20250806 RDP_THREADS=4 cargo test -q --offline --test predict
 RDP_PROP_SEED=20250806 RDP_THREADS=4 cargo test -q --offline -p rdp-route --test properties
 
 # Service gate: kill -9 a live `rdp serve` mid-queue and restart — all
@@ -105,13 +101,6 @@ RDP_PROP_SEED=20250806 RDP_THREADS=4 cargo test -q --offline -p rdp-route --test
 # (RDP_SERVE_ASSERT=1 turns the budget into a hard failure).
 echo "==> serve smoke (kill -9 recovery, served == direct run-dir diff)"
 scripts/serve_smoke.sh
-
-# Predictor gate: a 5k-cell `--predict` run must substitute at least one
-# predicted congestion map for a router invocation, diff clean against
-# the plain run at the matched-QoR tolerance, and reproduce the final
-# HPWL within 0.5% (scripts/predict_smoke.sh exits non-zero otherwise).
-echo "==> predict smoke (learned congestion fast-path, matched QoR)"
-scripts/predict_smoke.sh
 
 echo "==> service overhead gate (5k-cell submit-to-result, < 5%)"
 # Flush writeback first: the earlier gates write a lot, and a background

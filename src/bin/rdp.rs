@@ -21,8 +21,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use rdp::core::{
-    run_flow, run_flow_with, FlowCheckpoint, FlowControl, PlacerPreset, PredictConfig,
-    RoutabilityConfig,
+    run_flow, run_flow_with, FlowCheckpoint, FlowControl, PlacerPreset, RoutabilityConfig,
 };
 use rdp::db::DesignStats;
 use rdp::obs::Collector;
@@ -83,28 +82,16 @@ commands:
            [--checkpoint FILE]               save resumable state each iteration
            [--resume FILE]                   resume a killed run (bit-exact)
            [--legalize]                      legalize + detailed-place after GP
-           [--incremental-route]             rip up / re-route only dirty nets
-           [--incremental-move-threshold F]  dirty threshold, fraction of bin
-           [--incremental-resync-every N]    full-resync cadence (default 16)
-           [--incremental-drift-frac F]      dirty-fraction resync trigger
-           [--predict]                       learned congestion fast-path:
-                                             substitute predicted maps for
-                                             routing on alternating iterations
-           [--predict-drift-tol F]           fall back to full routing when
-                                             predicted-vs-routed QoR drift
-                                             exceeds F (default 0.5)
-           [--predict-warmup K]              real routes before substituting
-                                             (default 2)
   route    <input>                         route and summarize congestion
   eval     <input>                         evaluate the current placement
-  flow     <input> [--preset P]            place → legalize → evaluate
-           [--incremental-route]             (same routing flags as place)
+  flow     <input> [--preset P] [--out DIR]  place → legalize → evaluate
+           [--fast] [--gp-iters N] [--max-route-iters N] [--gp-burst N]
   matrix   [--scale small|full] [--classes a,b,...] [--run-dir DIR]
                                            scenario matrix: run every stress
                                            class through the three presets
-                                           plus ours+predict and gate the
-                                           Table-1 DRV ordering; exits
-                                           nonzero naming violations
+                                           and gate the Table-1 DRV
+                                           ordering; exits nonzero naming
+                                           violations
   report   <run-dir> [--out FILE.html]     render a run directory to HTML
   diff     <run-a> <run-b> [--qor-tol X] [--time-tol Y]
                                            QoR/perf deltas; exit 1 on regression
@@ -118,10 +105,8 @@ service (crash-safe placement-as-a-service):
                                            queue replays and partial jobs
                                            resume bitwise from checkpoints
   submit   ADDR <input> [--preset P] [--fast] [--capture]
-           [--incremental-route] [--deadline-ms N] [--retries N]
+           [--deadline-ms N] [--retries N]
            [--max-route-iters N] [--gp-iters N] [--gp-burst N]
-           [--incremental-resync-every N] [--incremental-drift-frac F]
-           [--predict] [--predict-drift-tol F] [--predict-warmup K]
            [--wait [--wait-ms N]]           enqueue a job (prints its id)
   status   ADDR [ID]                        one job or the whole queue
   cancel   ADDR ID                          cancel a queued/running job
@@ -155,6 +140,43 @@ fn flag<'a>(rest: &'a [String], name: &str) -> Option<&'a str> {
         .map(|s| s.as_str())
 }
 
+/// Flow-configuration flags that take a value, shared by `place`, `flow`
+/// and `submit` (`--fast` is the shared switch).
+const FLOW_FLAGS: [&str; 4] = ["--preset", "--max-route-iters", "--gp-iters", "--gp-burst"];
+
+/// Observability output flags of `place` and `flow` that take a value
+/// (`--profile` is the switch).
+const OBS_FLAGS: [&str; 5] = [
+    "--trace-out",
+    "--chrome-trace",
+    "--metrics-out",
+    "--run-dir",
+    "--report-out",
+];
+
+/// Fails on the first `--` argument that is neither one of `valued`
+/// (whose value it skips) nor one of `switches`, so a typo or a flag this
+/// build does not have is an error naming the flag, never a silently
+/// different run.
+fn reject_unknown_flags(
+    cmd: &str,
+    rest: &[String],
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<(), String> {
+    let mut args = rest.iter();
+    while let Some(a) = args.next() {
+        if valued.contains(&a.as_str()) {
+            args.next();
+        } else if a.starts_with("--") && !switches.contains(&a.as_str()) {
+            return Err(format!(
+                "`rdp {cmd}` does not accept `{a}` (see `rdp help`)"
+            ));
+        }
+    }
+    Ok(())
+}
+
 fn parse_preset(rest: &[String]) -> Result<PlacerPreset, String> {
     match flag(rest, "--preset").unwrap_or("ours") {
         "xplace" => Ok(PlacerPreset::Xplace),
@@ -164,11 +186,10 @@ fn parse_preset(rest: &[String]) -> Result<PlacerPreset, String> {
     }
 }
 
-/// Builds the flow configuration for a preset plus command-line overrides
-/// (`--incremental-route` enables incremental rip-up-and-reroute between
-/// routability iterations). The iteration overrides mirror `rdp submit`,
-/// so a direct `rdp place` can run the exact configuration a served job
-/// ran — the serve smoke gate diffs the two run-dirs.
+/// Builds the flow configuration for a preset plus command-line
+/// overrides. The iteration overrides mirror `rdp submit`, so a direct
+/// `rdp place` can run the exact configuration a served job ran — the
+/// serve smoke gate diffs the two run-dirs.
 fn parse_flow_config(rest: &[String]) -> Result<RoutabilityConfig, String> {
     let preset = parse_preset(rest)?;
     let mut cfg = if rest.iter().any(|a| a == "--fast") {
@@ -187,43 +208,6 @@ fn parse_flow_config(rest: &[String]) -> Result<RoutabilityConfig, String> {
     }
     if let Some(n) = parse_num::<usize>(rest, "--gp-burst")? {
         cfg.gp_iters_per_route = n;
-    }
-    if rest.iter().any(|a| a == "--incremental-route") {
-        cfg.incremental_routing = true;
-    }
-    if let Some(thr) = flag(rest, "--incremental-move-threshold") {
-        cfg.incremental_move_threshold = thr
-            .parse()
-            .map_err(|_| format!("--incremental-move-threshold `{thr}` is not a number"))?;
-    }
-    if let Some(n) = parse_num::<usize>(rest, "--incremental-resync-every")? {
-        if n == 0 {
-            return Err("--incremental-resync-every must be at least 1".into());
-        }
-        cfg.incremental_resync_every = n;
-    }
-    if let Some(f) = parse_num::<f64>(rest, "--incremental-drift-frac")? {
-        cfg.incremental_drift_frac = f;
-    }
-    if rest.iter().any(|a| a == "--predict") {
-        cfg.predict = Some(PredictConfig::default());
-    }
-    if let Some(tol) = parse_num::<f64>(rest, "--predict-drift-tol")? {
-        let p = cfg
-            .predict
-            .as_mut()
-            .ok_or("--predict-drift-tol requires --predict")?;
-        p.drift_tol = tol;
-    }
-    if let Some(k) = parse_num::<usize>(rest, "--predict-warmup")? {
-        let p = cfg
-            .predict
-            .as_mut()
-            .ok_or("--predict-warmup requires --predict")?;
-        if k == 0 {
-            return Err("--predict-warmup must be at least 1".into());
-        }
-        p.warmup_routes = k;
     }
     Ok(cfg)
 }
@@ -458,6 +442,17 @@ fn cmd_generate(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_place(rest: &[String]) -> Result<(), String> {
+    reject_unknown_flags(
+        "place",
+        rest,
+        &[
+            &FLOW_FLAGS[..],
+            &OBS_FLAGS,
+            &["--checkpoint", "--resume", "--out", "--format"],
+        ]
+        .concat(),
+        &["--fast", "--legalize", "--profile"],
+    )?;
     let spec = rest.first().ok_or("place needs an input")?;
     let obs_args = parse_obs(rest);
     let mut design = load_input(spec, &obs_args.obs)?;
@@ -615,6 +610,12 @@ fn cmd_eval(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_flow(rest: &[String]) -> Result<(), String> {
+    reject_unknown_flags(
+        "flow",
+        rest,
+        &[&FLOW_FLAGS[..], &OBS_FLAGS, &["--out", "--format"]].concat(),
+        &["--fast", "--profile"],
+    )?;
     let spec = rest.first().ok_or("flow needs an input")?;
     let preset = parse_preset(rest)?;
     let obs_args = parse_obs(rest);
@@ -829,6 +830,16 @@ fn service_client(rest: &[String], cmd: &str) -> Result<(rdp::serve::Client, Vec
 
 fn cmd_submit(rest: &[String]) -> Result<(), String> {
     let (client, rest) = service_client(rest, "submit")?;
+    reject_unknown_flags(
+        "submit",
+        &rest,
+        &[
+            &FLOW_FLAGS[..],
+            &["--deadline-ms", "--retries", "--wait-ms"],
+        ]
+        .concat(),
+        &["--fast", "--capture", "--wait"],
+    )?;
     let input = rest
         .first()
         .ok_or("submit needs an input (suite name, bookshelf:, or lefdef:)")?
@@ -838,17 +849,11 @@ fn cmd_submit(rest: &[String]) -> Result<(), String> {
         preset: flag(&rest, "--preset").unwrap_or("ours").to_string(),
         fast: rest.iter().any(|a| a == "--fast"),
         capture: rest.iter().any(|a| a == "--capture"),
-        incremental: rest.iter().any(|a| a == "--incremental-route"),
         deadline_ms: parse_num(&rest, "--deadline-ms")?,
         max_retries: parse_num(&rest, "--retries")?.unwrap_or(0),
         max_route_iters: parse_num(&rest, "--max-route-iters")?,
         gp_max_iters: parse_num(&rest, "--gp-iters")?,
         gp_iters_per_route: parse_num(&rest, "--gp-burst")?,
-        incremental_resync_every: parse_num(&rest, "--incremental-resync-every")?,
-        incremental_drift_frac: parse_num(&rest, "--incremental-drift-frac")?,
-        predict: rest.iter().any(|a| a == "--predict"),
-        predict_drift_tol: parse_num(&rest, "--predict-drift-tol")?,
-        predict_warmup: parse_num(&rest, "--predict-warmup")?,
     };
     let id = client.submit(&spec).map_err(|e| e.to_string())?;
     println!("submitted job {id}");
@@ -1021,10 +1026,9 @@ fn print_service_stats(v: &rdp::obs::json::Value, summary: &rdp::serve::StatsSum
             gu64(counters, "quarantined"),
         );
         println!(
-            "rejects  frame-limit {}  slots {}  predictor fallbacks {}",
+            "rejects  frame-limit {}  slots {}",
             gu64(counters, "frame_limit_rejections"),
             gu64(counters, "slot_rejections"),
-            gu64(counters, "predict_fallbacks"),
         );
     }
     if let Some(Value::Obj(hists)) = service.and_then(|s| s.get("histograms")) {

@@ -1,8 +1,8 @@
 //! Scenario-matrix harness: the standing Table-1 invariant suite.
 //!
 //! Runs every [`rdp_gen::scenario_matrix`] class through the flow for the
-//! three Table-1 presets (`Ours`, `Xplace-Route`, `Xplace`) plus a
-//! predictor-enabled `ours+predict` column and checks, per class:
+//! three Table-1 presets (`Ours`, `Xplace-Route`, `Xplace`) and checks, per
+//! class:
 //!
 //! 1. **Format round-trip** — the design survives a LEF/DEF-lite
 //!    write→read→write cycle byte-identically (obstructions, pitches and
@@ -25,7 +25,7 @@
 use std::fmt;
 use std::path::PathBuf;
 
-use rdp_core::{run_flow_with, FlowControl, PlacerPreset, PredictConfig, RoutabilityConfig};
+use rdp_core::{run_flow_with, FlowControl, PlacerPreset, RoutabilityConfig};
 use rdp_gen::{scenario_matrix, Scale, Scenario};
 use rdp_obs::Collector;
 use rdp_parse::{read_lefdef, write_lefdef};
@@ -88,12 +88,6 @@ pub enum MatrixFailure {
         /// The missing series.
         series: &'static str,
     },
-    /// The predict column ran a multi-iteration flow but never
-    /// substituted a predicted congestion map — the fast-path is dead.
-    PredictorIdle {
-        /// Scenario name.
-        scenario: String,
-    },
     /// The Table-1 DRV ordering was violated.
     OrderingViolation {
         /// Scenario name.
@@ -119,7 +113,6 @@ impl MatrixFailure {
             | MatrixFailure::FlowError { scenario, .. }
             | MatrixFailure::EmptyCongestionFrames { scenario, .. }
             | MatrixFailure::EmptySeries { scenario, .. }
-            | MatrixFailure::PredictorIdle { scenario }
             | MatrixFailure::OrderingViolation { scenario, .. } => scenario,
         }
     }
@@ -150,11 +143,6 @@ impl fmt::Display for MatrixFailure {
                 "[{scenario}] {preset}: routability iterations ran but series `{series}` \
                  is empty"
             ),
-            MatrixFailure::PredictorIdle { scenario } => write!(
-                f,
-                "[{scenario}] ours+predict: the flow ran multiple routability iterations \
-                 but never substituted a predicted congestion map"
-            ),
             MatrixFailure::OrderingViolation {
                 scenario,
                 better,
@@ -177,18 +165,12 @@ impl fmt::Display for MatrixFailure {
 pub struct PresetOutcome {
     /// The preset.
     pub preset: PlacerPreset,
-    /// Column label: the preset name, or `ours+predict` for the
-    /// predictor-enabled `Ours` variant.
-    pub label: &'static str,
     /// DRV proxy total from the fine-grid evaluation.
     pub drvs: f64,
     /// Final HPWL.
     pub hpwl: f64,
     /// Routability iterations executed.
     pub route_iterations: usize,
-    /// Iterations that used a predicted congestion map in place of the
-    /// router (always 0 for the non-predict columns).
-    pub predicted_iterations: usize,
     /// Degraded-mode warnings the flow emitted.
     pub warnings: usize,
 }
@@ -200,8 +182,8 @@ pub struct ScenarioOutcome {
     pub name: &'static str,
     /// Whether the ordering gate applied.
     pub ordering_gated: bool,
-    /// Per-column results, in `[Xplace, XplaceRoute, Ours, Ours+Predict]`
-    /// order (a column that errored is absent).
+    /// Per-column results, in `[Xplace, XplaceRoute, Ours]` order (a
+    /// column that errored is absent).
     pub presets: Vec<PresetOutcome>,
     /// Failures attributed to this scenario.
     pub failures: Vec<MatrixFailure>,
@@ -237,7 +219,7 @@ impl MatrixReport {
                 out.push_str(&format!(
                     "{:<18} {:<14} {:>9.1} {:>12.0} {:>6} {:>5}  {}\n",
                     o.name,
-                    p.label,
+                    preset_name(p.preset),
                     p.drvs,
                     p.hpwl,
                     p.route_iterations,
@@ -318,34 +300,20 @@ fn run_scenario(scenario: &Scenario, cfg: &MatrixConfig) -> Result<ScenarioOutco
         }),
     }
 
-    // Gates 2–3: the four columns (three presets + the predictor-enabled
-    // `Ours` variant), with telemetry checks.
+    // Gates 2–3: the three preset columns, with telemetry checks.
     let mut presets = Vec::new();
-    for (preset, predict) in [
-        (PlacerPreset::Xplace, false),
-        (PlacerPreset::XplaceRoute, false),
-        (PlacerPreset::Ours, false),
-        (PlacerPreset::Ours, true),
+    for preset in [
+        PlacerPreset::Xplace,
+        PlacerPreset::XplaceRoute,
+        PlacerPreset::Ours,
     ] {
-        let pname = if predict {
-            "ours+predict"
-        } else {
-            preset_name(preset)
-        };
+        let pname = preset_name(preset);
         let mut d = design.clone();
         let obs = Collector::enabled();
-        let mut flow_cfg = match cfg.scale {
+        let flow_cfg = match cfg.scale {
             Scale::Small => RoutabilityConfig::preset_fast(preset),
             Scale::Full => RoutabilityConfig::preset(preset),
         };
-        if predict {
-            // Warm up on a single real route so the fast tier's short
-            // loop still exercises at least one substituted iteration.
-            flow_cfg.predict = Some(PredictConfig {
-                warmup_routes: 1,
-                ..PredictConfig::default()
-            });
-        }
         let mut ctrl = FlowControl::default();
         ctrl.obs = obs.clone();
         let flow = match run_flow_with(&mut d, &flow_cfg, ctrl) {
@@ -384,13 +352,6 @@ fn run_scenario(scenario: &Scenario, cfg: &MatrixConfig) -> Result<ScenarioOutco
                     });
                 }
             }
-            // The predict column must actually exercise the fast-path
-            // once the loop is long enough for the warmup to complete.
-            if predict && flow.route_iterations >= 3 && flow.predicted_iterations == 0 {
-                failures.push(MatrixFailure::PredictorIdle {
-                    scenario: scenario.name.to_string(),
-                });
-            }
         }
 
         if let Some(root) = &cfg.run_dir {
@@ -404,25 +365,22 @@ fn run_scenario(scenario: &Scenario, cfg: &MatrixConfig) -> Result<ScenarioOutco
 
         presets.push(PresetOutcome {
             preset,
-            label: pname,
             drvs: eval.drvs,
             hpwl: flow.hpwl,
             route_iterations: flow.route_iterations,
-            predicted_iterations: flow.predicted_iterations,
             warnings: flow.warnings.len(),
         });
     }
 
-    // Gate 4: Table-1 DRV ordering, within the class tolerance. The
-    // predict column must hold the same bound the full `Ours` flow does:
-    // substituting learned congestion maps may not cost routability.
+    // Gate 4: Table-1 DRV ordering, within the class tolerance.
     if scenario.ordering_gated {
-        let drvs_of = |label: &str| presets.iter().find(|o| o.label == label).map(|o| o.drvs);
-        let pairs = [
-            ("ours", "xplace-route"),
-            ("ours+predict", "xplace-route"),
-            ("xplace-route", "xplace"),
-        ];
+        let drvs_of = |name: &str| {
+            presets
+                .iter()
+                .find(|o| preset_name(o.preset) == name)
+                .map(|o| o.drvs)
+        };
+        let pairs = [("ours", "xplace-route"), ("xplace-route", "xplace")];
         for (better, worse) in pairs {
             if let (Some(b), Some(w)) = (drvs_of(better), drvs_of(worse)) {
                 if b > w * (1.0 + scenario.tolerance) + scenario.abs_slack {

@@ -32,7 +32,7 @@ fn degenerate_classes_survive_the_matrix() {
     assert_eq!(report.outcomes.len(), 4);
     for o in &report.outcomes {
         assert!(!o.ordering_gated, "{} should be survival-only", o.name);
-        assert_eq!(o.presets.len(), 4, "{}: a column errored", o.name);
+        assert_eq!(o.presets.len(), 3, "{}: a column errored", o.name);
     }
     // The zero-movable design must take the degraded path: no iterations,
     // and a warning saying so.
@@ -88,30 +88,16 @@ fn gated_class_passes_fast_tier() {
     assert!(failures.is_empty(), "unexpected failures: {failures:?}");
     let o = &report.outcomes[0];
     assert!(o.ordering_gated);
-    assert_eq!(o.presets.len(), 4);
+    assert_eq!(o.presets.len(), 3);
     // The routability columns must actually have exercised the loop —
     // otherwise the ordering gate compares identical placements.
     for p in &o.presets {
         if p.preset != PlacerPreset::Xplace {
-            assert!(p.route_iterations > 0, "{} skipped the loop", p.label);
-        }
-    }
-    // Only the predict column substitutes predicted maps.
-    for p in &o.presets {
-        if p.label != "ours+predict" {
-            assert_eq!(
-                p.predicted_iterations, 0,
-                "{} must route every iter",
-                p.label
-            );
+            assert!(p.route_iterations > 0, "{:?} skipped the loop", p.preset);
         }
     }
     let table = report.table();
     assert!(table.contains("single_row_core"), "table lists the class");
-    assert!(
-        table.contains("ours+predict"),
-        "table lists the predict column"
-    );
     assert!(table.contains("ordering"), "table shows the gate kind");
 }
 
@@ -153,12 +139,9 @@ fn failures_name_their_scenario() {
             preset: "ours",
             series: "hpwl",
         },
-        MatrixFailure::PredictorIdle {
-            scenario: "klass".into(),
-        },
         MatrixFailure::OrderingViolation {
             scenario: "klass".into(),
-            better: "ours+predict",
+            better: "ours",
             worse: "xplace-route",
             better_drvs: 9.0,
             worse_drvs: 1.0,
@@ -190,7 +173,7 @@ fn run_dir_writes_trace_and_metrics() {
     };
     let report = run_matrix(&cfg).expect("harness runs");
     assert!(report.passed());
-    for preset in ["xplace", "xplace-route", "ours", "ours+predict"] {
+    for preset in ["xplace", "xplace-route", "ours"] {
         let dir = root.join("single_cell").join(preset);
         assert!(dir.join("trace.jsonl").is_file(), "{}", dir.display());
         assert!(dir.join("metrics.json").is_file(), "{}", dir.display());

@@ -270,12 +270,6 @@ fn run_plan(plan: &FaultPlan) -> Result<(), String> {
             }
         }
 
-        // The congestion-spike fault targets the predictor's drift gate
-        // and is driven by `tests/predict.rs`, not through this harness.
-        FaultKind::CongestionSpike { .. } => {
-            unreachable!("congestion-spike faults belong to the predict suite")
-        }
-
         // Service faults are driven against a live server by
         // `tests/serve_robustness.rs`, not through the flow harness.
         FaultKind::KillServer { .. }

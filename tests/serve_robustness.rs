@@ -899,13 +899,14 @@ fn observed_job_is_bitwise_identical_to_the_unobserved_run() {
             let mut after_step = None;
             let mut polls = 0u64;
             let mut series_points = 0u64;
+            let mut overflow_points = 0u64;
             loop {
                 let _ = client.stats().expect("stats under load");
                 match client.watch(&WatchParams {
                     id: Some(id),
                     seq,
                     after_step,
-                    series: vec!["hpwl".into(), "overflow".into()],
+                    series: vec!["hpwl".into(), "gp_overflow".into(), "route_overflow".into()],
                     wait_ms: 50,
                 }) {
                     Ok(v) => {
@@ -914,6 +915,13 @@ fn observed_job_is_bitwise_identical_to_the_unobserved_run() {
                             seq = s as u64;
                         }
                         if let Some(series) = v.get("job").and_then(|j| j.get("series")) {
+                            for name in ["gp_overflow", "route_overflow"] {
+                                overflow_points += series
+                                    .get(name)
+                                    .and_then(|s| s.get("points"))
+                                    .and_then(json::Value::as_arr)
+                                    .map_or(0, |pts| pts.len() as u64);
+                            }
                             if let Some(pts) = series
                                 .get("hpwl")
                                 .and_then(|s| s.get("points"))
@@ -929,7 +937,7 @@ fn observed_job_is_bitwise_identical_to_the_unobserved_run() {
                             }
                         }
                         if v.get("done") == Some(&json::Value::Bool(true)) {
-                            return (polls, series_points);
+                            return (polls, series_points, overflow_points);
                         }
                     }
                     Err(RdpError::Busy { .. }) => {}
@@ -941,11 +949,15 @@ fn observed_job_is_bitwise_identical_to_the_unobserved_run() {
     let outcome = client
         .wait(id, 20, 300_000)
         .expect("observed job completes");
-    let (polls, series_points) = hammer.join().expect("hammer thread");
+    let (polls, series_points, overflow_points) = hammer.join().expect("hammer thread");
     assert!(polls >= 1, "the watcher must have seen at least one delta");
     assert!(
         series_points >= 1,
         "a captured job's convergence series must be visible mid-flight"
+    );
+    assert!(
+        overflow_points >= 1,
+        "the filter must surface an overflow series the flow emits"
     );
     let (reference, _) = reference_run(&spec).unwrap();
     assert_eq!(
