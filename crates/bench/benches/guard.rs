@@ -87,7 +87,6 @@ fn serve_spec(dir: &std::path::Path) -> JobSpec {
     JobSpec {
         input: format!("bookshelf:{}:bench_serve_5k", dir.display()),
         preset: "ours".into(),
-        fast: false,
         gp_max_iters: Some(900),
         max_route_iters: Some(4),
         gp_iters_per_route: Some(80),

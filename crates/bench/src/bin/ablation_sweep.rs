@@ -50,8 +50,8 @@ fn main() {
         for (_, base) in &bases {
             let mut d = base.clone();
             let row = run_pipeline(&mut d, cfg, &eval_cfg);
-            total_drvs += row.drvs;
-            total_drwl += row.drwl;
+            total_drvs += row.eval.drvs;
+            total_drwl += row.eval.drwl;
         }
         println!(
             "{label:<28} total DRVs {:>8.0}   total DRWL {:>10.0}",

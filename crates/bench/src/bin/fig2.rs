@@ -55,9 +55,9 @@ fn main() {
         report.place_seconds
     );
 
-    println!("[4] legalization + detailed placement (rdp-legal)");
-    let legal = rdp_legal::legalize(&mut design, &rdp_legal::LegalizeConfig::default());
-    let gain = rdp_legal::detailed_place(&mut design, &rdp_legal::DetailedConfig::default());
+    println!("[4] legalization + detailed placement with virtual widths (rdp-legal)");
+    let (legal, gain) =
+        rdp::legalize_after_flow(&mut design, &report, &rdp_obs::Collector::disabled());
     println!(
         "    max displacement {:.2} um, detailed placement gained {:.0} um HPWL",
         legal.max_displacement, gain

@@ -68,7 +68,7 @@ fn main() {
                 run_pipeline_obs(&mut d, &RoutabilityConfig::preset(*preset), &eval_cfg, &obs);
             cells.push_str(&format!(
                 " | {:>10.0} {:>8.0} {:>7.0} {:>6.2} {:>6.2}",
-                row.drwl, row.drvias, row.drvs, row.pt, row.rt
+                row.eval.drwl, row.eval.drvias, row.eval.drvs, row.pt, row.eval.route_seconds
             ));
             results[pi].push(row);
         }
@@ -82,7 +82,7 @@ fn main() {
     for rows in &results {
         let (w, v, d) = mean_ratios(rows, &ours);
         let pt = mean_ratio_by(rows, &ours, |r| r.pt);
-        let rt = mean_ratio_by(rows, &ours, |r| r.rt);
+        let rt = mean_ratio_by(rows, &ours, |r| r.eval.route_seconds);
         footer.push_str(&format!(
             " | {:>10.2} {:>8.2} {:>7.2} {:>6.2} {:>6.2}",
             w, v, d, pt, rt

@@ -64,7 +64,7 @@ fn main() {
             let row = run_pipeline(&mut d, &ablation_config(*mci, *dc, *dpa), &eval_cfg);
             eprintln!(
                 "[{name}] {}: drvs {:.0}, drwl {:.0}",
-                rows_cfg[ri].0, row.drvs, row.drwl
+                rows_cfg[ri].0, row.eval.drvs, row.eval.drwl
             );
             results[ri].push(row);
         }

@@ -19,7 +19,7 @@
 
 use rdp_core::{run_flow, PlacerPreset, RoutabilityConfig};
 use rdp_db::Design;
-use rdp_drc::{evaluate, EvalConfig, EvalReport};
+use rdp_drc::{EvalConfig, EvalReport};
 use rdp_gen::SuiteEntry;
 use rdp_legal::{detailed_place, legalize, DetailedConfig, LegalizeConfig};
 
@@ -48,17 +48,10 @@ pub fn prepare_design(entry: &SuiteEntry) -> Design {
 pub struct RowResult {
     /// Design name.
     pub design: String,
-    /// Detailed-routing wirelength proxy (µm).
-    pub drwl: f64,
-    /// Via count.
-    pub drvias: f64,
-    /// DRV proxy.
-    pub drvs: f64,
     /// Placement time (s).
     pub pt: f64,
-    /// Routing time (s).
-    pub rt: f64,
-    /// Full evaluation breakdown.
+    /// Post-routing evaluation: DRWL, #DRVias, #DRVs and the routing
+    /// time of the Table I columns.
     pub eval: EvalReport,
 }
 
@@ -72,59 +65,23 @@ pub fn run_pipeline(
     run_pipeline_obs(design, cfg, eval_cfg, &rdp_obs::Collector::disabled())
 }
 
-/// [`run_pipeline`] with every stage traced on `obs` (flow spans and
-/// convergence series, legalization/detailed-placement spans, a
-/// `drc_eval` span). Results are bitwise identical with tracing on or
-/// off; the collector only records.
+/// [`run_pipeline`] with every stage traced on `obs`. Both run
+/// [`rdp::place_and_evaluate_obs`], the pipeline `rdp flow` runs, so the
+/// published tables come from the code users run. Results are bitwise
+/// identical with tracing on or off; the collector only records.
 pub fn run_pipeline_obs(
     design: &mut Design,
     cfg: &RoutabilityConfig,
     eval_cfg: &EvalConfig,
     obs: &rdp_obs::Collector,
 ) -> RowResult {
-    let mut ctrl = rdp_core::FlowControl::default();
-    ctrl.obs = obs.clone();
-    let flow = rdp_core::run_flow_with(design, cfg, ctrl).expect("flow diverged beyond recovery");
-    // Routability-driven legalization/DP: preserve the inflation spacing
-    // by legalizing with virtual (inflated) widths when the flow produced
-    // ratios (the paper adopts Xplace-Route's routability-driven LG/DP).
-    match virtual_widths(design, &flow) {
-        Some(widths) => {
-            rdp_legal::legalize_virtual_obs(design, &LegalizeConfig::default(), &widths, obs);
-            rdp_legal::detailed_place_virtual_obs(design, &DetailedConfig::default(), &widths, obs);
-        }
-        None => {
-            rdp_legal::legalize_obs(design, &LegalizeConfig::default(), obs);
-            rdp_legal::detailed_place_obs(design, &DetailedConfig::default(), obs);
-        }
-    }
-    let eval = {
-        let _span = obs.span("drc_eval", "eval");
-        evaluate(design, eval_cfg)
-    };
+    let r = rdp::place_and_evaluate_obs(design, cfg, eval_cfg, obs)
+        .expect("flow diverged beyond recovery");
     RowResult {
         design: design.name().to_string(),
-        drwl: eval.drwl,
-        drvias: eval.drvias,
-        drvs: eval.drvs,
-        pt: flow.place_seconds,
-        rt: eval.route_seconds,
-        eval,
+        pt: r.flow.place_seconds,
+        eval: r.eval,
     }
-}
-
-/// Virtual (inflated) widths for routability-preserving legalization, or
-/// `None` when the flow ran without inflation.
-pub fn virtual_widths(design: &Design, flow: &rdp_core::FlowReport) -> Option<Vec<f64>> {
-    let ratios = flow.inflation_ratios.as_ref()?;
-    Some(
-        design
-            .cells()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| c.w * ratios[i].max(1.0).sqrt())
-            .collect(),
-    )
 }
 
 /// DRV counts below this level are measurement noise on the synthetic
@@ -141,6 +98,7 @@ pub fn mean_ratios(rows: &[RowResult], baseline: &[RowResult]) -> (f64, f64, f64
     assert!(!rows.is_empty());
     let mut acc = (0.0, 0.0, 0.0);
     for (r, b) in rows.iter().zip(baseline) {
+        let (r, b) = (&r.eval, &b.eval);
         acc.0 += r.drwl / b.drwl.max(1.0);
         acc.1 += r.drvias / b.drvias.max(1.0);
         acc.2 += r.drvs.max(DRV_NOISE_FLOOR) / b.drvs.max(DRV_NOISE_FLOOR);
@@ -171,11 +129,7 @@ mod tests {
     fn row(name: &str, drwl: f64, vias: f64, drvs: f64) -> RowResult {
         RowResult {
             design: name.into(),
-            drwl,
-            drvias: vias,
-            drvs,
             pt: 1.0,
-            rt: 1.0,
             eval: EvalReport {
                 drwl,
                 drvias: vias,

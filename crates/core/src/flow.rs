@@ -32,7 +32,7 @@
 use std::time::Instant;
 
 use rdp_db::{Design, Point};
-use rdp_guard::{RdpError, SnapshotReader, SnapshotWriter, Stage, Warning};
+use rdp_guard::{fnv1a64, RdpError, SnapshotReader, SnapshotWriter, Stage, Warning};
 use rdp_obs::Collector;
 use rdp_route::{GlobalRouter, RouterConfig};
 
@@ -160,6 +160,13 @@ impl RoutabilityConfig {
             PlacerPreset::Ours => 5,
         };
         cfg
+    }
+
+    /// FNV-1a hash of the configuration's `Debug` text, which prints
+    /// every field and every float exactly. A [`FlowCheckpoint`] carries
+    /// it, so a flow resumes only under the configuration that wrote it.
+    pub fn fingerprint(&self) -> u64 {
+        fnv1a64(format!("{self:?}").as_bytes())
     }
 }
 
@@ -348,6 +355,8 @@ pub struct FlowControl<'a> {
 /// recomputed deterministically from the design.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowCheckpoint {
+    /// [`RoutabilityConfig::fingerprint`] of the run that wrote it.
+    pub config: u64,
     /// Routability iteration the resumed flow starts at (1-based).
     pub next_route_iter: usize,
     /// Wirelength-phase iterations already completed.
@@ -407,12 +416,27 @@ impl FlowCheckpoint {
     /// Checkpoint format version. [`FlowCheckpoint::from_bytes`] reads
     /// this version only: a checkpoint written by a build with another
     /// version is a typed `Checkpoint` error, never a misread.
-    pub const VERSION: u32 = 3;
+    pub const VERSION: u32 = 4;
+
+    /// Fails with a typed `Checkpoint` error unless this checkpoint was
+    /// written under the configuration whose fingerprint is `config`:
+    /// resuming under other settings would silently run a hybrid flow.
+    pub fn check_config(&self, config: u64) -> Result<(), RdpError> {
+        if self.config == config {
+            return Ok(());
+        }
+        Err(RdpError::checkpoint(format!(
+            "checkpoint was written under configuration {:#018x}, this run's is {config:#018x}; \
+             resume with the flags that wrote it",
+            self.config
+        )))
+    }
 
     /// Serializes into the versioned, checksummed `RDPSNAP` binary format.
     /// All floats are stored bit-exactly.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = SnapshotWriter::new(Self::VERSION);
+        w.put_u64(self.config);
         w.put_u64(self.next_route_iter as u64);
         w.put_u64(self.gp_iterations as u64);
         w.put_points(&self.positions);
@@ -461,6 +485,7 @@ impl FlowCheckpoint {
     /// version, checksum, and exact length.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, RdpError> {
         let mut r = SnapshotReader::new(bytes, Self::VERSION)?;
+        let config = r.take_u64()?;
         let next_route_iter = r.take_u64()? as usize;
         let gp_iterations = r.take_u64()? as usize;
         let positions = r.take_points()?;
@@ -528,6 +553,7 @@ impl FlowCheckpoint {
         let rollbacks = r.take_u64()? as usize;
         r.finish()?;
         Ok(FlowCheckpoint {
+            config,
             next_route_iter,
             gp_iterations,
             positions,
@@ -588,7 +614,11 @@ pub fn run_flow_with(
     let health = cfg.gp.health;
     let grid = design.gcell_grid();
 
+    let config = cfg.fingerprint();
     let resume = ctrl.resume.take();
+    if let Some(cp) = &resume {
+        cp.check_config(config)?;
+    }
     let resumed_from = resume.as_ref().map(|cp| cp.next_route_iter);
     let mut fault = ctrl.fault;
     let obs = ctrl.obs.clone();
@@ -808,6 +838,7 @@ pub fn run_flow_with(
             let _cp_span = obs.span_iter("checkpoint", "flow", t as i64);
             obs.instant("checkpoint", t as i64, format!("routability iteration {t}"));
             let cp = FlowCheckpoint {
+                config,
                 next_route_iter: t,
                 gp_iterations,
                 positions: design.positions().to_vec(),
@@ -1329,6 +1360,7 @@ mod tests {
     #[test]
     fn checkpoint_roundtrips_through_bytes() {
         let cp = FlowCheckpoint {
+            config: 0x0123_4567_89ab_cdef,
             next_route_iter: 3,
             gp_iterations: 42,
             positions: vec![Point::new(1.5, -2.25), Point::new(0.0, 7.0)],
@@ -1381,6 +1413,7 @@ mod tests {
     #[test]
     fn corrupted_checkpoint_is_a_typed_error() {
         let cp = FlowCheckpoint {
+            config: RoutabilityConfig::default().fingerprint(),
             next_route_iter: 1,
             gp_iterations: 0,
             positions: vec![Point::new(1.0, 2.0)],
@@ -1456,6 +1489,23 @@ mod tests {
         assert_eq!(d_full.positions(), d_res.positions());
         assert_eq!(r_full.route_iterations, r_res.route_iterations);
         assert_eq!(r_full.log, r_res.log);
+
+        // Under a configuration one float away, the same checkpoint is a
+        // typed error and the design is left untouched.
+        let mut other = cfg.clone();
+        other.lambda2_scale = f64::from_bits(cfg.lambda2_scale.to_bits() + 1);
+        let mut d_other = congested_design(11);
+        let err = run_flow_with(
+            &mut d_other,
+            &other,
+            FlowControl {
+                resume: Some(FlowCheckpoint::from_bytes(&bytes).unwrap()),
+                ..Default::default()
+            },
+        )
+        .unwrap_err();
+        assert_eq!(err.stage(), Some(Stage::Checkpoint), "{err}");
+        assert_eq!(d_other.positions(), congested_design(11).positions());
     }
 
     /// A NaN injected mid-flow is caught by the sentinels, rolled back,

@@ -26,7 +26,7 @@ mod snapshot;
 
 pub use error::{RdpError, Stage};
 pub use health::HealthPolicy;
-pub use snapshot::{SnapshotReader, SnapshotWriter, SNAPSHOT_MAGIC};
+pub use snapshot::{fnv1a64, SnapshotReader, SnapshotWriter, SNAPSHOT_MAGIC};
 
 use std::fmt;
 

@@ -17,7 +17,9 @@ use rdp_db::Point;
 /// Magic prefix identifying an rdp snapshot stream.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"RDPSNAP\0";
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit hash: the snapshot checksum, and the configuration
+/// fingerprint a flow checkpoint carries.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

@@ -75,21 +75,6 @@ pub struct JobOutcome {
     pub positions: Vec<Point>,
 }
 
-fn state_from_label(label: &str) -> Result<JobState, RdpError> {
-    Ok(match label {
-        "queued" => JobState::Queued,
-        "running" => JobState::Running,
-        "done" => JobState::Done,
-        "failed" => JobState::Failed,
-        "cancelled" => JobState::Cancelled,
-        other => {
-            return Err(RdpError::protocol(format!(
-                "unknown job state `{other}` in response"
-            )))
-        }
-    })
-}
-
 fn take_u64(v: &Value, key: &str) -> Result<u64, RdpError> {
     v.get(key)
         .and_then(Value::as_f64)
@@ -105,11 +90,12 @@ fn take_f64(v: &Value, key: &str) -> Result<f64, RdpError> {
 }
 
 fn parse_status(v: &Value) -> Result<JobStatus, RdpError> {
-    let state = state_from_label(
-        v.get("state")
-            .and_then(Value::as_str)
-            .ok_or_else(|| RdpError::protocol("status missing `state`"))?,
-    )?;
+    let label = v
+        .get("state")
+        .and_then(Value::as_str)
+        .ok_or_else(|| RdpError::protocol("status missing `state`"))?;
+    let state = JobState::from_label(label)
+        .ok_or_else(|| RdpError::protocol(format!("unknown job state `{label}` in response")))?;
     Ok(JobStatus {
         id: take_u64(v, "id")?,
         state,

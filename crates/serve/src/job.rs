@@ -6,6 +6,8 @@
 //! the records and replays them in ascending job-id order, so there is no
 //! separate queue file that could tear mid-write.
 
+use std::cell::RefCell;
+
 use rdp_core::{PlacerPreset, RoutabilityConfig};
 use rdp_db::Point;
 use rdp_guard::{RdpError, SnapshotReader, SnapshotWriter};
@@ -43,7 +45,8 @@ impl JobState {
         )
     }
 
-    /// Stable lowercase label (wire protocol and CLI output).
+    /// Stable lowercase label (wire protocol, durable record and CLI
+    /// output).
     pub fn label(self) -> &'static str {
         match self {
             JobState::Queued => "queued",
@@ -54,25 +57,12 @@ impl JobState {
         }
     }
 
-    fn code(self) -> u64 {
-        match self {
-            JobState::Queued => 0,
-            JobState::Running => 1,
-            JobState::Done => 2,
-            JobState::Failed => 3,
-            JobState::Cancelled => 4,
-        }
-    }
-
-    fn from_code(c: u64) -> Result<Self, RdpError> {
-        Ok(match c {
-            0 => JobState::Queued,
-            1 => JobState::Running,
-            2 => JobState::Done,
-            3 => JobState::Failed,
-            4 => JobState::Cancelled,
-            other => return Err(RdpError::checkpoint(format!("unknown job state {other}"))),
-        })
+    /// The state whose [`JobState::label`] is `label`.
+    pub fn from_label(label: &str) -> Option<Self> {
+        use JobState::*;
+        [Queued, Running, Done, Failed, Cancelled]
+            .into_iter()
+            .find(|s| s.label() == label)
     }
 }
 
@@ -82,18 +72,18 @@ impl std::fmt::Display for JobState {
     }
 }
 
-/// What to place and under which policy. The submit request carries this
-/// verbatim; it is embedded in the durable record so a restarted server
-/// re-runs exactly what was asked.
+/// What to place and under which policy: the one description of a flow
+/// run. `rdp place`, `rdp flow` and `rdp submit` read their flags into
+/// it, the submit request carries it verbatim, and the durable record
+/// embeds its JSON, so a restarted server re-runs exactly what was asked.
+/// [`flow_config`] turns it into the flow configuration everywhere.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Input spec: a suite design name, `bookshelf:DIR:BASE`, or
-    /// `lefdef:LEF:DEF` (same grammar as the CLI).
+    /// `lefdef:LEF:DEF` (see [`crate::worker::resolve_input`]).
     pub input: String,
-    /// Preset name: `xplace`, `xplace-route`, or `ours`.
+    /// Preset name, as [`PlacerPreset`]'s `FromStr` reads it.
     pub preset: String,
-    /// Use the CI-sized fast preset variant.
-    pub fast: bool,
     /// Capture a run directory (trace.jsonl + metrics.json) next to the
     /// job record, compatible with `rdp report` / `rdp diff`.
     pub capture: bool,
@@ -111,25 +101,11 @@ pub struct JobSpec {
     pub gp_iters_per_route: Option<u64>,
 }
 
-/// The keys a `spec` object may carry, one per [`JobSpec`] field.
-const SPEC_KEYS: [&str; 9] = [
-    "input",
-    "preset",
-    "fast",
-    "capture",
-    "deadline_ms",
-    "max_retries",
-    "max_route_iters",
-    "gp_max_iters",
-    "gp_iters_per_route",
-];
-
 impl Default for JobSpec {
     fn default() -> Self {
         JobSpec {
             input: String::new(),
             preset: "ours".into(),
-            fast: false,
             capture: false,
             deadline_ms: None,
             max_retries: 0,
@@ -141,13 +117,13 @@ impl Default for JobSpec {
 }
 
 impl JobSpec {
-    /// Serializes as the `spec` object of a submit request.
+    /// Serializes as the `spec` object of a submit request (and of the
+    /// durable record).
     pub fn to_json(&self) -> String {
         let mut out = format!(
-            "{{\"input\":{},\"preset\":{},\"fast\":{},\"capture\":{},\"max_retries\":{}",
+            "{{\"input\":{},\"preset\":{},\"capture\":{},\"max_retries\":{}",
             jstr(&self.input),
             jstr(&self.preset),
-            self.fast,
             self.capture,
             self.max_retries
         );
@@ -165,56 +141,54 @@ impl JobSpec {
         out
     }
 
-    /// Parses the `spec` object of a submit request. Malformed specs —
-    /// an unknown key, a missing `input`, or a value of the wrong type —
-    /// are typed `Protocol` errors (the *content* is validated again by
-    /// [`flow_config`] at execution time).
+    /// Parses [`JobSpec::to_json`] output. Malformed specs — a key it
+    /// does not read (a typo, or a knob this build does not have), a
+    /// missing `input`, or a value of the wrong type — are typed
+    /// `Protocol` errors naming the key (the *content* is checked by
+    /// [`flow_config`]).
     pub fn from_json(v: &Value) -> Result<Self, RdpError> {
-        if let Value::Obj(fields) = v {
-            if let Some(key) = fields.keys().find(|k| !SPEC_KEYS.contains(&k.as_str())) {
-                return Err(RdpError::protocol(format!(
-                    "spec has unknown field `{key}`"
-                )));
-            }
+        let Value::Obj(obj) = v else {
+            return Err(RdpError::protocol("spec must be a JSON object"));
+        };
+        let read = RefCell::new(Vec::new());
+        let get = |key: &'static str| {
+            read.borrow_mut().push(key);
+            obj.get(key).filter(|v| **v != Value::Null)
+        };
+        let wrong = |key: &str, what: &str| {
+            RdpError::protocol(format!("spec field `{key}` must be {what}"))
+        };
+        let text = |key| match get(key) {
+            None => Ok(None),
+            Some(Value::Str(s)) => Ok(Some(s.clone())),
+            Some(_) => Err(wrong(key, "a string")),
+        };
+        let num = |key| match get(key) {
+            None => Ok(None),
+            Some(Value::Num(n)) if n.fract() == 0.0 && *n >= 0.0 => Ok(Some(*n as u64)),
+            Some(_) => Err(wrong(key, "a non-negative integer")),
+        };
+        let spec = JobSpec {
+            input: text("input")?
+                .ok_or_else(|| RdpError::protocol("spec needs a string `input`"))?,
+            preset: text("preset")?.unwrap_or_else(|| "ours".into()),
+            capture: match get("capture") {
+                None => false,
+                Some(Value::Bool(b)) => *b,
+                Some(_) => return Err(wrong("capture", "a bool")),
+            },
+            deadline_ms: num("deadline_ms")?,
+            max_retries: num("max_retries")?.unwrap_or(0) as u32,
+            max_route_iters: num("max_route_iters")?,
+            gp_max_iters: num("gp_max_iters")?,
+            gp_iters_per_route: num("gp_iters_per_route")?,
+        };
+        if let Some(key) = obj.keys().find(|k| !read.borrow().contains(&k.as_str())) {
+            return Err(RdpError::protocol(format!(
+                "spec has unknown field `{key}`"
+            )));
         }
-        let input = v
-            .get("input")
-            .and_then(Value::as_str)
-            .ok_or_else(|| RdpError::protocol("spec needs a string `input`"))?
-            .to_string();
-        let take_u64 = |key: &str| -> Result<Option<u64>, RdpError> {
-            match v.get(key) {
-                None | Some(Value::Null) => Ok(None),
-                Some(Value::Num(n)) if n.fract() == 0.0 && *n >= 0.0 => Ok(Some(*n as u64)),
-                Some(_) => Err(RdpError::protocol(format!(
-                    "spec field `{key}` must be a non-negative integer"
-                ))),
-            }
-        };
-        let take_bool = |key: &str| -> Result<bool, RdpError> {
-            match v.get(key) {
-                None | Some(Value::Null) => Ok(false),
-                Some(Value::Bool(b)) => Ok(*b),
-                Some(_) => Err(RdpError::protocol(format!(
-                    "spec field `{key}` must be a bool"
-                ))),
-            }
-        };
-        Ok(JobSpec {
-            input,
-            preset: v
-                .get("preset")
-                .and_then(Value::as_str)
-                .unwrap_or("ours")
-                .to_string(),
-            fast: take_bool("fast")?,
-            capture: take_bool("capture")?,
-            deadline_ms: take_u64("deadline_ms")?,
-            max_retries: take_u64("max_retries")?.unwrap_or(0) as u32,
-            max_route_iters: take_u64("max_route_iters")?,
-            gp_max_iters: take_u64("gp_max_iters")?,
-            gp_iters_per_route: take_u64("gp_iters_per_route")?,
-        })
+        Ok(spec)
     }
 }
 
@@ -265,7 +239,7 @@ impl JobRecord {
     /// Record format version. [`JobRecord::from_bytes`] reads this version
     /// only, so a record written by a build with another version is a
     /// typed `Checkpoint` error and `Store::scan` quarantines it.
-    pub const VERSION: u32 = 3;
+    pub const VERSION: u32 = 4;
 
     /// A fresh queued record.
     pub fn queued(id: u64, spec: JobSpec) -> Self {
@@ -280,33 +254,15 @@ impl JobRecord {
         }
     }
 
-    /// Serializes into the versioned, checksummed `RDPSNAP` format.
+    /// Serializes into the versioned, checksummed `RDPSNAP` format. The
+    /// spec travels as its wire JSON ([`JobSpec::to_json`]).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = SnapshotWriter::new(Self::VERSION);
         w.put_u64(self.id);
-        w.put_u64(self.state.code());
+        w.put_str(self.state.label());
         w.put_u64(self.attempt as u64);
         w.put_u64(self.consumed_ms);
-        let s = &self.spec;
-        w.put_str(&s.input);
-        w.put_str(&s.preset);
-        w.put_u64(s.fast as u64);
-        w.put_u64(s.capture as u64);
-        w.put_u64(s.max_retries as u64);
-        for opt in [
-            s.deadline_ms,
-            s.max_route_iters,
-            s.gp_max_iters,
-            s.gp_iters_per_route,
-        ] {
-            match opt {
-                Some(v) => {
-                    w.put_u64(1);
-                    w.put_u64(v);
-                }
-                None => w.put_u64(0),
-            }
-        }
+        w.put_str(&self.spec.to_json());
         match &self.error {
             Some((kind, detail)) => {
                 w.put_u64(1);
@@ -339,21 +295,15 @@ impl JobRecord {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, RdpError> {
         let mut r = SnapshotReader::new(bytes, Self::VERSION)?;
         let id = r.take_u64()?;
-        let state = JobState::from_code(r.take_u64()?)?;
+        let label = r.take_str()?;
+        let state = JobState::from_label(&label)
+            .ok_or_else(|| RdpError::checkpoint(format!("unknown job state `{label}`")))?;
         let attempt = r.take_u64()? as u32;
         let consumed_ms = r.take_u64()?;
-        let input = r.take_str()?;
-        let preset = r.take_str()?;
-        let fast = r.take_u64()? != 0;
-        let capture = r.take_u64()? != 0;
-        let max_retries = r.take_u64()? as u32;
-        let mut opts = [None; 4];
-        for opt in opts.iter_mut() {
-            *opt = match r.take_u64()? {
-                0 => None,
-                _ => Some(r.take_u64()?),
-            };
-        }
+        let spec = json::parse(&r.take_str()?)
+            .map_err(|e| e.to_string())
+            .and_then(|v| JobSpec::from_json(&v).map_err(|e| e.to_string()))
+            .map_err(|e| RdpError::checkpoint(format!("record spec: {e}")))?;
         let error = match r.take_u64()? {
             0 => None,
             _ => Some((r.take_str()?, r.take_str()?)),
@@ -391,17 +341,7 @@ impl JobRecord {
         Ok(JobRecord {
             id,
             state,
-            spec: JobSpec {
-                input,
-                preset,
-                fast,
-                capture,
-                deadline_ms: opts[0],
-                max_retries,
-                max_route_iters: opts[1],
-                gp_max_iters: opts[2],
-                gp_iters_per_route: opts[3],
-            },
+            spec,
             attempt,
             consumed_ms,
             error,
@@ -447,7 +387,9 @@ pub fn retryable(e: &RdpError) -> bool {
     matches!(e, RdpError::Diverged { .. } | RdpError::NonFinite { .. })
 }
 
-/// Builds the flow configuration for a spec at a given retry attempt.
+/// Builds the flow configuration for a spec at a given retry attempt:
+/// the one spec-to-config builder. The CLI's `place` and `flow`, the
+/// `submit` check on both sides of the wire, and the worker all call it.
 /// Attempt 0 is the submitted configuration; each retry damps the
 /// schedule exponentially — λ₁ re-anchoring and density growth halve
 /// their distance to 1.0, and the rollback budget doubles — so a job
@@ -457,11 +399,7 @@ pub fn flow_config(spec: &JobSpec, attempt: u32) -> Result<RoutabilityConfig, Rd
         .preset
         .parse()
         .map_err(|e: String| RdpError::Config { detail: e })?;
-    let mut cfg = if spec.fast {
-        RoutabilityConfig::preset_fast(preset)
-    } else {
-        RoutabilityConfig::preset(preset)
-    };
+    let mut cfg = RoutabilityConfig::preset(preset);
     if let Some(n) = spec.max_route_iters {
         cfg.max_route_iters = n as usize;
     }
@@ -493,7 +431,6 @@ mod tests {
         JobSpec {
             input: "fft_1".into(),
             preset: "ours".into(),
-            fast: true,
             capture: true,
             deadline_ms: Some(60_000),
             max_retries: 2,
@@ -553,13 +490,14 @@ mod tests {
         let d = JobSpec::from_json(&v).unwrap();
         assert_eq!(d.preset, "ours");
         assert_eq!(d.deadline_ms, None);
-        assert!(!d.fast);
+        assert!(!d.capture);
 
         // Bad field types and unknown keys (a typo, or a knob this build
         // does not have) are typed protocol errors naming the key.
         for (text, key) in [
             ("{\"input\":\"x\",\"deadline_ms\":\"soon\"}", "deadline_ms"),
-            ("{\"input\":\"x\",\"fast\":\"yes\"}", "fast"),
+            ("{\"input\":\"x\",\"preset\":5}", "preset"),
+            ("{\"input\":\"x\",\"fast\":true}", "fast"),
             ("{\"input\":\"x\",\"capture\":1}", "capture"),
             (
                 "{\"input\":\"fft_a\",\"max_route_iter\":3}",
@@ -581,12 +519,8 @@ mod tests {
 
     #[test]
     fn retry_damping_calms_the_schedule() {
-        let s = JobSpec {
-            fast: false,
-            ..spec()
-        };
-        let base = flow_config(&s, 0).unwrap();
-        let damped = flow_config(&s, 2).unwrap();
+        let base = flow_config(&spec(), 0).unwrap();
+        let damped = flow_config(&spec(), 2).unwrap();
         assert!(damped.lambda1_rebalance < base.lambda1_rebalance);
         assert!(damped.gp.lambda_growth < base.gp.lambda_growth);
         assert!(damped.gp.health.max_rollbacks > base.gp.health.max_rollbacks);

@@ -47,7 +47,8 @@ pub mod worker;
 
 pub use client::{Client, JobStatus, PingInfo};
 pub use job::{flow_config, retryable, JobRecord, JobResult, JobSpec, JobState};
-pub use protocol::{error_kind, FrameLimits, Request, WatchParams, PROTOCOL_VERSION};
+pub use protocol::{error_parts, FrameLimits, Request, WatchParams, PROTOCOL_VERSION};
 pub use server::{ServeConfig, Server};
 pub use store::{RecoveryReport, Store};
 pub use telemetry::{validate_stats_json, ServiceMetrics, StatsSummary, STATS_VERSION};
+pub use worker::resolve_input;

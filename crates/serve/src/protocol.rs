@@ -8,9 +8,10 @@
 //! produces a typed [`RdpError::Protocol`] instead of a hang.
 //!
 //! Requests are `{"cmd": "...", ...}` objects; responses carry
-//! `{"ok": true, ...}` or `{"ok": false, "kind": K, "error": msg, ...}`
-//! where `kind` is the stable [`error_kind`] label of the [`RdpError`]
-//! variant, letting clients rebuild typed errors across the wire.
+//! `{"ok": true, ...}` or `{"ok": false, "kind": K, "error": detail, ...}`
+//! where `kind` is the stable label of the [`RdpError`] variant and
+//! `detail` the variant's own detail ([`error_parts`]), letting clients
+//! rebuild typed errors across the wire.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -25,7 +26,7 @@ use crate::job::JobSpec;
 /// incompatibly; `ping` reports it so clients (notably `rdp top`, which
 /// parses streaming responses) can refuse a mismatched peer with a typed
 /// error instead of a JSON parse failure.
-pub const PROTOCOL_VERSION: u64 = 3;
+pub const PROTOCOL_VERSION: u64 = 4;
 
 /// Default cap on a single frame's payload (1 MiB holds the positions of
 /// well over 30k cells; larger results stream in run-dir artifacts).
@@ -194,8 +195,6 @@ pub enum Request {
     /// holds the request open (bounded by its own cap) while the job is
     /// still queued/running, 0 answers immediately.
     Result(u64, bool, u64),
-    /// Stream progress frames until the job reaches a terminal state.
-    Stream(u64),
     /// One-shot service telemetry snapshot (fleet counters, per-op latency
     /// histograms, gauges, per-job live state).
     Stats,
@@ -266,7 +265,6 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, RdpError> {
                 .map_or(0, |w| w as u64);
             Ok(Request::Result(need_id(&v, "result")?, positions, wait_ms))
         }
-        "stream" => Ok(Request::Stream(need_id(&v, "stream")?)),
         "stats" => Ok(Request::Stats),
         "watch" => {
             let id = match v.get("id") {
@@ -327,29 +325,64 @@ pub fn is_frame_limit(e: &RdpError) -> bool {
         || detail.contains("refusing to send"))
 }
 
-/// Stable wire label for each [`RdpError`] variant.
-pub fn error_kind(e: &RdpError) -> &'static str {
+/// An error's wire form: the stable kind label of its [`RdpError`]
+/// variant, and the variant's own detail (not its display text), so the
+/// far side's `Display` frames it exactly once. `Parse`, `NonFinite` and
+/// `Diverged` carry their whole display text, since their structured
+/// fields do not cross.
+pub fn error_parts(e: &RdpError) -> (&'static str, String) {
     match e {
-        RdpError::Parse { .. } => "parse",
-        RdpError::Design { .. } => "design",
-        RdpError::NonFinite { .. } => "non-finite",
-        RdpError::Diverged { .. } => "diverged",
-        RdpError::Checkpoint { .. } => "checkpoint",
-        RdpError::Config { .. } => "config",
-        RdpError::Deadline { .. } => "deadline",
-        RdpError::Cancelled { .. } => "cancelled",
-        RdpError::Protocol { .. } => "protocol",
-        RdpError::Busy { .. } => "busy",
-        RdpError::Internal { .. } => "internal",
+        RdpError::Parse { .. } => ("parse", e.to_string()),
+        RdpError::Design { message } => ("design", message.clone()),
+        RdpError::NonFinite { .. } => ("non-finite", e.to_string()),
+        RdpError::Diverged { .. } => ("diverged", e.to_string()),
+        RdpError::Checkpoint { detail } => ("checkpoint", detail.clone()),
+        RdpError::Config { detail } => ("config", detail.clone()),
+        RdpError::Deadline { detail, .. } => ("deadline", detail.clone()),
+        RdpError::Cancelled { detail } => ("cancelled", detail.clone()),
+        RdpError::Protocol { detail } => ("protocol", detail.clone()),
+        RdpError::Busy { detail, .. } => ("busy", detail.clone()),
+        RdpError::Internal { detail } => ("internal", detail.clone()),
+    }
+}
+
+/// Rebuilds a typed error from its [`error_parts`] (kind label and
+/// detail) and `num`, which looks up the numeric fields
+/// (`retry_after_ms`, `elapsed_ms`, `budget_ms`). The one kind-to-variant
+/// table: wire responses and stored job failures both come back through
+/// it.
+pub fn error_from_parts(kind: &str, detail: String, num: impl Fn(&str) -> u64) -> RdpError {
+    match kind {
+        "busy" => RdpError::Busy {
+            detail,
+            retry_after_ms: num("retry_after_ms"),
+        },
+        "deadline" => RdpError::Deadline {
+            detail,
+            elapsed_ms: num("elapsed_ms"),
+            budget_ms: num("budget_ms"),
+        },
+        "cancelled" => RdpError::Cancelled { detail },
+        "protocol" => RdpError::Protocol { detail },
+        "config" => RdpError::Config { detail },
+        "checkpoint" => RdpError::Checkpoint { detail },
+        "parse" => RdpError::Parse {
+            context: "serve response".into(),
+            line: None,
+            message: detail,
+        },
+        "design" => RdpError::Design { message: detail },
+        _ => RdpError::Internal { detail },
     }
 }
 
 /// Serializes an error as an `{"ok":false,...}` response payload.
 pub fn error_response(e: &RdpError) -> Vec<u8> {
+    let (kind, detail) = error_parts(e);
     let mut out = format!(
         "{{\"ok\":false,\"kind\":{},\"error\":{}",
-        crate::job::jstr(error_kind(e)),
-        crate::job::jstr(&e.to_string())
+        crate::job::jstr(kind),
+        crate::job::jstr(&detail)
     );
     if let RdpError::Busy { retry_after_ms, .. } = e {
         out.push_str(&format!(",\"retry_after_ms\":{retry_after_ms}"));
@@ -369,39 +402,15 @@ pub fn error_response(e: &RdpError) -> Vec<u8> {
 }
 
 /// Rebuilds a typed error from a parsed `{"ok":false,...}` response.
-/// Variants whose full payload does not cross the wire (`Parse`,
-/// `Diverged`, …) come back with the transported display string intact.
 pub fn error_from_response(v: &Value) -> RdpError {
-    let detail = v
-        .get("error")
-        .and_then(Value::as_str)
-        .unwrap_or("(no detail)")
-        .to_string();
-    match v.get("kind").and_then(Value::as_str) {
-        Some("busy") => RdpError::Busy {
-            detail,
-            retry_after_ms: v
-                .get("retry_after_ms")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0) as u64,
-        },
-        Some("deadline") => RdpError::Deadline {
-            detail,
-            elapsed_ms: v.get("elapsed_ms").and_then(Value::as_f64).unwrap_or(0.0) as u64,
-            budget_ms: v.get("budget_ms").and_then(Value::as_f64).unwrap_or(0.0) as u64,
-        },
-        Some("cancelled") => RdpError::Cancelled { detail },
-        Some("protocol") => RdpError::Protocol { detail },
-        Some("config") => RdpError::Config { detail },
-        Some("checkpoint") => RdpError::Checkpoint { detail },
-        Some("parse") => RdpError::Parse {
-            context: "serve response".into(),
-            line: None,
-            message: detail,
-        },
-        Some("design") => RdpError::Design { message: detail },
-        _ => RdpError::Internal { detail },
-    }
+    error_from_parts(
+        v.get("kind").and_then(Value::as_str).unwrap_or("internal"),
+        v.get("error")
+            .and_then(Value::as_str)
+            .unwrap_or("(no detail)")
+            .to_string(),
+        |key| v.get(key).and_then(Value::as_f64).unwrap_or(0.0) as u64,
+    )
 }
 
 #[cfg(test)]
@@ -436,6 +445,7 @@ mod tests {
             &b"\xff\xfe"[..],
             b"not json",
             b"{\"cmd\":\"warp\"}",
+            b"{\"cmd\":\"stream\",\"id\":1}",
             b"{\"cmd\":\"cancel\"}",
             b"{\"cmd\":\"cancel\",\"id\":-1}",
             b"{\"cmd\":\"cancel\",\"id\":1.5}",
@@ -503,9 +513,19 @@ mod tests {
         }));
     }
 
+    /// Every variant with a plain detail crosses the wire and displays
+    /// exactly as it did on the sending side: no framing is repeated.
     #[test]
     fn errors_roundtrip_through_the_wire_shape() {
         let cases = vec![
+            RdpError::Config {
+                detail: "unknown preset".into(),
+            },
+            RdpError::checkpoint("torn record"),
+            RdpError::Cancelled {
+                detail: "drain".into(),
+            },
+            RdpError::protocol("no such job 999"),
             RdpError::Busy {
                 detail: "queue full (4 queued)".into(),
                 retry_after_ms: 250,
@@ -515,30 +535,18 @@ mod tests {
                 elapsed_ms: 900,
                 budget_ms: 500,
             },
-            RdpError::Cancelled {
-                detail: "drain".into(),
+            RdpError::Design {
+                message: "no rows".into(),
             },
-            RdpError::protocol("oversized frame"),
-            RdpError::Config {
-                detail: "unknown preset".into(),
-            },
+            RdpError::internal("worker panicked"),
         ];
         for e in cases {
             let bytes = error_response(&e);
             let v = json::parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
             assert_eq!(v.get("ok"), Some(&Value::Bool(false)));
             let back = error_from_response(&v);
-            assert_eq!(error_kind(&back), error_kind(&e));
-            if let (
-                RdpError::Busy { retry_after_ms, .. },
-                RdpError::Busy {
-                    retry_after_ms: back_ms,
-                    ..
-                },
-            ) = (&e, &back)
-            {
-                assert_eq!(retry_after_ms, back_ms);
-            }
+            assert_eq!(back, e);
+            assert_eq!(back.to_string(), e.to_string());
         }
     }
 }

@@ -22,12 +22,13 @@ use std::time::{Duration, Instant};
 use rdp_guard::RdpError;
 use rdp_obs::json;
 
-use crate::job::{JobRecord, JobState};
+use crate::job::{flow_config, JobRecord, JobState};
 use crate::protocol::{
-    error_kind, error_response, is_frame_limit, parse_request, read_frame_opt, write_frame,
-    FrameLimits, Request, WatchParams, IO_TIMEOUT_DEFAULT_MS, MAX_FRAME_DEFAULT, PROTOCOL_VERSION,
+    error_from_parts, error_parts, error_response, is_frame_limit, parse_request, read_frame_opt,
+    write_frame, FrameLimits, Request, WatchParams, IO_TIMEOUT_DEFAULT_MS, MAX_FRAME_DEFAULT,
+    PROTOCOL_VERSION,
 };
-use crate::store::{write_atomic, RecoveryReport, Store};
+use crate::store::{write_atomic, write_run_dir, RecoveryReport, Store};
 use crate::telemetry::{job_live_json, job_watch_json, op_name, ServiceMetrics, SERVER_VERSION};
 use crate::worker::{execute_job, Disposition, JobControl};
 
@@ -49,7 +50,7 @@ pub struct ServeConfig {
     pub io_timeout_ms: u64,
     /// Suggested client back-off returned with `Busy` rejections.
     pub retry_after_ms: u64,
-    /// Poll interval for the worker condvar, progress streams, and
+    /// Poll interval for the worker condvar, `watch` long-polls, and
     /// accept-error backoff.
     pub poll_ms: u64,
     /// Compute threads per job; 0 splits the global thread budget evenly
@@ -262,19 +263,8 @@ fn export_service_session(shared: &Shared) {
     let m = &shared.metrics;
     m.set_gauges(queued, running, shared.connections.load(Ordering::SeqCst));
     m.instant("drain", format!("drained with {queued} queued jobs"));
-    let dir = shared.cfg.dir.join("service");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
+    if let Err(e) = write_run_dir(&shared.cfg.dir.join("service"), m.collector()) {
         eprintln!("serve: service-session export failed: {e}");
-        return;
-    }
-    let col = m.collector();
-    for (name, text) in [
-        ("trace.jsonl", rdp_obs::export_jsonl(col)),
-        ("metrics.json", rdp_obs::export_metrics_json(col)),
-    ] {
-        if let Err(e) = write_atomic(&dir.join(name), text.as_bytes()) {
-            eprintln!("serve: service-session export of {name} failed: {e}");
-        }
     }
 }
 
@@ -357,11 +347,6 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
             }
         };
         let response = match parsed {
-            Ok(Request::Stream(id)) => {
-                stream_progress(shared, &mut stream, id);
-                observe(shared);
-                continue;
-            }
             Ok(Request::Shutdown) => {
                 // Answer *before* initiating the drain: the wake below
                 // lets the accept loop — and with it the whole process —
@@ -430,6 +415,9 @@ fn handle_request(shared: &Arc<Shared>, req: Request) -> Result<String, RdpError
             crate::job::jstr(SERVER_VERSION)
         )),
         Request::Submit(spec) => {
+            // A spec no worker could run is refused before it costs a job
+            // id or a durable record.
+            flow_config(&spec, 0)?;
             if shared.drain.load(Ordering::SeqCst) {
                 return Err(RdpError::Busy {
                     detail: "server is draining".into(),
@@ -498,7 +486,7 @@ fn handle_request(shared: &Arc<Shared>, req: Request) -> Result<String, RdpError
             match rec.state {
                 JobState::Queued => {
                     rec.state = JobState::Cancelled;
-                    rec.error = Some(("cancelled".into(), "cancelled while queued".into()));
+                    rec.error = Some(("cancelled".into(), format!("job {id} cancelled while queued")));
                     let rec = rec.clone();
                     shared.store.persist_record(&rec)?;
                     shared.store.remove_checkpoint(id);
@@ -588,16 +576,19 @@ fn handle_request(shared: &Arc<Shared>, req: Request) -> Result<String, RdpError
                     out.push('}');
                     Ok(out)
                 }
-                JobState::Failed => {
+                JobState::Failed | JobState::Cancelled => {
                     let (kind, detail) = rec
                         .error
                         .clone()
                         .unwrap_or_else(|| ("internal".into(), "no error recorded".into()));
-                    Err(rebuild_failure(&kind, detail))
+                    // A deadline failure reports the job's whole consumed
+                    // time against its budget.
+                    Err(error_from_parts(&kind, detail, |key| match key {
+                        "elapsed_ms" => rec.consumed_ms,
+                        "budget_ms" => rec.spec.deadline_ms.unwrap_or(0),
+                        _ => 0,
+                    }))
                 }
-                JobState::Cancelled => Err(RdpError::Cancelled {
-                    detail: format!("job {id} was cancelled"),
-                }),
                 JobState::Queued | JobState::Running => {
                     unreachable!("the wait loop exits only on a terminal state")
                 }
@@ -626,7 +617,6 @@ fn handle_request(shared: &Arc<Shared>, req: Request) -> Result<String, RdpError
                 .stats_json(shared.drain.load(Ordering::SeqCst), &jobs))
         }
         Request::Watch(p) => handle_watch(shared, p),
-        Request::Stream(_) => unreachable!("stream handled by the connection loop"),
         Request::Shutdown => unreachable!("shutdown handled by the connection loop"),
     }
 }
@@ -699,65 +689,6 @@ fn begin_shutdown(shared: &Shared) {
     wake_accept(shared);
 }
 
-/// Rebuilds a stored `(kind, detail)` failure as a typed error for the
-/// wire (detail already carries the original display string).
-fn rebuild_failure(kind: &str, detail: String) -> RdpError {
-    match kind {
-        "deadline" => RdpError::Deadline {
-            detail,
-            elapsed_ms: 0,
-            budget_ms: 0,
-        },
-        "cancelled" => RdpError::Cancelled { detail },
-        "config" => RdpError::Config { detail },
-        "checkpoint" => RdpError::Checkpoint { detail },
-        "parse" => RdpError::Parse {
-            context: "job input".into(),
-            line: None,
-            message: detail,
-        },
-        "design" => RdpError::Design { message: detail },
-        "protocol" => RdpError::Protocol { detail },
-        _ => RdpError::Internal { detail },
-    }
-}
-
-/// Writes progress frames at the poll interval until the job reaches a
-/// terminal state (then one final status frame). Every write carries the
-/// per-frame deadline, so a stalled client ends the stream, not the
-/// server; total duration is bounded by the job's own lifetime (its
-/// deadline, when set).
-fn stream_progress(shared: &Arc<Shared>, stream: &mut TcpStream, id: u64) {
-    loop {
-        let (frame, terminal) = {
-            let inner = shared.inner.lock().unwrap();
-            match inner.records.get(&id) {
-                Some(rec) => (
-                    format!(
-                        "{{\"ok\":true,\"job\":{}}}",
-                        status_with_progress(&inner, rec)
-                    ),
-                    rec.state.is_terminal(),
-                ),
-                None => (
-                    String::from_utf8_lossy(&error_response(&RdpError::protocol(format!(
-                        "no such job {id}"
-                    ))))
-                    .into_owned(),
-                    true,
-                ),
-            }
-        };
-        if write_frame(stream, frame.as_bytes(), &shared.limits).is_err() {
-            return;
-        }
-        if terminal {
-            return;
-        }
-        std::thread::sleep(shared.poll());
-    }
-}
-
 /// Claims the lowest-id queued job, marks it running (durably), and
 /// returns it with its control handle.
 fn claim_next(shared: &Shared) -> Option<(JobRecord, Arc<JobControl>)> {
@@ -817,13 +748,15 @@ fn settle(shared: &Shared, rec: JobRecord, ctl: &JobControl, outcome: crate::wor
         Disposition::Failed(e) => {
             shared.metrics.incr("failures");
             rec.state = JobState::Failed;
-            rec.error = Some((error_kind(&e).into(), e.to_string()));
+            let (kind, detail) = error_parts(&e);
+            rec.error = Some((kind.into(), detail));
             false
         }
-        Disposition::Cancelled(detail) => {
+        Disposition::Cancelled(e) => {
             shared.metrics.incr("cancellations");
             rec.state = JobState::Cancelled;
-            rec.error = Some(("cancelled".into(), detail));
+            let (kind, detail) = error_parts(&e);
+            rec.error = Some((kind.into(), detail));
             false
         }
         Disposition::Retry(e) => {
@@ -896,7 +829,6 @@ mod tests {
         JobSpec {
             input: "fft_1".into(),
             preset: "ours".into(),
-            fast: true,
             gp_max_iters: Some(40),
             max_route_iters: Some(2),
             gp_iters_per_route: Some(4),
@@ -937,7 +869,23 @@ mod tests {
         })
         .unwrap();
         let client = Client::new(server.local_addr().to_string());
-        client.submit(&small_spec()).unwrap();
+        // A spec no worker could run is a typed Config error that takes
+        // neither a queue slot nor a job id.
+        for spec in [
+            JobSpec {
+                preset: "warp-speed".into(),
+                ..small_spec()
+            },
+            JobSpec {
+                gp_max_iters: Some(0),
+                ..small_spec()
+            },
+        ] {
+            let err = client.submit(&spec).unwrap_err();
+            assert!(matches!(err, RdpError::Config { .. }), "{err}");
+        }
+        assert!(client.status_all().unwrap().is_empty());
+        assert_eq!(client.submit(&small_spec()).unwrap(), 1);
         client.submit(&small_spec()).unwrap();
         let err = client.submit(&small_spec()).unwrap_err();
         match err {

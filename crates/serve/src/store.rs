@@ -23,6 +23,7 @@ use std::path::{Path, PathBuf};
 
 use rdp_core::FlowCheckpoint;
 use rdp_guard::RdpError;
+use rdp_obs::{export_jsonl, export_metrics_json, Collector};
 
 use crate::job::{JobRecord, JobState};
 
@@ -87,6 +88,21 @@ fn write_atomic_impl(path: &Path, bytes: &[u8], sync: bool) -> Result<(), RdpErr
         }
     }
     fs::rename(&tmp, path).map_err(|e| io("rename", e))
+}
+
+/// Writes a run directory for `rdp report` / `rdp diff`: `obs` exported
+/// as `trace.jsonl` and `metrics.json`, each atomically, so a kill
+/// mid-write leaves at worst a `.tmp` leftover that `rdp report` flags as
+/// a partial run. The one run-dir writer: the CLI, a capturing job,
+/// `rdp matrix` and the service-session export all use it.
+pub fn write_run_dir(dir: &Path, obs: &Collector) -> Result<(), RdpError> {
+    fs::create_dir_all(dir)
+        .map_err(|e| RdpError::checkpoint(format!("create {}: {e}", dir.display())))?;
+    write_atomic(&dir.join("trace.jsonl"), export_jsonl(obs).as_bytes())?;
+    write_atomic(
+        &dir.join("metrics.json"),
+        export_metrics_json(obs).as_bytes(),
+    )
 }
 
 fn tmp_sibling(path: &Path) -> PathBuf {
@@ -182,20 +198,6 @@ impl Store {
         os.push(".corrupt");
         let _ = fs::rename(path, PathBuf::from(os));
         name
-    }
-
-    /// Writes run-dir artifacts atomically (used when a job captures).
-    pub fn write_run_artifacts(
-        &self,
-        id: u64,
-        trace_jsonl: &str,
-        metrics_json: &str,
-    ) -> Result<(), RdpError> {
-        let dir = self.run_dir(id);
-        fs::create_dir_all(&dir)
-            .map_err(|e| RdpError::checkpoint(format!("create {}: {e}", dir.display())))?;
-        write_atomic(&dir.join("trace.jsonl"), trace_jsonl.as_bytes())?;
-        write_atomic(&dir.join("metrics.json"), metrics_json.as_bytes())
     }
 
     /// Scans the store: loads every record in ascending id order,
@@ -319,58 +321,66 @@ mod tests {
         fs::write(store.record_path(2), &bytes).unwrap();
         store.persist_checkpoint(1, b"garbage-checkpoint").unwrap();
 
-        // Intact files from a build with the version-2 formats: a queued
-        // record for job 3 and a checkpoint for job 4, each laid out as
-        // that build wrote them. Neither may be misread as version 3.
-        let mut w = SnapshotWriter::new(2);
-        w.put_u64(3); // id
-        w.put_u64(0); // state: queued
-        w.put_u64(0); // attempt
-        w.put_u64(0); // consumed_ms
-        w.put_str("fft_1");
-        w.put_str("ours");
-        for _ in 0..4 {
-            w.put_u64(0); // fast, capture, incremental, max_retries
+        // Intact files from builds with older formats, each laid out as
+        // that build wrote it: version-2 (jobs 3, 4) and version-3 (jobs
+        // 5, 6) records and checkpoints. None may be misread as the
+        // current version. The layouts differ only in the record's flag
+        // and override words and the version-2 checkpoint's predictor.
+        for (version, record_words, predictor) in [(2, 15, true), (3, 9, false)] {
+            let id = 2 * version as u64 - 1;
+            let mut w = SnapshotWriter::new(version);
+            w.put_u64(id);
+            for _ in 0..3 {
+                w.put_u64(0); // state: queued, attempt, consumed_ms
+            }
+            w.put_str("fft_1");
+            w.put_str("ours");
+            // fast, capture, (v2: incremental,) max_retries; deadline and
+            // iteration overrides absent; (v2: predict off, its four
+            // overrides absent;) no error; no result.
+            for _ in 0..record_words {
+                w.put_u64(0);
+            }
+            fs::write(store.record_path(id), w.finish()).unwrap();
+
+            store.persist_record(&rec(id + 1)).unwrap();
+            let mut w = SnapshotWriter::new(version);
+            w.put_u64(1); // next_route_iter
+            w.put_u64(0); // gp_iterations
+            w.put_points(&[]); // positions
+            w.put_points(&[]); // session positions
+            for _ in 0..3 {
+                w.put_f64(1.0); // lambda1, last_overflow, gamma_boost
+            }
+            w.put_u64(0); // steps_done
+            for _ in 0..4 {
+                w.put_f64s(&[]); // inflation r, effective, delta_r, c_prev
+            }
+            w.put_f64(0.0); // inflation mean_prev
+            w.put_u64(0); // inflation t
+            w.put_f64(f64::INFINITY); // best_penalty
+            for _ in 0..5 {
+                w.put_u64(0); // stale, no best, empty log, no warnings, rollbacks
+            }
+            if predictor {
+                w.put_u64(0); // no predictor
+            }
+            store.persist_checkpoint(id + 1, &w.finish()).unwrap();
         }
-        for _ in 0..4 {
-            w.put_u64(0); // deadline and iteration overrides absent
-        }
-        for _ in 0..5 {
-            w.put_u64(0); // predict off, its four overrides absent
-        }
-        w.put_u64(0); // no error
-        w.put_u64(0); // no result
-        fs::write(store.record_path(3), w.finish()).unwrap();
-        store.persist_record(&rec(4)).unwrap();
-        let mut w = SnapshotWriter::new(2);
-        w.put_u64(1); // next_route_iter
-        w.put_u64(0); // gp_iterations
-        w.put_points(&[]); // positions
-        w.put_points(&[]); // session positions
-        for _ in 0..3 {
-            w.put_f64(1.0); // lambda1, last_overflow, gamma_boost
-        }
-        w.put_u64(0); // steps_done
-        for _ in 0..4 {
-            w.put_f64s(&[]); // inflation r, effective, delta_r, c_prev
-        }
-        w.put_f64(0.0); // inflation mean_prev
-        w.put_u64(0); // inflation t
-        w.put_f64(f64::INFINITY); // best_penalty
-        for _ in 0..5 {
-            w.put_u64(0); // stale, no best, empty log, no warnings, rollbacks
-        }
-        w.put_u64(0); // no predictor
-        store.persist_checkpoint(4, &w.finish()).unwrap();
 
         let (records, report) = store.scan().unwrap();
-        assert_eq!(records.keys().copied().collect::<Vec<_>>(), vec![1, 4]);
-        assert_eq!(report.quarantined.len(), 4, "{report:?}");
-        assert!(store.jobs.join("job-0000000002.rdpjob.corrupt").exists());
-        assert!(store.jobs.join("job-0000000003.rdpjob.corrupt").exists());
+        assert_eq!(records.keys().copied().collect::<Vec<_>>(), vec![1, 4, 6]);
+        assert_eq!(report.quarantined.len(), 6, "{report:?}");
+        for id in [2, 3, 5] {
+            assert!(store
+                .jobs
+                .join(format!("job-{id:010}.rdpjob.corrupt"))
+                .exists());
+        }
         // The quarantined checkpoints no longer block their jobs.
-        assert!(store.load_checkpoint(1).unwrap().is_none());
-        assert!(store.load_checkpoint(4).unwrap().is_none());
+        for id in [1, 4, 6] {
+            assert!(store.load_checkpoint(id).unwrap().is_none());
+        }
         let _ = fs::remove_dir_all(&root);
     }
 

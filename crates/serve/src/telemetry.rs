@@ -216,7 +216,6 @@ pub fn op_name(req: &Request) -> &'static str {
         Request::Status(_) => "op_status_ms",
         Request::Cancel(_) => "op_cancel_ms",
         Request::Result(..) => "op_result_ms",
-        Request::Stream(_) => "op_stream_ms",
         Request::Stats => "op_stats_ms",
         Request::Watch(_) => "op_watch_ms",
         Request::Shutdown => "op_shutdown_ms",
@@ -524,10 +523,7 @@ pub fn validate_stats_json(text: &str) -> Result<StatsSummary, String> {
             .get("state")
             .and_then(Value::as_str)
             .ok_or_else(|| format!("stats: job {id} is missing `state`"))?;
-        if !matches!(
-            state,
-            "queued" | "running" | "done" | "failed" | "cancelled"
-        ) {
+        if JobState::from_label(state).is_none() {
             return Err(format!("stats: job {id} has unknown state `{state}`"));
         }
         req_num(job, "attempt")?;

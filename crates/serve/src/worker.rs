@@ -15,16 +15,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use rdp_core::{run_flow_with, FlowCheckpoint, FlowControl};
+use rdp_core::{run_flow_with, FlowCheckpoint, FlowControl, FlowReport};
 use rdp_db::Design;
 use rdp_guard::RdpError;
 use rdp_obs::Collector;
 
 use crate::job::{flow_config, retryable, JobRecord, JobResult, JobSpec, JobState};
-use crate::store::Store;
+use crate::store::{write_run_dir, Store};
 
 /// Live progress of a running job, updated at each checkpoint boundary
-/// and read by `status` / `stream` responses.
+/// and read by `status` and `stats` responses.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Progress {
     /// Next routability iteration the flow will execute.
@@ -60,7 +60,7 @@ pub enum Disposition {
     /// Terminal failure.
     Failed(RdpError),
     /// Cancelled by a client.
-    Cancelled(String),
+    Cancelled(RdpError),
     /// Interrupted by drain: requeue with the checkpoint preserved so the
     /// next incarnation resumes bitwise.
     Requeue,
@@ -76,8 +76,10 @@ pub struct ExecOutcome {
     pub consumed_ms: u64,
 }
 
-/// Resolves a job input spec to a design (same grammar as the CLI):
-/// suite name, `bookshelf:DIR:BASE`, or `lefdef:LEF:DEF`.
+/// Resolves an input spec to a design: a suite name,
+/// `bookshelf:DIR:BASE`, or `lefdef:LEF:DEF`. The one input resolver:
+/// the CLI's commands and the worker both load through it, timing
+/// generation or parsing on `obs`.
 pub fn resolve_input(spec: &str, obs: &Collector) -> Result<Design, RdpError> {
     if let Some(rem) = spec.strip_prefix("bookshelf:") {
         let (dir, base) = rem.split_once(':').ok_or_else(|| RdpError::Config {
@@ -194,13 +196,17 @@ fn run_attempt(
         Err(e) => return Disposition::Failed(e),
     };
 
-    // A corrupt checkpoint must not wedge the job: quarantine it and
-    // start the attempt fresh (fresh starts reproduce the same final
-    // results by determinism; only wall-clock is lost).
-    let resume = match store.load_checkpoint(id) {
+    // A corrupt checkpoint, or one written under another configuration,
+    // must not wedge the job: quarantine it and start the attempt fresh
+    // (fresh starts reproduce the same final results by determinism; only
+    // wall-clock is lost).
+    let resume = match store.load_checkpoint(id).and_then(|cp| match cp {
+        Some(cp) => cp.check_config(cfg.fingerprint()).map(|()| Some(cp)),
+        None => Ok(None),
+    }) {
         Ok(cp) => cp,
         Err(e) => {
-            eprintln!("serve: job {id}: corrupt checkpoint quarantined ({e}); restarting fresh");
+            eprintln!("serve: job {id}: unusable checkpoint quarantined ({e}); restarting fresh");
             store.quarantine(&store.checkpoint_path(id));
             None
         }
@@ -269,25 +275,15 @@ fn run_attempt(
     match run {
         Ok(report) => {
             if spec.capture {
-                let trace = rdp_obs::export_jsonl(&obs);
-                let metrics = rdp_obs::export_metrics_json(&obs);
-                if let Err(e) = store.write_run_artifacts(id, &trace, &metrics) {
+                if let Err(e) = write_run_dir(&store.run_dir(id), &obs) {
                     eprintln!("serve: job {id}: run-dir capture failed: {e}");
                 }
             }
-            Disposition::Done(Box::new(JobResult {
-                hpwl: report.hpwl,
-                density_overflow: report.density_overflow,
-                gp_iterations: report.gp_iterations as u64,
-                route_iterations: report.route_iterations as u64,
-                place_seconds: report.place_seconds,
-                warnings: report.warnings.iter().map(|w| w.to_string()).collect(),
-                positions: design.positions().to_vec(),
-            }))
+            Disposition::Done(Box::new(job_result(&report, &design)))
         }
         Err(e) => match stop_cause.get() {
             Some(StopCause::Drain) => Disposition::Requeue,
-            Some(StopCause::Cancel) => Disposition::Cancelled(e.to_string()),
+            Some(StopCause::Cancel) => Disposition::Cancelled(e),
             Some(StopCause::Deadline) => Disposition::Failed(e),
             None => {
                 if retryable(&e) && rec.attempt < spec.max_retries {
@@ -308,18 +304,19 @@ pub fn reference_run(spec: &JobSpec) -> Result<(JobResult, Design), RdpError> {
     let obs = Collector::disabled();
     let mut design = resolve_input(&spec.input, &obs)?;
     let report = run_flow_with(&mut design, &cfg, FlowControl::default())?;
-    Ok((
-        JobResult {
-            hpwl: report.hpwl,
-            density_overflow: report.density_overflow,
-            gp_iterations: report.gp_iterations as u64,
-            route_iterations: report.route_iterations as u64,
-            place_seconds: report.place_seconds,
-            warnings: report.warnings.iter().map(|w| w.to_string()).collect(),
-            positions: design.positions().to_vec(),
-        },
-        design,
-    ))
+    Ok((job_result(&report, &design), design))
+}
+
+fn job_result(report: &FlowReport, design: &Design) -> JobResult {
+    JobResult {
+        hpwl: report.hpwl,
+        density_overflow: report.density_overflow,
+        gp_iterations: report.gp_iterations as u64,
+        route_iterations: report.route_iterations as u64,
+        place_seconds: report.place_seconds,
+        warnings: report.warnings.iter().map(|w| w.to_string()).collect(),
+        positions: design.positions().to_vec(),
+    }
 }
 
 #[cfg(test)]
@@ -338,7 +335,6 @@ mod tests {
         JobSpec {
             input: "fft_1".into(),
             preset: "ours".into(),
-            fast: true,
             gp_max_iters: Some(40),
             max_route_iters: Some(2),
             gp_iters_per_route: Some(4),
@@ -409,6 +405,26 @@ mod tests {
         let (reference, _) = reference_run(&rec.spec).unwrap();
         assert_eq!(result.hpwl.to_bits(), reference.hpwl.to_bits());
         assert_eq!(result.positions, reference.positions);
+
+        // The same id under another preset must not resume from the
+        // checkpoint that run left: it is quarantined, and the attempt
+        // starts fresh.
+        assert!(store.load_checkpoint(4).unwrap().is_some());
+        let other = JobRecord::queued(
+            4,
+            JobSpec {
+                preset: "xplace-route".into(),
+                ..small_spec()
+            },
+        );
+        let Disposition::Done(result) = execute_job(&store, &other, &ctl, &drain).disposition
+        else {
+            panic!("expected Done after quarantining the foreign checkpoint");
+        };
+        let (reference, _) = reference_run(&other.spec).unwrap();
+        assert_eq!(result.hpwl.to_bits(), reference.hpwl.to_bits());
+        assert_eq!(result.positions, reference.positions);
+        assert!(root.join("jobs/job-0000000004.ckpt.corrupt").exists());
         let _ = std::fs::remove_dir_all(&root);
     }
 

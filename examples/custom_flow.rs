@@ -65,16 +65,9 @@ fn main() {
         );
     }
 
-    // Legalize (preserving inflation spacing) and diagnose what remains.
-    if let Some(ratios) = &report.inflation_ratios {
-        let widths: Vec<f64> = design
-            .cells()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| c.w * ratios[i].max(1.0).sqrt())
-            .collect();
-        rdp::legal::legalize_virtual(&mut design, &rdp::legal::LegalizeConfig::default(), &widths);
-    }
+    // Legalize and detail-place (preserving inflation spacing), then
+    // diagnose what remains.
+    rdp::legalize_after_flow(&mut design, &report, &rdp::obs::Collector::disabled());
 
     let route = GlobalRouter::default().route(&design);
     let grid = design.gcell_grid();

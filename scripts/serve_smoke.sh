@@ -2,7 +2,8 @@
 # End-to-end crash-recovery smoke for `rdp serve`:
 #
 #   1. generate a 5k-cell Bookshelf design,
-#   2. start a server, submit three identical captured jobs,
+#   2. start a server, submit three identical captured jobs, and check
+#      that a submit with an unknown preset is refused and queues nothing,
 #   3. kill -9 the server the moment job 1 settles (job 2 is typically
 #      mid-flow, job 3 still queued),
 #   4. restart on the same store and wait for all three jobs,
@@ -98,6 +99,17 @@ J2=$(submit_job)
 J3=$(submit_job)
 [[ -n "$J1" && -n "$J2" && -n "$J3" ]] || {
     echo "serve-smoke: submit did not return job ids" >&2
+    exit 1
+}
+
+# A spec no worker could run is refused before it is queued.
+if "$RDP" submit "$ADDR" "$INPUT" --preset warp-speed >/dev/null 2>&1; then
+    echo "serve-smoke: a submit with an unknown preset was accepted" >&2
+    exit 1
+fi
+QUEUED=$("$RDP" status "$ADDR" | grep -c '^job ' || true)
+[[ "$QUEUED" == "3" ]] || {
+    echo "serve-smoke: expected 3 jobs after the refused submit, got $QUEUED" >&2
     exit 1
 }
 

@@ -5,7 +5,7 @@
 //! rdp stats    <input>                        design statistics
 //! rdp generate <name> --out DIR [--format F]  write a suite design to disk
 //! rdp place    <input> [--preset P] [--out DIR]   run the placement flow
-//!              [--checkpoint FILE] [--resume FILE]  resumable runs
+//!              [--checkpoint FILE] [--resume FILE]  resumable runs (same flags)
 //! rdp route    <input>                        route + congestion summary
 //! rdp eval     <input>                        evaluate current placement
 //! rdp flow     <input> [--preset P]           full pipeline + report
@@ -15,17 +15,17 @@
 //! `bookshelf:DIR:BASE`, or a LEF/DEF pair `lefdef:LEF:DEF`.
 //! Presets: xplace | xplace-route | ours (default ours).
 //! Formats: bookshelf | lefdef.
+//! Every command fails on a `--` flag it does not read.
 //! ```
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use rdp::core::{
-    run_flow, run_flow_with, FlowCheckpoint, FlowControl, PlacerPreset, RoutabilityConfig,
-};
+use rdp::core::{run_flow, run_flow_with, FlowCheckpoint, FlowControl, PlacerPreset};
 use rdp::db::DesignStats;
 use rdp::obs::Collector;
-use rdp::{place_and_evaluate_obs, Design, EvalConfig};
+use rdp::serve::{flow_config, resolve_input, JobSpec};
+use rdp::{legalize_after_flow, place_and_evaluate_obs, Design, EvalConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,27 +33,27 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let rest = &args[1..];
+    let f = Flags::new(cmd, &args[1..]);
     let result = match cmd.as_str() {
-        "suite" => cmd_suite(),
-        "stats" => cmd_stats(rest),
-        "generate" => cmd_generate(rest),
-        "place" => cmd_place(rest),
-        "route" => cmd_route(rest),
-        "eval" => cmd_eval(rest),
-        "flow" => cmd_flow(rest),
-        "matrix" => cmd_matrix(rest),
-        "report" => cmd_report(rest),
-        "diff" => cmd_diff(rest),
-        "convert" => cmd_convert(rest),
-        "render" => cmd_render(rest),
-        "serve" => cmd_serve(rest),
-        "submit" => cmd_submit(rest),
-        "status" => cmd_status(rest),
-        "cancel" => cmd_cancel(rest),
-        "fetch" => cmd_fetch(rest),
-        "top" => cmd_top(rest),
-        "shutdown" => cmd_shutdown(rest),
+        "suite" => cmd_suite(f),
+        "stats" => cmd_stats(f),
+        "generate" => cmd_generate(f),
+        "place" => cmd_place(f),
+        "route" => cmd_route(f),
+        "eval" => cmd_eval(f),
+        "flow" => cmd_flow(f),
+        "matrix" => cmd_matrix(f),
+        "report" => cmd_report(f),
+        "diff" => cmd_diff(f),
+        "convert" => cmd_convert(f),
+        "render" => cmd_render(f),
+        "serve" => cmd_serve(f),
+        "submit" => cmd_submit(f),
+        "status" => cmd_status(f),
+        "cancel" => cmd_cancel(f),
+        "fetch" => cmd_fetch(f),
+        "top" => cmd_top(f),
+        "shutdown" => cmd_shutdown(f),
         "help" | "--help" | "-h" => {
             println!("{}", usage());
             Ok(())
@@ -75,36 +75,40 @@ commands:
   suite                                    list the benchmark suite
   stats    <input>                         print design statistics
   generate <name> --out DIR [--format F]   write a suite design to disk
+           [--cells N] [--seed N] [--util X] [--margin X]
   place    <input> [--preset P] [--out DIR]  global placement flow
-           [--fast] [--gp-iters N] [--max-route-iters N] [--gp-burst N]
-                                             CI-sized preset + iteration caps
-                                             (same knobs as `rdp submit`)
+           [--gp-iters N] [--max-route-iters N] [--gp-burst N]
+                                             iteration caps (same knobs
+                                             as `rdp submit`)
            [--checkpoint FILE]               save resumable state each iteration
-           [--resume FILE]                   resume a killed run (bit-exact)
+           [--resume FILE]                   resume a killed run (bit-exact;
+                                             needs the flags that wrote FILE)
            [--legalize]                      legalize + detailed-place after GP
   route    <input>                         route and summarize congestion
   eval     <input>                         evaluate the current placement
   flow     <input> [--preset P] [--out DIR]  place → legalize → evaluate
-           [--fast] [--gp-iters N] [--max-route-iters N] [--gp-burst N]
+           [--gp-iters N] [--max-route-iters N] [--gp-burst N]
   matrix   [--scale small|full] [--classes a,b,...] [--run-dir DIR]
                                            scenario matrix: run every stress
                                            class through the three presets
                                            and gate the Table-1 DRV
                                            ordering; exits nonzero naming
                                            violations
-  report   <run-dir> [--out FILE.html]     render a run directory to HTML
+  report   <run-dir> [--out FILE.html] [--title T]
+                                           render a run directory to HTML
   diff     <run-a> <run-b> [--qor-tol X] [--time-tol Y]
                                            QoR/perf deltas; exit 1 on regression
   convert  <input> --out DIR --format F    convert between formats
   render   <input> --out FILE.svg [--congestion] [--place P]   render to SVG
 service (crash-safe placement-as-a-service):
   serve    --dir DIR [--addr H:P] [--workers N] [--max-queue N]
-           [--job-threads N] [--io-timeout-ms N] [--port-file FILE]
+           [--job-threads N] [--io-timeout-ms N] [--max-frame N]
+           [--port-file FILE]
                                            durable job queue over TCP; kill -9
                                            at any instant and restart: the
                                            queue replays and partial jobs
                                            resume bitwise from checkpoints
-  submit   ADDR <input> [--preset P] [--fast] [--capture]
+  submit   ADDR <input> [--preset P] [--capture]
            [--deadline-ms N] [--retries N]
            [--max-route-iters N] [--gp-iters N] [--gp-burst N]
            [--wait [--wait-ms N]]           enqueue a job (prints its id)
@@ -129,87 +133,98 @@ observability (place and flow):
                             `rdp report` and `rdp diff`)
   --report-out FILE.html    render the validated self-contained HTML report
   --profile                 print the per-stage time table after the run
+every command fails on a `--` flag it does not read, before it starts work.
 inputs:  <suite-name> | bookshelf:DIR:BASE | lefdef:LEF_PATH:DEF_PATH
-presets: xplace | xplace-route | ours       formats: bookshelf | lefdef"
+presets: xplace | xplace-route (xr) | ours  formats: bookshelf | lefdef"
 }
 
-fn flag<'a>(rest: &'a [String], name: &str) -> Option<&'a str> {
-    rest.iter()
-        .position(|a| a == name)
-        .and_then(|i| rest.get(i + 1))
-        .map(|s| s.as_str())
+/// One command's arguments. A command asks for each flag it reads by
+/// name; [`Flags::finish`] then fails on any other `--` argument, so a
+/// typo or a flag this build does not have is an error naming the flag,
+/// never a silently different run. Every command calls `finish` before
+/// it loads input, binds, connects or writes.
+struct Flags<'a> {
+    cmd: &'a str,
+    args: &'a [String],
+    valued: Vec<&'static str>,
+    switches: Vec<&'static str>,
 }
 
-/// Flow-configuration flags that take a value, shared by `place`, `flow`
-/// and `submit` (`--fast` is the shared switch).
-const FLOW_FLAGS: [&str; 4] = ["--preset", "--max-route-iters", "--gp-iters", "--gp-burst"];
-
-/// Observability output flags of `place` and `flow` that take a value
-/// (`--profile` is the switch).
-const OBS_FLAGS: [&str; 5] = [
-    "--trace-out",
-    "--chrome-trace",
-    "--metrics-out",
-    "--run-dir",
-    "--report-out",
-];
-
-/// Fails on the first `--` argument that is neither one of `valued`
-/// (whose value it skips) nor one of `switches`, so a typo or a flag this
-/// build does not have is an error naming the flag, never a silently
-/// different run.
-fn reject_unknown_flags(
-    cmd: &str,
-    rest: &[String],
-    valued: &[&str],
-    switches: &[&str],
-) -> Result<(), String> {
-    let mut args = rest.iter();
-    while let Some(a) = args.next() {
-        if valued.contains(&a.as_str()) {
-            args.next();
-        } else if a.starts_with("--") && !switches.contains(&a.as_str()) {
-            return Err(format!(
-                "`rdp {cmd}` does not accept `{a}` (see `rdp help`)"
-            ));
+impl<'a> Flags<'a> {
+    fn new(cmd: &'a str, args: &'a [String]) -> Self {
+        Flags {
+            cmd,
+            args,
+            valued: Vec::new(),
+            switches: Vec::new(),
         }
     }
-    Ok(())
-}
 
-fn parse_preset(rest: &[String]) -> Result<PlacerPreset, String> {
-    match flag(rest, "--preset").unwrap_or("ours") {
-        "xplace" => Ok(PlacerPreset::Xplace),
-        "xplace-route" => Ok(PlacerPreset::XplaceRoute),
-        "ours" => Ok(PlacerPreset::Ours),
-        other => Err(format!("unknown preset `{other}`")),
+    /// The `i`-th argument (positional arguments come first).
+    fn arg(&self, i: usize) -> Option<&'a str> {
+        self.args.get(i).map(String::as_str)
     }
-}
 
-/// Builds the flow configuration for a preset plus command-line
-/// overrides. The iteration overrides mirror `rdp submit`, so a direct
-/// `rdp place` can run the exact configuration a served job ran — the
-/// serve smoke gate diffs the two run-dirs.
-fn parse_flow_config(rest: &[String]) -> Result<RoutabilityConfig, String> {
-    let preset = parse_preset(rest)?;
-    let mut cfg = if rest.iter().any(|a| a == "--fast") {
-        RoutabilityConfig::preset_fast(preset)
-    } else {
-        RoutabilityConfig::preset(preset)
-    };
-    if let Some(n) = parse_num::<usize>(rest, "--max-route-iters")? {
-        cfg.max_route_iters = n;
+    /// The value after `--name`, if the flag is given.
+    fn value(&mut self, name: &'static str) -> Option<&'a str> {
+        self.valued.push(name);
+        let i = self.args.iter().position(|a| a == name)?;
+        self.arg(i + 1)
     }
-    if let Some(n) = parse_num::<usize>(rest, "--gp-iters")? {
-        if n == 0 {
-            return Err("--gp-iters must be at least 1".into());
+
+    fn path(&mut self, name: &'static str) -> Option<PathBuf> {
+        self.value(name).map(PathBuf::from)
+    }
+
+    /// The value after `--name` parsed as a number, if the flag is given.
+    fn num<T: std::str::FromStr>(&mut self, name: &'static str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("{name} `{v}` is not a valid number"))
+            })
+            .transpose()
+    }
+
+    /// Whether the switch `--name` is given.
+    fn switch(&mut self, name: &'static str) -> bool {
+        self.switches.push(name);
+        self.args.iter().any(|a| a == name)
+    }
+
+    /// Fails on the first `--` argument no read asked for.
+    fn finish(&self) -> Result<(), String> {
+        let mut args = self.args.iter();
+        while let Some(a) = args.next() {
+            if self.valued.contains(&a.as_str()) {
+                args.next();
+            } else if a.starts_with("--") && !self.switches.contains(&a.as_str()) {
+                return Err(format!(
+                    "`rdp {}` does not accept `{a}` (see `rdp help`)",
+                    self.cmd
+                ));
+            }
         }
-        cfg.gp.max_iters = n;
+        Ok(())
     }
-    if let Some(n) = parse_num::<usize>(rest, "--gp-burst")? {
-        cfg.gp_iters_per_route = n;
-    }
-    Ok(cfg)
+}
+
+/// Reads the input (the argument at `input_at`) and the flow flags into
+/// the job spec `place`, `flow` and `submit` share. Each command checks
+/// it with the worker's own [`flow_config`] before any work starts or any
+/// connection is made.
+fn read_spec(f: &mut Flags, input_at: usize) -> Result<JobSpec, String> {
+    Ok(JobSpec {
+        input: f
+            .arg(input_at)
+            .ok_or_else(|| format!("{} needs an input", f.cmd))?
+            .to_string(),
+        preset: f.value("--preset").unwrap_or("ours").to_string(),
+        max_route_iters: f.num("--max-route-iters")?,
+        gp_max_iters: f.num("--gp-iters")?,
+        gp_iters_per_route: f.num("--gp-burst")?,
+        ..JobSpec::default()
+    })
 }
 
 /// Observability outputs requested on the command line. The collector is
@@ -225,13 +240,13 @@ struct ObsArgs {
     profile: bool,
 }
 
-fn parse_obs(rest: &[String]) -> ObsArgs {
-    let trace_out = flag(rest, "--trace-out").map(PathBuf::from);
-    let chrome_trace = flag(rest, "--chrome-trace").map(PathBuf::from);
-    let metrics_out = flag(rest, "--metrics-out").map(PathBuf::from);
-    let run_dir = flag(rest, "--run-dir").map(PathBuf::from);
-    let report_out = flag(rest, "--report-out").map(PathBuf::from);
-    let profile = rest.iter().any(|a| a == "--profile");
+fn read_obs(f: &mut Flags) -> ObsArgs {
+    let trace_out = f.path("--trace-out");
+    let chrome_trace = f.path("--chrome-trace");
+    let metrics_out = f.path("--metrics-out");
+    let run_dir = f.path("--run-dir");
+    let report_out = f.path("--report-out");
+    let profile = f.switch("--profile");
     let obs = if trace_out.is_some()
         || chrome_trace.is_some()
         || metrics_out.is_some()
@@ -276,20 +291,7 @@ fn write_obs_outputs(o: &ObsArgs, title: &str) -> Result<(), String> {
         println!("wrote metrics {}", path.display());
     }
     if let Some(dir) = &o.run_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        // Atomic capture (tmp + rename): a kill mid-write leaves at worst
-        // a `.tmp` leftover, which `rdp report` flags as a partial run
-        // instead of choking on torn JSON.
-        rdp::serve::store::write_atomic(
-            &dir.join("trace.jsonl"),
-            rdp::obs::export_jsonl(&o.obs).as_bytes(),
-        )
-        .map_err(|e| e.to_string())?;
-        rdp::serve::store::write_atomic(
-            &dir.join("metrics.json"),
-            rdp::obs::export_metrics_json(&o.obs).as_bytes(),
-        )
-        .map_err(|e| e.to_string())?;
+        rdp::serve::store::write_run_dir(dir, &o.obs).map_err(|e| e.to_string())?;
         println!("wrote run directory {}", dir.display());
     }
     if let Some(path) = &o.report_out {
@@ -312,31 +314,6 @@ fn write_obs_outputs(o: &ObsArgs, title: &str) -> Result<(), String> {
         );
     }
     Ok(())
-}
-
-/// Resolves an input spec to a design; generation/parsing is timed on
-/// `obs` so `--profile` covers the input stage.
-fn load_input(spec: &str, obs: &Collector) -> Result<Design, String> {
-    if let Some(rem) = spec.strip_prefix("bookshelf:") {
-        let (dir, base) = rem
-            .split_once(':')
-            .ok_or("bookshelf input must be bookshelf:DIR:BASE")?;
-        return rdp::parse::load_bookshelf_obs(Path::new(dir), base, obs)
-            .map_err(|e| e.to_string());
-    }
-    if let Some(rem) = spec.strip_prefix("lefdef:") {
-        let (lef, def) = rem
-            .split_once(':')
-            .ok_or("lefdef input must be lefdef:LEF_PATH:DEF_PATH")?;
-        let files = rdp::parse::LefDefFiles {
-            lef: std::fs::read_to_string(lef).map_err(|e| format!("{lef}: {e}"))?,
-            def: std::fs::read_to_string(def).map_err(|e| format!("{def}: {e}"))?,
-        };
-        return rdp::parse::read_lefdef_obs(&files, obs).map_err(|e| e.to_string());
-    }
-    rdp::gen::generate_named_obs(spec, obs).ok_or_else(|| {
-        format!("`{spec}` is not a suite design; see `rdp suite` or use bookshelf:/lefdef: inputs")
-    })
 }
 
 fn save_output(design: &Design, dir: &Path, format: &str) -> Result<(), String> {
@@ -363,7 +340,8 @@ fn save_output(design: &Design, dir: &Path, format: &str) -> Result<(), String> 
     Ok(())
 }
 
-fn cmd_suite() -> Result<(), String> {
+fn cmd_suite(f: Flags) -> Result<(), String> {
+    f.finish()?;
     println!(
         "{:<16} {:>8} {:>7} {:>6} {:>8}",
         "design", "cells", "macros", "util", "margin"
@@ -381,16 +359,15 @@ fn cmd_suite() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_stats(rest: &[String]) -> Result<(), String> {
-    let spec = rest
-        .first()
-        .ok_or("stats needs an input or a server ADDR")?;
+fn cmd_stats(f: Flags) -> Result<(), String> {
+    let spec = f.arg(0).ok_or("stats needs an input or a server ADDR")?;
     // `rdp stats HOST:PORT` is the service telemetry snapshot; anything
     // else (suite name, bookshelf:, lefdef:) is design statistics.
     if looks_like_addr(spec) {
-        return cmd_service_stats(rest);
+        return cmd_service_stats(f);
     }
-    let design = load_input(spec, &Collector::disabled())?;
+    f.finish()?;
+    let design = resolve_input(spec, &Collector::disabled()).map_err(|e| e.to_string())?;
     println!("{}", DesignStats::of(&design));
     let spec = design.routing();
     println!(
@@ -404,65 +381,55 @@ fn cmd_stats(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_generate(rest: &[String]) -> Result<(), String> {
-    let name = rest.first().ok_or("generate needs a suite design name")?;
-    let out: PathBuf = flag(rest, "--out")
-        .ok_or("generate needs --out DIR")?
-        .into();
-    let format = flag(rest, "--format").unwrap_or("bookshelf");
-    let mut params = rdp::gen::ispd2015_suite()
-        .into_iter()
-        .find(|e| e.name == name.as_str())
-        .ok_or_else(|| format!("unknown design `{name}`"))?
-        .params;
+fn cmd_generate(mut f: Flags) -> Result<(), String> {
+    let name = f.arg(0).ok_or("generate needs a suite design name")?;
+    let out = f.path("--out").ok_or("generate needs --out DIR")?;
+    let format = f.value("--format").unwrap_or("bookshelf");
     // Optional overrides so scripts can size a suite design to taste
     // (e.g. the serve smoke gate's 5k-cell variant).
-    let num = |key: &str| -> Result<Option<f64>, String> {
-        flag(rest, key)
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| format!("{key} `{v}` is not a number"))
-            })
-            .transpose()
-    };
-    if let Some(v) = num("--cells")? {
+    let cells = f.num::<f64>("--cells")?;
+    let seed = f.num::<f64>("--seed")?;
+    let util = f.num("--util")?;
+    let margin = f.num("--margin")?;
+    f.finish()?;
+    let mut params = rdp::gen::ispd2015_suite()
+        .into_iter()
+        .find(|e| e.name == name)
+        .ok_or_else(|| format!("unknown design `{name}`"))?
+        .params;
+    if let Some(v) = cells {
         params.num_cells = v as usize;
     }
-    if let Some(v) = num("--seed")? {
+    if let Some(v) = seed {
         params.seed = v as u64;
     }
-    if let Some(v) = num("--util")? {
+    if let Some(v) = util {
         params.utilization = v;
     }
-    if let Some(v) = num("--margin")? {
+    if let Some(v) = margin {
         params.congestion_margin = v;
     }
     let design = rdp::gen::generate(name, &params);
     save_output(&design, &out, format)
 }
 
-fn cmd_place(rest: &[String]) -> Result<(), String> {
-    reject_unknown_flags(
-        "place",
-        rest,
-        &[
-            &FLOW_FLAGS[..],
-            &OBS_FLAGS,
-            &["--checkpoint", "--resume", "--out", "--format"],
-        ]
-        .concat(),
-        &["--fast", "--legalize", "--profile"],
-    )?;
-    let spec = rest.first().ok_or("place needs an input")?;
-    let obs_args = parse_obs(rest);
-    let mut design = load_input(spec, &obs_args.obs)?;
-
+fn cmd_place(mut f: Flags) -> Result<(), String> {
+    let spec = read_spec(&mut f, 0)?;
+    let obs_args = read_obs(&mut f);
     // Checkpoint/resume: --checkpoint FILE rewrites FILE with the flow
     // state at the top of every routability iteration; --resume FILE
     // restarts a killed run from that state, reproducing the
     // uninterrupted run bit-for-bit.
-    let checkpoint_path = flag(rest, "--checkpoint").map(PathBuf::from);
-    let resume = match flag(rest, "--resume") {
+    let checkpoint_path = f.path("--checkpoint");
+    let resume_path = f.value("--resume");
+    let legalize = f.switch("--legalize");
+    let out = f.path("--out");
+    let format = f.value("--format").unwrap_or("bookshelf");
+    f.finish()?;
+    let cfg = flow_config(&spec, 0).map_err(|e| e.to_string())?;
+    let mut design = resolve_input(&spec.input, &obs_args.obs).map_err(|e| e.to_string())?;
+
+    let resume = match resume_path {
         Some(path) => {
             let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
             let cp = FlowCheckpoint::from_bytes(&bytes).map_err(|e| e.to_string())?;
@@ -478,16 +445,10 @@ fn cmd_place(rest: &[String]) -> Result<(), String> {
     };
     let mut on_checkpoint = checkpoint_path.map(|path| {
         move |cp: &FlowCheckpoint| {
-            // Atomic-ish write: tmp file then rename, so a kill mid-write
-            // never leaves a torn checkpoint behind.
-            let tmp = path.with_extension("tmp");
-            let res =
-                std::fs::write(&tmp, cp.to_bytes()).and_then(|_| std::fs::rename(&tmp, &path));
-            if let Err(e) = res {
-                eprintln!(
-                    "warning: failed to write checkpoint {}: {e}",
-                    path.display()
-                );
+            // tmp + rename: a kill mid-write never leaves a torn
+            // checkpoint behind.
+            if let Err(e) = rdp::serve::store::write_atomic_relaxed(&path, &cp.to_bytes()) {
+                eprintln!("warning: failed to write checkpoint: {e}");
             }
         }
     });
@@ -499,8 +460,7 @@ fn cmd_place(rest: &[String]) -> Result<(), String> {
         obs: obs_args.obs.clone(),
         ..Default::default()
     };
-    let report =
-        run_flow_with(&mut design, &parse_flow_config(rest)?, ctrl).map_err(|e| e.to_string())?;
+    let report = run_flow_with(&mut design, &cfg, ctrl).map_err(|e| e.to_string())?;
     println!(
         "placed `{}`: {} WL iters + {} routability iters in {:.2}s, HPWL {:.0} um",
         design.name(),
@@ -512,27 +472,8 @@ fn cmd_place(rest: &[String]) -> Result<(), String> {
     for w in &report.warnings {
         println!("  warning: {w}");
     }
-    if rest.iter().any(|a| a == "--legalize") {
-        let virtual_widths = report.inflation_ratios.as_ref().map(|ratios| {
-            design
-                .cells()
-                .iter()
-                .enumerate()
-                .map(|(i, c)| c.w * ratios[i].max(1.0).sqrt())
-                .collect::<Vec<f64>>()
-        });
-        let lcfg = rdp::legal::LegalizeConfig::default();
-        let dcfg = rdp::legal::DetailedConfig::default();
-        let (lg, gain) = match &virtual_widths {
-            Some(w) => (
-                rdp::legal::legalize_virtual_obs(&mut design, &lcfg, w, &obs_args.obs),
-                rdp::legal::detailed_place_virtual_obs(&mut design, &dcfg, w, &obs_args.obs),
-            ),
-            None => (
-                rdp::legal::legalize_obs(&mut design, &lcfg, &obs_args.obs),
-                rdp::legal::detailed_place_obs(&mut design, &dcfg, &obs_args.obs),
-            ),
-        };
+    if legalize {
+        let (lg, gain) = legalize_after_flow(&mut design, &report, &obs_args.obs);
         println!(
             "legalized: {} failed, detailed-place gain {:.0} um, HPWL {:.0} um",
             lg.failed,
@@ -541,16 +482,16 @@ fn cmd_place(rest: &[String]) -> Result<(), String> {
         );
     }
     write_obs_outputs(&obs_args, &format!("rdp place · {}", design.name()))?;
-    if let Some(out) = flag(rest, "--out") {
-        let format = flag(rest, "--format").unwrap_or("bookshelf");
-        save_output(&design, Path::new(out), format)?;
+    if let Some(out) = out {
+        save_output(&design, &out, format)?;
     }
     Ok(())
 }
 
-fn cmd_route(rest: &[String]) -> Result<(), String> {
-    let spec = rest.first().ok_or("route needs an input")?;
-    let design = load_input(spec, &Collector::disabled())?;
+fn cmd_route(f: Flags) -> Result<(), String> {
+    let spec = f.arg(0).ok_or("route needs an input")?;
+    f.finish()?;
+    let design = resolve_input(spec, &Collector::disabled()).map_err(|e| e.to_string())?;
     let result = rdp::route::GlobalRouter::default().route(&design);
     println!(
         "routed `{}`: wirelength {:.0} um, {:.0} vias",
@@ -568,9 +509,10 @@ fn cmd_route(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_eval(rest: &[String]) -> Result<(), String> {
-    let spec = rest.first().ok_or("eval needs an input")?;
-    let design = load_input(spec, &Collector::disabled())?;
+fn cmd_eval(f: Flags) -> Result<(), String> {
+    let spec = f.arg(0).ok_or("eval needs an input")?;
+    f.finish()?;
+    let design = resolve_input(spec, &Collector::disabled()).map_err(|e| e.to_string())?;
     let e = rdp::drc::evaluate(&design, &EvalConfig::default());
     println!("evaluation of `{}` (current placement):", design.name());
     println!("  DRWL    {:>12.0} um", e.drwl);
@@ -609,28 +551,20 @@ fn cmd_eval(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_flow(rest: &[String]) -> Result<(), String> {
-    reject_unknown_flags(
-        "flow",
-        rest,
-        &[&FLOW_FLAGS[..], &OBS_FLAGS, &["--out", "--format"]].concat(),
-        &["--fast", "--profile"],
-    )?;
-    let spec = rest.first().ok_or("flow needs an input")?;
-    let preset = parse_preset(rest)?;
-    let obs_args = parse_obs(rest);
-    let mut design = load_input(spec, &obs_args.obs)?;
-    let report = place_and_evaluate_obs(
-        &mut design,
-        &parse_flow_config(rest)?,
-        &EvalConfig::default(),
-        &obs_args.obs,
-    )
-    .map_err(|e| e.to_string())?;
+fn cmd_flow(mut f: Flags) -> Result<(), String> {
+    let spec = read_spec(&mut f, 0)?;
+    let obs_args = read_obs(&mut f);
+    let out = f.path("--out");
+    let format = f.value("--format").unwrap_or("bookshelf");
+    f.finish()?;
+    let cfg = flow_config(&spec, 0).map_err(|e| e.to_string())?;
+    let mut design = resolve_input(&spec.input, &obs_args.obs).map_err(|e| e.to_string())?;
+    let report = place_and_evaluate_obs(&mut design, &cfg, &EvalConfig::default(), &obs_args.obs)
+        .map_err(|e| e.to_string())?;
     println!(
-        "flow on `{}` ({:?}): PT {:.2}s, RT {:.2}s",
+        "flow on `{}` ({}): PT {:.2}s, RT {:.2}s",
         design.name(),
-        preset,
+        spec.preset,
         report.flow.place_seconds,
         report.eval.route_seconds
     );
@@ -641,22 +575,20 @@ fn cmd_flow(rest: &[String]) -> Result<(), String> {
     let legality = rdp::legal::check_legality(&design);
     println!("  legal: {}", legality.is_legal());
     write_obs_outputs(&obs_args, &format!("rdp flow · {}", design.name()))?;
-    if let Some(out) = flag(rest, "--out") {
-        let format = flag(rest, "--format").unwrap_or("bookshelf");
-        save_output(&design, Path::new(out), format)?;
+    if let Some(out) = out {
+        save_output(&design, &out, format)?;
     }
     Ok(())
 }
 
-fn cmd_report(rest: &[String]) -> Result<(), String> {
-    let run = rest.first().ok_or("report needs a run directory")?;
-    let run = PathBuf::from(run);
-    let out = flag(rest, "--out")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| run.join("report.html"));
-    let title = flag(rest, "--title")
+fn cmd_report(mut f: Flags) -> Result<(), String> {
+    let run = PathBuf::from(f.arg(0).ok_or("report needs a run directory")?);
+    let out = f.path("--out").unwrap_or_else(|| run.join("report.html"));
+    let title = f
+        .value("--title")
         .map(str::to_string)
         .unwrap_or_else(|| format!("rdp run · {}", run.display()));
+    f.finish()?;
     let model = rdp::report::RunModel::load(&run).map_err(|e| e.to_string())?;
     for name in &model.partial_artifacts {
         eprintln!(
@@ -678,18 +610,19 @@ fn cmd_report(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_matrix(rest: &[String]) -> Result<(), String> {
-    let scale = match flag(rest, "--scale").unwrap_or("small") {
+fn cmd_matrix(mut f: Flags) -> Result<(), String> {
+    let scale = match f.value("--scale").unwrap_or("small") {
         "small" => rdp::gen::Scale::Small,
         "full" => rdp::gen::Scale::Full,
         other => return Err(format!("unknown scale `{other}` (expected small or full)")),
     };
-    let classes = flag(rest, "--classes").map(|s| {
+    let classes = f.value("--classes").map(|s| {
         s.split(',')
             .map(|c| c.trim().to_string())
             .collect::<Vec<_>>()
     });
-    let run_dir = flag(rest, "--run-dir").map(PathBuf::from);
+    let run_dir = f.path("--run-dir");
+    f.finish()?;
     let report = rdp::matrix::run_matrix(&rdp::matrix::MatrixConfig {
         scale,
         classes,
@@ -709,20 +642,17 @@ fn cmd_matrix(rest: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_diff(rest: &[String]) -> Result<(), String> {
-    let a = rest.first().ok_or("diff needs two run directories")?;
-    let b = rest.get(1).ok_or("diff needs two run directories")?;
+fn cmd_diff(mut f: Flags) -> Result<(), String> {
+    let a = f.arg(0).ok_or("diff needs two run directories")?;
+    let b = f.arg(1).ok_or("diff needs two run directories")?;
     let mut thr = rdp::report::DiffThresholds::default();
-    if let Some(tol) = flag(rest, "--qor-tol") {
-        thr.qor_rel_tol = tol
-            .parse()
-            .map_err(|_| format!("--qor-tol `{tol}` is not a number"))?;
+    if let Some(tol) = f.num("--qor-tol")? {
+        thr.qor_rel_tol = tol;
     }
-    if let Some(tol) = flag(rest, "--time-tol") {
-        thr.time_rel_tol = tol
-            .parse()
-            .map_err(|_| format!("--time-tol `{tol}` is not a number"))?;
+    if let Some(tol) = f.num("--time-tol")? {
+        thr.time_rel_tol = tol;
     }
+    f.finish()?;
     let ma = rdp::report::RunModel::load(Path::new(a)).map_err(|e| e.to_string())?;
     let mb = rdp::report::RunModel::load(Path::new(b)).map_err(|e| e.to_string())?;
     let diff = rdp::report::diff_runs(&ma, &mb, &thr);
@@ -734,20 +664,21 @@ fn cmd_diff(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_render(rest: &[String]) -> Result<(), String> {
-    let spec = rest.first().ok_or("render needs an input")?;
-    let out = flag(rest, "--out").ok_or("render needs --out FILE.svg")?;
-    let mut design = load_input(spec, &Collector::disabled())?;
-    if let Some(p) = flag(rest, "--place") {
-        let preset = match p {
-            "xplace" => PlacerPreset::Xplace,
-            "xplace-route" => PlacerPreset::XplaceRoute,
-            "ours" => PlacerPreset::Ours,
-            other => return Err(format!("unknown preset `{other}`")),
-        };
-        run_flow(&mut design, &RoutabilityConfig::preset(preset)).map_err(|e| e.to_string())?;
+fn cmd_render(mut f: Flags) -> Result<(), String> {
+    let spec = f.arg(0).ok_or("render needs an input")?;
+    let out = f.value("--out").ok_or("render needs --out FILE.svg")?;
+    let place = f
+        .value("--place")
+        .map(str::parse::<PlacerPreset>)
+        .transpose()?;
+    let congestion = f.switch("--congestion");
+    f.finish()?;
+    let mut design = resolve_input(spec, &Collector::disabled()).map_err(|e| e.to_string())?;
+    if let Some(preset) = place {
+        run_flow(&mut design, &rdp::RoutabilityConfig::preset(preset))
+            .map_err(|e| e.to_string())?;
     }
-    let congestion = rest.iter().any(|a| a == "--congestion").then(|| {
+    let congestion = congestion.then(|| {
         rdp::route::GlobalRouter::default()
             .route(&design)
             .congestion
@@ -764,11 +695,12 @@ fn cmd_render(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_convert(rest: &[String]) -> Result<(), String> {
-    let spec = rest.first().ok_or("convert needs an input")?;
-    let out: PathBuf = flag(rest, "--out").ok_or("convert needs --out DIR")?.into();
-    let format = flag(rest, "--format").ok_or("convert needs --format")?;
-    let design = load_input(spec, &Collector::disabled())?;
+fn cmd_convert(mut f: Flags) -> Result<(), String> {
+    let spec = f.arg(0).ok_or("convert needs an input")?;
+    let out = f.path("--out").ok_or("convert needs --out DIR")?;
+    let format = f.value("--format").ok_or("convert needs --format")?;
+    f.finish()?;
+    let design = resolve_input(spec, &Collector::disabled()).map_err(|e| e.to_string())?;
     save_output(&design, &out, format)
 }
 
@@ -776,40 +708,34 @@ fn cmd_convert(rest: &[String]) -> Result<(), String> {
 // Placement-as-a-service commands
 // ---------------------------------------------------------------------------
 
-fn parse_num<T: std::str::FromStr>(rest: &[String], key: &str) -> Result<Option<T>, String> {
-    flag(rest, key)
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("{key} `{v}` is not a valid number"))
-        })
-        .transpose()
-}
-
-fn cmd_serve(rest: &[String]) -> Result<(), String> {
-    let dir = flag(rest, "--dir").ok_or("serve needs --dir DIR (the durable store)")?;
+fn cmd_serve(mut f: Flags) -> Result<(), String> {
+    let dir = f
+        .path("--dir")
+        .ok_or("serve needs --dir DIR (the durable store)")?;
     let mut cfg = rdp::serve::ServeConfig {
-        dir: dir.into(),
+        dir,
         ..Default::default()
     };
-    if let Some(addr) = flag(rest, "--addr") {
+    if let Some(addr) = f.value("--addr") {
         cfg.addr = addr.into();
     }
-    if let Some(v) = parse_num(rest, "--workers")? {
+    if let Some(v) = f.num("--workers")? {
         cfg.workers = v;
     }
-    if let Some(v) = parse_num(rest, "--max-queue")? {
+    if let Some(v) = f.num("--max-queue")? {
         cfg.max_queue = v;
     }
-    if let Some(v) = parse_num(rest, "--job-threads")? {
+    if let Some(v) = f.num("--job-threads")? {
         cfg.job_threads = v;
     }
-    if let Some(v) = parse_num(rest, "--io-timeout-ms")? {
+    if let Some(v) = f.num("--io-timeout-ms")? {
         cfg.io_timeout_ms = v;
     }
-    if let Some(v) = parse_num(rest, "--max-frame")? {
+    if let Some(v) = f.num("--max-frame")? {
         cfg.max_frame = v;
     }
-    cfg.port_file = flag(rest, "--port-file").map(PathBuf::from);
+    cfg.port_file = f.path("--port-file");
+    f.finish()?;
     let server = rdp::serve::Server::start(cfg).map_err(|e| e.to_string())?;
     println!(
         "rdp serve listening on {} — {}",
@@ -821,45 +747,29 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
     server.join().map_err(|e| e.to_string())
 }
 
-fn service_client(rest: &[String], cmd: &str) -> Result<(rdp::serve::Client, Vec<String>), String> {
-    let addr = rest
-        .first()
-        .ok_or_else(|| format!("{cmd} needs a server ADDR (host:port)"))?;
-    Ok((rdp::serve::Client::new(addr.clone()), rest[1..].to_vec()))
+/// The client for a service command's `ADDR` argument. Making one does
+/// not connect.
+fn service_client(f: &Flags) -> Result<rdp::serve::Client, String> {
+    let addr = f
+        .arg(0)
+        .ok_or_else(|| format!("{} needs a server ADDR (host:port)", f.cmd))?;
+    Ok(rdp::serve::Client::new(addr))
 }
 
-fn cmd_submit(rest: &[String]) -> Result<(), String> {
-    let (client, rest) = service_client(rest, "submit")?;
-    reject_unknown_flags(
-        "submit",
-        &rest,
-        &[
-            &FLOW_FLAGS[..],
-            &["--deadline-ms", "--retries", "--wait-ms"],
-        ]
-        .concat(),
-        &["--fast", "--capture", "--wait"],
-    )?;
-    let input = rest
-        .first()
-        .ok_or("submit needs an input (suite name, bookshelf:, or lefdef:)")?
-        .clone();
-    let spec = rdp::serve::JobSpec {
-        input,
-        preset: flag(&rest, "--preset").unwrap_or("ours").to_string(),
-        fast: rest.iter().any(|a| a == "--fast"),
-        capture: rest.iter().any(|a| a == "--capture"),
-        deadline_ms: parse_num(&rest, "--deadline-ms")?,
-        max_retries: parse_num(&rest, "--retries")?.unwrap_or(0),
-        max_route_iters: parse_num(&rest, "--max-route-iters")?,
-        gp_max_iters: parse_num(&rest, "--gp-iters")?,
-        gp_iters_per_route: parse_num(&rest, "--gp-burst")?,
-    };
+fn cmd_submit(mut f: Flags) -> Result<(), String> {
+    let client = service_client(&f)?;
+    let mut spec = read_spec(&mut f, 1)?;
+    spec.capture = f.switch("--capture");
+    spec.deadline_ms = f.num("--deadline-ms")?;
+    spec.max_retries = f.num("--retries")?.unwrap_or(0);
+    let wait = f.switch("--wait");
+    let wait_ms: u64 = f.num("--wait-ms")?.unwrap_or(600_000);
+    f.finish()?;
+    flow_config(&spec, 0).map_err(|e| e.to_string())?;
     let id = client.submit(&spec).map_err(|e| e.to_string())?;
     println!("submitted job {id}");
-    if rest.iter().any(|a| a == "--wait") {
-        let budget: u64 = parse_num(&rest, "--wait-ms")?.unwrap_or(600_000);
-        let outcome = client.wait(id, 100, budget).map_err(|e| e.to_string())?;
+    if wait {
+        let outcome = client.wait(id, 100, wait_ms).map_err(|e| e.to_string())?;
         print_outcome(&outcome);
     }
     Ok(())
@@ -884,9 +794,10 @@ fn print_outcome(o: &rdp::serve::client::JobOutcome) {
     }
 }
 
-fn cmd_status(rest: &[String]) -> Result<(), String> {
-    let (client, rest) = service_client(rest, "status")?;
-    match rest.first().and_then(|s| s.parse::<u64>().ok()) {
+fn cmd_status(f: Flags) -> Result<(), String> {
+    let client = service_client(&f)?;
+    f.finish()?;
+    match f.arg(1).and_then(|s| s.parse::<u64>().ok()) {
         Some(id) => {
             let s = client.status(id).map_err(|e| e.to_string())?;
             print_status_line(&s);
@@ -924,30 +835,33 @@ fn print_status_line(s: &rdp::serve::client::JobStatus) {
     println!("{line}");
 }
 
-fn cmd_cancel(rest: &[String]) -> Result<(), String> {
-    let (client, rest) = service_client(rest, "cancel")?;
-    let id: u64 = rest
-        .first()
+fn cmd_cancel(f: Flags) -> Result<(), String> {
+    let client = service_client(&f)?;
+    let id: u64 = f
+        .arg(1)
         .and_then(|s| s.parse().ok())
         .ok_or("cancel needs a numeric job ID")?;
+    f.finish()?;
     client.cancel(id).map_err(|e| e.to_string())?;
     println!("cancel requested for job {id}");
     Ok(())
 }
 
-fn cmd_fetch(rest: &[String]) -> Result<(), String> {
-    let (client, rest) = service_client(rest, "fetch")?;
-    let id: u64 = rest
-        .first()
+fn cmd_fetch(f: Flags) -> Result<(), String> {
+    let client = service_client(&f)?;
+    let id: u64 = f
+        .arg(1)
         .and_then(|s| s.parse().ok())
         .ok_or("fetch needs a numeric job ID")?;
+    f.finish()?;
     let outcome = client.result(id, true).map_err(|e| e.to_string())?;
     print_outcome(&outcome);
     Ok(())
 }
 
-fn cmd_shutdown(rest: &[String]) -> Result<(), String> {
-    let (client, _) = service_client(rest, "shutdown")?;
+fn cmd_shutdown(f: Flags) -> Result<(), String> {
+    let client = service_client(&f)?;
+    f.finish()?;
     let drained = client.shutdown().map_err(|e| e.to_string())?;
     println!(
         "server draining: {drained} live job{} checkpointed and requeued durably",
@@ -973,13 +887,16 @@ fn looks_like_addr(s: &str) -> bool {
     }
 }
 
-fn cmd_service_stats(rest: &[String]) -> Result<(), String> {
-    let (client, rest) = service_client(rest, "stats")?;
+fn cmd_service_stats(mut f: Flags) -> Result<(), String> {
+    let client = service_client(&f)?;
+    let metrics_out = f.value("--metrics-out");
+    let json = f.switch("--json");
+    f.finish()?;
     let (text, summary) = client.stats().map_err(|e| e.to_string())?;
-    if let Some(path) = flag(&rest, "--metrics-out") {
+    if let Some(path) = metrics_out {
         std::fs::write(path, text.as_bytes()).map_err(|e| format!("writing {path}: {e}"))?;
     }
-    if rest.iter().any(|a| a == "--json") {
+    if json {
         println!("{text}");
         return Ok(());
     }
@@ -1104,14 +1021,15 @@ fn print_live_job_line(job: &rdp::obs::json::Value) {
     println!("{line}");
 }
 
-fn cmd_top(rest: &[String]) -> Result<(), String> {
+fn cmd_top(mut f: Flags) -> Result<(), String> {
     use std::io::IsTerminal;
-    let (client, rest) = service_client(rest, "top")?;
-    let interval_ms: u64 = parse_num(&rest, "--interval-ms")?.unwrap_or(1_000);
+    let client = service_client(&f)?;
+    let interval_ms: u64 = f.num("--interval-ms")?.unwrap_or(1_000);
     let tty = std::io::stdout().is_terminal();
     // On a TTY, refresh forever by default; piped output gets one frame
     // unless --iters asks for more, so scripts never hang on `rdp top`.
-    let iters: u64 = parse_num(&rest, "--iters")?.unwrap_or(if tty { 0 } else { 1 });
+    let iters: u64 = f.num("--iters")?.unwrap_or(if tty { 0 } else { 1 });
+    f.finish()?;
     let info = client.ping_info().map_err(|e| e.to_string())?;
     match info.protocol_version {
         Some(v) if v == rdp::serve::PROTOCOL_VERSION => {}

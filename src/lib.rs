@@ -72,11 +72,8 @@ pub struct PipelineReport {
 
 /// Runs the complete pipeline the paper evaluates with: global placement
 /// (Fig. 2) → legalization → detailed placement → fine-grid routing and
-/// the DRV proxy.
-///
-/// When the flow ran with cell inflation, legalization and detailed
-/// placement use the inflated **virtual widths** so the congestion-driven
-/// spacing survives (the routability-driven LG/DP of the paper's Fig. 2).
+/// the DRV proxy. `rdp flow`, the Table I/II harnesses and the benchmark
+/// all run it.
 ///
 /// Numerical blow-ups inside the flow roll back and re-tune
 /// automatically; an `Err` means the run diverged beyond the health
@@ -104,29 +101,7 @@ pub fn place_and_evaluate_obs(
     let mut ctrl = rdp_core::FlowControl::default();
     ctrl.obs = obs.clone();
     let flow = rdp_core::run_flow_with(design, cfg, ctrl)?;
-    let virtual_widths = flow.inflation_ratios.as_ref().map(|ratios| {
-        design
-            .cells()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| c.w * ratios[i].max(1.0).sqrt())
-            .collect::<Vec<f64>>()
-    });
-    let (legal, detailed_gain) = match &virtual_widths {
-        Some(w) => (
-            rdp_legal::legalize_virtual_obs(design, &rdp_legal::LegalizeConfig::default(), w, obs),
-            rdp_legal::detailed_place_virtual_obs(
-                design,
-                &rdp_legal::DetailedConfig::default(),
-                w,
-                obs,
-            ),
-        ),
-        None => (
-            rdp_legal::legalize_obs(design, &rdp_legal::LegalizeConfig::default(), obs),
-            rdp_legal::detailed_place_obs(design, &rdp_legal::DetailedConfig::default(), obs),
-        ),
-    };
+    let (legal, detailed_gain) = legalize_after_flow(design, &flow, obs);
     let eval = {
         let _span = obs.span("drc_eval", "eval");
         rdp_drc::evaluate(design, eval_cfg)
@@ -142,4 +117,36 @@ pub fn place_and_evaluate_obs(
         detailed_gain,
         eval,
     })
+}
+
+/// Legalizes and detail-places `design` after the flow that produced
+/// `flow`, returning the legalization report and the detailed-placement
+/// HPWL gain. When the flow ran with cell inflation, both steps use the
+/// inflated **virtual widths** (width × √ratio) so the congestion-driven
+/// spacing survives: the routability-driven LG/DP of the paper's Fig. 2.
+pub fn legalize_after_flow(
+    design: &mut Design,
+    flow: &rdp_core::FlowReport,
+    obs: &rdp_obs::Collector,
+) -> (rdp_legal::LegalizeReport, f64) {
+    let lcfg = rdp_legal::LegalizeConfig::default();
+    let dcfg = rdp_legal::DetailedConfig::default();
+    match &flow.inflation_ratios {
+        Some(ratios) => {
+            let widths: Vec<f64> = design
+                .cells()
+                .iter()
+                .zip(ratios)
+                .map(|(c, r)| c.w * r.max(1.0).sqrt())
+                .collect();
+            (
+                rdp_legal::legalize_virtual_obs(design, &lcfg, &widths, obs),
+                rdp_legal::detailed_place_virtual_obs(design, &dcfg, &widths, obs),
+            )
+        }
+        None => (
+            rdp_legal::legalize_obs(design, &lcfg, obs),
+            rdp_legal::detailed_place_obs(design, &dcfg, obs),
+        ),
+    }
 }

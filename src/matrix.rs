@@ -355,12 +355,8 @@ fn run_scenario(scenario: &Scenario, cfg: &MatrixConfig) -> Result<ScenarioOutco
         }
 
         if let Some(root) = &cfg.run_dir {
-            let dir = root.join(scenario.name).join(pname);
-            std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-            std::fs::write(dir.join("trace.jsonl"), rdp_obs::export_jsonl(&obs))
-                .map_err(|e| format!("{}: {e}", dir.display()))?;
-            std::fs::write(dir.join("metrics.json"), rdp_obs::export_metrics_json(&obs))
-                .map_err(|e| format!("{}: {e}", dir.display()))?;
+            rdp_serve::store::write_run_dir(&root.join(scenario.name).join(pname), &obs)
+                .map_err(|e| e.to_string())?;
         }
 
         presets.push(PresetOutcome {

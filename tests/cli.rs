@@ -113,31 +113,104 @@ fn render_writes_svg() {
     std::fs::remove_file(&svg_path).ok();
 }
 
-/// A `--` argument the command does not parse — a flag this build does
-/// not have, or a typo — fails naming the flag before any work starts or
-/// any connection is made, instead of running a different flow.
+/// A `--` argument the command does not read — a flag this build does
+/// not have, or a typo — fails naming the flag before any work starts,
+/// any port is bound, any connection is made or anything is written,
+/// instead of running a different command.
 #[test]
 fn unparsed_flags_are_rejected() {
-    let commands: [&[&str]; 3] = [
+    let dir = std::env::temp_dir().join(format!("rdp_cli_strict_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let d = dir.to_str().unwrap();
+    let flow_commands: [&[&str]; 3] = [
         &["place", "fft_a"],
         &["flow", "fft_a"],
         &["submit", "127.0.0.1:1", "fft_a"],
     ];
-    let extras: [&[&str]; 3] = [
+    let extras: [&[&str]; 4] = [
         &["--predict"],
         &["--incremental-route"],
         &["--max-route-iter", "3"],
+        &["--fast"],
     ];
-    for cmd in commands {
+    let mut cases: Vec<Vec<&str>> = Vec::new();
+    for cmd in flow_commands {
         for extra in extras {
-            let args: Vec<&str> = cmd.iter().chain(extra).copied().collect();
-            let out = rdp().args(&args).output().expect("run");
-            assert!(!out.status.success(), "{args:?} should fail");
-            assert!(out.stdout.is_empty(), "{args:?} started work");
-            let err = String::from_utf8_lossy(&out.stderr);
-            assert!(err.contains(&format!("`{}`", extra[0])), "{args:?}: {err}");
+            cases.push(cmd.iter().chain(extra).copied().collect());
         }
     }
+    // The port is out of range, so a serve that did not check its flags
+    // would fail at bind instead of serving forever.
+    cases.push(vec![
+        "serve",
+        "--dir",
+        d,
+        "--addr",
+        "127.0.0.1:99999",
+        "--wrokers",
+        "2",
+    ]);
+    cases.push(vec!["matrix", "--clases", "baseline"]);
+    cases.push(vec!["generate", "fft_a", "--out", d, "--cell", "5"]);
+    for args in cases {
+        let bad = args.iter().rev().find(|a| a.starts_with("--")).unwrap();
+        let out = rdp().args(&args).output().expect("run");
+        assert!(!out.status.success(), "{args:?} should fail");
+        assert!(out.stdout.is_empty(), "{args:?} started work");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("`{bad}`")), "{args:?}: {err}");
+        assert!(!dir.exists(), "{args:?} wrote {d}");
+    }
+}
+
+/// `place` and `submit` read one spec: they accept the same preset
+/// spellings, and both refuse a spec no worker could run before any work
+/// starts or any connection is made (nothing listens on port 1, so a
+/// submit that connected would fail with a connect error instead).
+#[test]
+fn place_and_submit_read_one_spec() {
+    let root = std::env::temp_dir().join(format!("rdp_cli_spec_{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let server = rdp::serve::Server::start(rdp::serve::ServeConfig {
+        dir: root.clone(),
+        workers: 0,
+        ..Default::default()
+    })
+    .expect("start server");
+    let live = server.local_addr().to_string();
+    let caps = [
+        "--gp-iters",
+        "20",
+        "--max-route-iters",
+        "1",
+        "--gp-burst",
+        "2",
+    ];
+    for (spec, addr) in [
+        (["--preset", "XR"], live.as_str()),
+        (["--preset", "warp-speed"], "127.0.0.1:1"),
+        (["--gp-iters", "0"], "127.0.0.1:1"),
+    ] {
+        let accepted = spec[1] == "XR";
+        for cmd in [vec!["place", "fft_a"], vec!["submit", addr, "fft_a"]] {
+            let out = rdp()
+                .args(&cmd)
+                .args(spec)
+                .args(caps)
+                .output()
+                .expect("run");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.success(), accepted, "{cmd:?} {spec:?}: {err}");
+            if !accepted {
+                assert!(out.stdout.is_empty(), "{cmd:?} {spec:?} started work");
+                assert!(err.contains("config error"), "{cmd:?} {spec:?}: {err}");
+            }
+        }
+    }
+    let queued = rdp::serve::Client::new(live).status_all().unwrap();
+    assert_eq!(queued.len(), 1);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]

@@ -49,7 +49,6 @@ fn small_spec() -> JobSpec {
     JobSpec {
         input: "fft_1".into(),
         preset: "ours".into(),
-        fast: true,
         gp_max_iters: Some(40),
         max_route_iters: Some(2),
         gp_iters_per_route: Some(4),
@@ -62,7 +61,6 @@ fn longer_spec() -> JobSpec {
     JobSpec {
         input: "fft_1".into(),
         preset: "ours".into(),
-        fast: true,
         gp_max_iters: Some(80),
         max_route_iters: Some(4),
         gp_iters_per_route: Some(10),
@@ -340,11 +338,18 @@ fn deadline_expiry_is_a_typed_durable_failure() {
         })
         .expect("submit");
     let err = client.wait(id, 10, 60_000).expect_err("budget of 0 ms");
-    assert!(
-        matches!(err, RdpError::Deadline { .. }),
-        "expired job must fetch as a typed Deadline, got {err}"
-    );
     let status = client.status(id).unwrap();
+    // The failure crosses the record and the wire with its own detail,
+    // framed once, and reports the job's consumed time against its budget.
+    assert_eq!(
+        err,
+        RdpError::Deadline {
+            detail: format!("job {id} hit its wall-clock budget"),
+            elapsed_ms: status.consumed_ms,
+            budget_ms: 0,
+        },
+        "expired job must fetch as a typed Deadline"
+    );
     assert_eq!(status.state, JobState::Failed);
     assert_eq!(
         status.error.as_ref().map(|(kind, _)| kind.as_str()),
