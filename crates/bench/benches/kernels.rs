@@ -6,7 +6,8 @@ use rdp_testkit::BenchHarness;
 use std::hint::black_box;
 
 use rdp_core::{
-    congestion_gradients, CongestionField, DensityModel, NetMoveConfig, WaModel, WaScratch,
+    congestion_gradients, CongestionField, DensityModel, GlobalPlacer, GpSession, NetMoveConfig,
+    PlacerConfig, StepExtras, WaModel, WaScratch,
 };
 use rdp_db::Point;
 use rdp_gen::{generate, GenParams};
@@ -111,7 +112,7 @@ fn kernels(c: &mut BenchHarness) {
     // Density map + field.
     let model = DensityModel::new(&design);
     c.bench_function("density_field_2k_cells", |b| {
-        b.iter(|| black_box(model.compute(&design, None, None, 0.9).penalty))
+        b.iter(|| black_box(model.compute(&design, None, None, 0.9)))
     });
 
     // Global routing.
@@ -166,7 +167,7 @@ fn parallel_kernels(c: &mut BenchHarness) {
     let model = DensityModel::new(&design);
     for (tag, pool) in pools {
         c.bench_function(&format!("density_field_20k_cells_{tag}"), |b| {
-            b.iter(|| black_box(model.compute_with(&design, None, None, 0.9, pool).penalty))
+            b.iter(|| black_box(model.compute_with(&design, None, None, 0.9, pool)))
         });
     }
 
@@ -256,7 +257,7 @@ fn huge_kernels(c: &mut BenchHarness) {
 
     let model = DensityModel::new(&design);
     c.bench_function("density_field_200k_cells_t4", |b| {
-        b.iter(|| black_box(model.compute_with(&design, None, None, 0.9, pool).penalty))
+        b.iter(|| black_box(model.compute_with(&design, None, None, 0.9, pool)))
     });
 
     let grid = design.gcell_grid();
@@ -266,10 +267,59 @@ fn huge_kernels(c: &mut BenchHarness) {
     rdp_par::set_global_threads(1);
 }
 
+/// The single-thread pass around the GP kernels on the suite's
+/// superblue14 (18k cells, the flow benchmark's `gp_heavy` design): the
+/// LEF/DEF reader, one GP step and detailed placement.
+fn superblue14_stages(c: &mut BenchHarness) {
+    let design = rdp_gen::generate_named("superblue14").expect("suite design");
+
+    let files = rdp_parse::write_lefdef(&design);
+    c.bench_function("parse_lefdef_superblue14", |b| {
+        b.iter(|| black_box(rdp_parse::read_lefdef(black_box(&files)).expect("parses")))
+    });
+
+    // One Nesterov step, always from the state after 50 steps, so every
+    // iteration does the same work.
+    let mut d = design.clone();
+    let mut session = GpSession::new(&mut d, PlacerConfig::default());
+    for _ in 0..50 {
+        session
+            .step(&mut d, &StepExtras::default())
+            .expect("healthy step");
+    }
+    let snap = session.save_state();
+    c.bench_function("gp_step_superblue14", |b| {
+        b.iter(|| {
+            session.restore_state(&mut d, &snap).expect("same session");
+            black_box(
+                session
+                    .step(&mut d, &StepExtras::default())
+                    .expect("healthy step"),
+            )
+        })
+    });
+
+    // Detailed placement from one legalized global placement.
+    let mut d = design;
+    GlobalPlacer::default()
+        .place(&mut d)
+        .expect("global placement");
+    rdp_legal::legalize(&mut d, &rdp_legal::LegalizeConfig::default());
+    let legal = d.positions().to_vec();
+    let cfg = rdp_legal::DetailedConfig::default();
+    c.bench_function("detailed_place_superblue14", |b| {
+        b.iter(|| {
+            d.set_positions(&legal);
+            black_box(rdp_legal::detailed_place(&mut d, &cfg))
+        })
+    });
+}
+
 fn main() {
     let mut harness = BenchHarness::new("kernels").sample_size(20);
     kernels(&mut harness);
     parallel_kernels(&mut harness);
     huge_kernels(&mut harness);
+    superblue14_stages(&mut harness);
     harness.finish();
 }

@@ -41,8 +41,6 @@ pub struct DensityField {
     pub ex: Map2d<f64>,
     /// Field y-component.
     pub ey: Map2d<f64>,
-    /// Density penalty D = ½ Σ Aᵢ ψ(xᵢ) over movable cells.
-    pub penalty: f64,
     /// Density overflow τ = Σ_b max(ρ_b − target, 0)·A_b / Σ movable area.
     pub overflow: f64,
 }
@@ -105,9 +103,8 @@ impl DensityModel {
     /// [`compute`](DensityModel::compute) on an explicit pool.
     ///
     /// Cells are binned into per-chunk density maps (fixed chunking over
-    /// the cell array) that are merged in chunk order, and the penalty
-    /// is a chunk-ordered reduction, so the entire field is bit-identical
-    /// for any thread count.
+    /// the cell array) that are merged in chunk order, so the entire field
+    /// is bit-identical for any thread count.
     pub fn compute_with(
         &self,
         design: &Design,
@@ -192,25 +189,6 @@ impl DensityModel {
         let ex = Map2d::from_vec(nx, ny, sol.ex);
         let ey = Map2d::from_vec(nx, ny, sol.ey);
 
-        // Penalty over movable cells (the optimization variables):
-        // per-chunk partial sums folded in chunk order.
-        let mut penalty: f64 = pool
-            .map_chunks(n, chunk, |_ci, range| {
-                let mut acc = 0.0;
-                for i in range {
-                    let cell = &design.cells()[i];
-                    if !cell.is_movable() {
-                        continue;
-                    }
-                    let a = cell.area() * inflation.map(|r| r[i]).unwrap_or(1.0);
-                    acc += a * self.grid.sample_bilinear(&psi, design.positions()[i]);
-                }
-                acc
-            })
-            .into_iter()
-            .sum();
-        penalty *= 0.5;
-
         // Overflow against the target utilization: branch-free lane
         // accumulation over the flat bin slice (fixed LANES partials,
         // fixed pairwise fold — see DESIGN.md §11).
@@ -235,13 +213,18 @@ impl DensityModel {
             psi,
             ex,
             ey,
-            penalty,
             overflow,
         }
     }
 
     /// Accumulates `λ·∇D` into `grad`: for each movable cell,
-    /// `∇ᵢD = −Aᵢ·E(xᵢ)` (inflated area as the charge).
+    /// `∇ᵢD = −Aᵢ·E(xᵢ)` (inflated area as the charge). Returns the
+    /// density penalty `D = ½ Σ Aᵢ ψ(xᵢ)` over the movable cells, sampled
+    /// in the same pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad.len() != design.num_cells()`.
     pub fn accumulate_gradient(
         &self,
         design: &Design,
@@ -249,14 +232,19 @@ impl DensityModel {
         inflation: Option<&[f64]>,
         lambda: f64,
         grad: &mut [Point],
-    ) {
-        self.accumulate_gradient_with(design, field, inflation, lambda, grad, Pool::global());
+    ) -> f64 {
+        self.accumulate_gradient_with(design, field, inflation, lambda, grad, Pool::global())
     }
 
     /// [`accumulate_gradient`](DensityModel::accumulate_gradient) on an
     /// explicit pool. Each cell's entry is updated exactly once from a
-    /// disjoint chunk of the gradient buffer, so the result is
-    /// bit-identical for any thread count.
+    /// disjoint chunk of the gradient buffer, and the penalty is summed
+    /// per `cell_chunk` chunk in cell order, then over the chunks in
+    /// chunk order, so both are bit-identical for any thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad.len() != design.num_cells()`.
     pub fn accumulate_gradient_with(
         &self,
         design: &Design,
@@ -265,27 +253,43 @@ impl DensityModel {
         lambda: f64,
         grad: &mut [Point],
         pool: Pool,
-    ) {
-        let chunk = chunk_len(grad.len(), 64, 256);
+    ) -> f64 {
+        assert_eq!(
+            grad.len(),
+            design.num_cells(),
+            "one gradient entry per cell"
+        );
+        let chunk = cell_chunk(grad.len());
+        let cells = design.cells();
+        let positions = design.positions();
+        // One job per chunk: its window of the gradient and its penalty
+        // partial.
+        let mut jobs: Vec<(&mut [Point], f64)> = grad.chunks_mut(chunk).map(|w| (w, 0.0)).collect();
         pool.for_chunks_mut(
-            grad,
-            chunk,
+            &mut jobs,
+            1,
             || (),
-            |(), _ci, offset, window| {
+            |(), ci, _, job| {
+                let (window, partial) = &mut job[0];
+                let offset = ci * chunk;
                 for (k, g) in window.iter_mut().enumerate() {
                     let i = offset + k;
-                    let cell = &design.cells()[i];
+                    let cell = &cells[i];
                     if !cell.is_movable() {
                         continue;
                     }
                     let a = cell.area() * inflation.map(|r| r[i]).unwrap_or(1.0);
-                    let p = design.positions()[i];
-                    let (ex, ey) = self.grid.sample_bilinear2(&field.ex, &field.ey, p);
+                    let (psi, ex, ey) =
+                        self.grid
+                            .sample_bilinear3(&field.psi, &field.ex, &field.ey, positions[i]);
+                    *partial += a * psi;
                     g.x -= lambda * a * ex;
                     g.y -= lambda * a * ey;
                 }
             },
         );
+        let penalty: f64 = jobs.into_iter().map(|(_, partial)| partial).sum();
+        penalty * 0.5
     }
 }
 
@@ -371,7 +375,12 @@ mod tests {
     fn penalty_decreases_when_cluster_spreads() {
         let mut d = cluster_design();
         let m = DensityModel::new(&d);
-        let before = m.compute(&d, None, None, 1.0).penalty;
+        let penalty = |d: &Design| {
+            let f = m.compute(d, None, None, 1.0);
+            let mut grad = vec![Point::default(); d.num_cells()];
+            m.accumulate_gradient(d, &f, None, 1.0, &mut grad)
+        };
+        let before = penalty(&d);
         // Spread the cluster out.
         for i in 0..9 {
             let id = CellId::from_index(i);
@@ -381,7 +390,7 @@ mod tests {
                 Point::new(8.0 + (p.x - 16.0) * 6.0, 32.0 + (p.y - 32.0) * 6.0),
             );
         }
-        let after = m.compute(&d, None, None, 1.0).penalty;
+        let after = penalty(&d);
         assert!(after < before, "penalty {after} !< {before}");
     }
 
@@ -492,9 +501,10 @@ mod tests {
                     Point::new(lo.x + (cx + 0.5) * g.bin_w(), lo.y + (cy + 0.5) * g.bin_h())
                 };
                 let (wa, wb) = floored_bilinear2(&g, &fa, &fb, p);
-                let (a, b) = g.sample_bilinear2(&fa, &fb, p);
-                prop_assert_eq!(a.to_bits(), wa.to_bits(), "bilinear2 a at {p:?}");
-                prop_assert_eq!(b.to_bits(), wb.to_bits(), "bilinear2 b at {p:?}");
+                let (a, b, c) = g.sample_bilinear3(&fa, &fb, &fa, p);
+                prop_assert_eq!(a.to_bits(), wa.to_bits(), "bilinear3 a at {p:?}");
+                prop_assert_eq!(b.to_bits(), wb.to_bits(), "bilinear3 b at {p:?}");
+                prop_assert_eq!(c.to_bits(), wa.to_bits(), "bilinear3 c at {p:?}");
                 let (sa, sb) = (g.sample_bilinear(&fa, p), g.sample_bilinear(&fb, p));
                 prop_assert_eq!(sa.to_bits(), wa.to_bits(), "bilinear a at {p:?}");
                 prop_assert_eq!(sb.to_bits(), wb.to_bits(), "bilinear b at {p:?}");

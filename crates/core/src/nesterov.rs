@@ -16,7 +16,6 @@ pub struct NesterovSolver {
     prev_v: Vec<Point>,
     prev_grad: Vec<Point>,
     grad: Vec<Point>,
-    u_next: Vec<Point>,
     a: f64,
     iter: usize,
     /// Step length α used by the most recent [`NesterovSolver::step`]
@@ -37,7 +36,6 @@ impl NesterovSolver {
             prev_v: vec![Point::default(); n],
             prev_grad: vec![Point::default(); n],
             grad: vec![Point::default(); n],
-            u_next: vec![Point::default(); n],
             a: 1.0,
             iter: 0,
             last_alpha: 0.0,
@@ -133,21 +131,28 @@ impl NesterovSolver {
             }
         };
 
-        // u_{k+1} = v_k − α∇f(v_k)  (into the persistent scratch buffer;
-        // no per-iteration allocation).
-        for i in 0..self.u.len() {
-            self.u_next[i] = project(self.v[i] - self.grad[i].scale(alpha));
-        }
         // Acceleration.
         let a_next = (1.0 + (4.0 * self.a * self.a + 1.0).sqrt()) / 2.0;
         let coef = (self.a - 1.0) / a_next;
-        self.prev_v.copy_from_slice(&self.v);
-        self.prev_grad.copy_from_slice(&self.grad);
-        for i in 0..self.u.len() {
-            let vi = self.u_next[i] + (self.u_next[i] - self.u[i]).scale(coef);
-            self.v[i] = project(vi);
+        // One pass per cell: u_{k+1} = P(v_k − α∇f(v_k)), the v_k save,
+        // and v_{k+1} = P(u_{k+1} + coef·(u_{k+1} − u_k)). Each entry
+        // reads only its own index before writing it, so `u` and `v` are
+        // updated in place.
+        let cells = self
+            .u
+            .iter_mut()
+            .zip(self.v.iter_mut())
+            .zip(self.prev_v.iter_mut())
+            .zip(&self.grad);
+        for (((u, v), prev_v), g) in cells {
+            let u_next = project(*v - g.scale(alpha));
+            *prev_v = *v;
+            *v = project(u_next + (u_next - *u).scale(coef));
+            *u = u_next;
         }
-        std::mem::swap(&mut self.u, &mut self.u_next);
+        // The next step zeroes `grad` before evaluating, so the old
+        // `prev_grad` buffer can take its place.
+        std::mem::swap(&mut self.prev_grad, &mut self.grad);
         self.a = a_next;
         self.iter += 1;
         self.last_alpha = alpha;

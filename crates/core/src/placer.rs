@@ -70,7 +70,7 @@ pub struct StepExtras<'a> {
 pub struct StepReport {
     /// Density overflow after the step.
     pub overflow: f64,
-    /// Density penalty D(x, y).
+    /// Density penalty D(x, y) at the reference positions.
     pub density_penalty: f64,
     /// Current λ₁.
     pub lambda1: f64,
@@ -392,7 +392,7 @@ impl GpSession {
         design: &mut Design,
         extras: &StepExtras<'_>,
     ) -> Result<StepReport, RdpError> {
-        let die = design.die();
+        let bounds = design.die().clamp_box();
         let gamma = self.gamma_boost * self.base_gamma * gamma_scale(self.last_overflow);
         let wa = WaModel::new(gamma);
         let target = self.cfg.target_density;
@@ -420,25 +420,22 @@ impl GpSession {
             |v, g| {
                 // A poisoned reference (NaN/Inf coordinate) would send the
                 // density model indexing bins out of range; screen it
-                // before any physics runs. With the check tripped the
-                // gradient stays zero and the error surfaces after the
-                // solver update, which the caller then rolls back.
-                if health.enabled && health_err.is_none() {
-                    health_err = health
-                        .check_points(stage, "reference positions", iteration, v)
-                        .err();
-                }
-                if health_err.is_some() {
-                    return;
-                }
-                // Scatter reference positions into the design.
-                for (k, &id) in movable.iter().enumerate() {
-                    design.set_pos(id, v[k]);
+                // while scattering, before any physics runs. With the
+                // check tripped the gradient stays zero and the error
+                // surfaces after the solver update, which the caller then
+                // rolls back.
+                for (k, (&id, &p)) in movable.iter().zip(v).enumerate() {
+                    if let Err(e) =
+                        health.check_point(stage, "reference positions", iteration, k, p)
+                    {
+                        health_err = Some(e);
+                        return;
+                    }
+                    design.set_pos(id, p);
                 }
                 let field: DensityField =
                     model.compute(design, extras.inflation, extras.extra_density, target);
                 overflow = field.overflow;
-                density_penalty = field.penalty;
 
                 full_grad.iter_mut().for_each(|p| *p = Point::default());
                 {
@@ -447,7 +444,13 @@ impl GpSession {
                 }
                 {
                     let _dg_span = obs.span("density_grad", "gp");
-                    model.accumulate_gradient(design, &field, extras.inflation, lambda1, full_grad);
+                    density_penalty = model.accumulate_gradient(
+                        design,
+                        &field,
+                        extras.inflation,
+                        lambda1,
+                        full_grad,
+                    );
                 }
                 if let Some((cgrad, lambda2)) = extras.congestion_grad {
                     for &id in movable.iter() {
@@ -455,42 +458,40 @@ impl GpSession {
                         full_grad[id.index()].y += lambda2 * cgrad[id.index()].y;
                     }
                 }
-                for (k, &id) in movable.iter().enumerate() {
-                    g[k] = full_grad[id.index()];
-                }
 
-                // One O(movable) scan covers the summed WA + density +
-                // congestion gradient; the two scalars cover the field.
-                if health.enabled && health_err.is_none() {
-                    health_err = health
-                        .check_scalar(stage, "density overflow", iteration, field.overflow)
-                        .and_then(|_| {
-                            health.check_scalar(stage, "density penalty", iteration, field.penalty)
-                        })
-                        .and_then(|_| {
-                            health.check_points(stage, "objective gradient", iteration, g)
-                        })
-                        .err();
+                // The two scalars cover the field; the gather scans the
+                // summed WA + density + congestion gradient as it goes.
+                if let Err(e) = health
+                    .check_scalar(stage, "density overflow", iteration, field.overflow)
+                    .and_then(|_| {
+                        health.check_scalar(stage, "density penalty", iteration, density_penalty)
+                    })
+                {
+                    health_err = Some(e);
+                }
+                for (k, (&id, gk)) in movable.iter().zip(g.iter_mut()).enumerate() {
+                    *gk = full_grad[id.index()];
+                    if health_err.is_none() {
+                        health_err = health
+                            .check_point(stage, "objective gradient", iteration, k, *gk)
+                            .err();
+                    }
                 }
             },
-            |p| die.clamp_point(p),
+            |p| bounds.clamp_closed(p),
         );
 
         if let Some(e) = health_err {
             return Err(e);
         }
-        // Catches step-length blow-ups that turn finite gradients into
-        // non-finite proposals (projection keeps NaN as NaN).
-        self.cfg.health.check_points(
-            stage,
-            "cell positions",
-            iteration,
-            self.solver.positions(),
-        )?;
-
-        // Commit the major solution.
-        for (k, &id) in self.movable.iter().enumerate() {
-            design.set_pos(id, self.solver.positions()[k]);
+        // Commit the major solution, checking it on the way: this catches
+        // step-length blow-ups that turn finite gradients into non-finite
+        // proposals (projection keeps NaN as NaN).
+        for (k, (&id, &p)) in self.movable.iter().zip(self.solver.positions()).enumerate() {
+            self.cfg
+                .health
+                .check_point(stage, "cell positions", iteration, k, p)?;
+            design.set_pos(id, p);
         }
         self.last_overflow = overflow;
         self.lambda1 *= self.cfg.lambda_growth;

@@ -1,7 +1,7 @@
 //! The design database: one [`Design`] owns the netlist, floorplan, and
 //! current placement of a circuit.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -172,6 +172,7 @@ impl Design {
     }
 
     /// Current center position of a cell.
+    #[inline]
     pub fn pos(&self, id: CellId) -> Point {
         self.pos[id.index()]
     }
@@ -182,6 +183,7 @@ impl Design {
     }
 
     /// Moves a cell center (no legality checks; the placer clamps itself).
+    #[inline]
     pub fn set_pos(&mut self, id: CellId, p: Point) {
         self.pos[id.index()] = p;
     }
@@ -492,34 +494,40 @@ impl DesignBuilder {
         }
         let routing = self.routing.ok_or(BuildDesignError::MissingRouting)?;
 
-        let mut seen = HashMap::new();
+        // The checks borrow the names; they run in the order the
+        // assembly below would meet each fault, so the first one is
+        // reported.
+        let mut seen = HashSet::with_capacity(self.cells.len());
         for c in &self.cells {
-            if seen.insert(c.name.clone(), ()).is_some() {
+            if !seen.insert(c.name.as_str()) {
                 return Err(BuildDesignError::DuplicateCellName(c.name.clone()));
             }
         }
-        let mut seen_nets = HashMap::new();
+        let mut seen_nets = HashSet::with_capacity(self.nets.len());
+        for (name, _, members) in &self.nets {
+            if !seen_nets.insert(name.as_str()) {
+                return Err(BuildDesignError::DuplicateNetName(name.clone()));
+            }
+            if members.len() < 2 {
+                return Err(BuildDesignError::DegenerateNet(name.clone()));
+            }
+            if let Some((cell, _)) = members.iter().find(|(c, _)| c.index() >= self.cells.len()) {
+                return Err(BuildDesignError::DanglingPin {
+                    net: name.clone(),
+                    cell: cell.0,
+                });
+            }
+        }
 
-        let mut pins: Vec<Pin> = Vec::new();
+        let num_pins = self.nets.iter().map(|(_, _, m)| m.len()).sum();
+        let mut pins: Vec<Pin> = Vec::with_capacity(num_pins);
         let mut nets: Vec<Net> = Vec::with_capacity(self.nets.len());
         let mut cell_pins: Vec<Vec<PinId>> = vec![Vec::new(); self.cells.len()];
 
         for (name, weight, members) in self.nets {
-            if seen_nets.insert(name.clone(), ()).is_some() {
-                return Err(BuildDesignError::DuplicateNetName(name));
-            }
-            if members.len() < 2 {
-                return Err(BuildDesignError::DegenerateNet(name));
-            }
             let net_id = NetId::from_index(nets.len());
             let mut pin_ids = Vec::with_capacity(members.len());
             for (cell, offset) in members {
-                if cell.index() >= self.cells.len() {
-                    return Err(BuildDesignError::DanglingPin {
-                        net: name,
-                        cell: cell.0,
-                    });
-                }
                 let pid = PinId::from_index(pins.len());
                 pins.push(Pin {
                     cell,

@@ -24,11 +24,13 @@ impl Point {
     /// let p = Point::new(3.0, 4.0);
     /// assert_eq!(p.norm(), 5.0);
     /// ```
+    #[inline]
     pub fn new(x: f64, y: f64) -> Self {
         Point { x, y }
     }
 
     /// Euclidean length of the vector from the origin to this point.
+    #[inline]
     pub fn norm(self) -> f64 {
         self.x.hypot(self.y)
     }
@@ -44,11 +46,13 @@ impl Point {
     }
 
     /// Dot product treating both points as vectors.
+    #[inline]
     pub fn dot(self, other: Point) -> f64 {
         self.x * other.x + self.y * other.y
     }
 
     /// Scales both components by `s`.
+    #[inline]
     pub fn scale(self, s: f64) -> Point {
         Point::new(self.x * s, self.y * s)
     }
@@ -67,6 +71,7 @@ impl Point {
 
 impl std::ops::Add for Point {
     type Output = Point;
+    #[inline]
     fn add(self, rhs: Point) -> Point {
         Point::new(self.x + rhs.x, self.y + rhs.y)
     }
@@ -74,6 +79,7 @@ impl std::ops::Add for Point {
 
 impl std::ops::Sub for Point {
     type Output = Point;
+    #[inline]
     fn sub(self, rhs: Point) -> Point {
         Point::new(self.x - rhs.x, self.y - rhs.y)
     }
@@ -114,11 +120,13 @@ impl Rect {
     }
 
     /// Width (always non-negative).
+    #[inline]
     pub fn width(&self) -> f64 {
         self.hi.x - self.lo.x
     }
 
     /// Height (always non-negative).
+    #[inline]
     pub fn height(&self) -> f64 {
         self.hi.y - self.lo.y
     }
@@ -179,11 +187,32 @@ impl Rect {
 
     /// Clamps a point into the rectangle (hi-exclusive by a tiny epsilon so
     /// the result always satisfies [`Rect::contains`]).
+    #[inline]
     pub fn clamp_point(&self, p: Point) -> Point {
+        self.clamp_box().clamp_closed(p)
+    }
+
+    /// The closed box [`Rect::clamp_point`] clamps into: `hi` pulled in by
+    /// a tiny epsilon, never below `lo`. Compute it once to clamp many
+    /// points with [`Rect::clamp_closed`]; the result is the same.
+    #[inline]
+    pub fn clamp_box(&self) -> Rect {
         let eps = 1e-9 * (1.0 + self.width().max(self.height()));
+        Rect {
+            lo: self.lo,
+            hi: Point::new(
+                (self.hi.x - eps).max(self.lo.x),
+                (self.hi.y - eps).max(self.lo.y),
+            ),
+        }
+    }
+
+    /// Clamps a point into the rectangle with both edges inclusive.
+    #[inline]
+    pub fn clamp_closed(&self, p: Point) -> Point {
         Point::new(
-            p.x.clamp(self.lo.x, (self.hi.x - eps).max(self.lo.x)),
-            p.y.clamp(self.lo.y, (self.hi.y - eps).max(self.lo.y)),
+            p.x.clamp(self.lo.x, self.hi.x),
+            p.y.clamp(self.lo.y, self.hi.y),
         )
     }
 
@@ -300,6 +329,14 @@ mod tests {
         assert!(r.contains(p));
         let q = r.clamp_point(Point::new(5.0, 5.0));
         assert_eq!(q, Point::new(5.0, 5.0));
+        let b = r.clamp_box();
+        for p in [
+            Point::new(50.0, -3.0),
+            Point::new(-1.0, 10.0),
+            Point::new(2.5, 9.5),
+        ] {
+            assert_eq!(b.clamp_closed(p), r.clamp_point(p));
+        }
     }
 
     #[test]

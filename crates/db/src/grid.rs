@@ -183,23 +183,23 @@ impl GridSpec {
             + f11 * tx * ty
     }
 
-    /// [`sample_bilinear`](GridSpec::sample_bilinear) of **two** fields at
-    /// one point, sharing the index/weight computation. Each component is
-    /// the exact expression of the single-field sampler, so the results
-    /// are bitwise identical to two separate calls — the density gradient
-    /// samples `E_x` and `E_y` at every cell and was paying the address
-    /// math twice.
+    /// [`sample_bilinear`](GridSpec::sample_bilinear) of **three** fields
+    /// at one point, sharing the index/weight computation. Each component
+    /// is the exact expression of the single-field sampler, so the results
+    /// are bitwise identical to three separate calls — the density
+    /// gradient samples ψ, `E_x` and `E_y` at every movable cell.
     #[inline]
-    pub fn sample_bilinear2(
+    pub fn sample_bilinear3(
         &self,
         fa: &crate::Map2d<f64>,
         fb: &crate::Map2d<f64>,
+        fc: &crate::Map2d<f64>,
         p: Point,
-    ) -> (f64, f64) {
-        assert_eq!(fa.nx(), self.nx);
-        assert_eq!(fa.ny(), self.ny);
-        assert_eq!(fb.nx(), self.nx);
-        assert_eq!(fb.ny(), self.ny);
+    ) -> (f64, f64, f64) {
+        for f in [fa, fb, fc] {
+            assert_eq!(f.nx(), self.nx);
+            assert_eq!(f.ny(), self.ny);
+        }
         let gx = (p.x - self.region.lo.x) * self.inv_bw - 0.5;
         let gy = (p.y - self.region.lo.y) * self.inv_bh - 0.5;
         let gx = gx.clamp(0.0, (self.nx - 1) as f64);
@@ -210,15 +210,13 @@ impl GridSpec {
         let y1 = (y0 + 1).min(self.ny - 1);
         let tx = gx - x0 as f64;
         let ty = gy - y0 as f64;
-        let a = fa[(x0, y0)] * (1.0 - tx) * (1.0 - ty)
-            + fa[(x1, y0)] * tx * (1.0 - ty)
-            + fa[(x0, y1)] * (1.0 - tx) * ty
-            + fa[(x1, y1)] * tx * ty;
-        let b = fb[(x0, y0)] * (1.0 - tx) * (1.0 - ty)
-            + fb[(x1, y0)] * tx * (1.0 - ty)
-            + fb[(x0, y1)] * (1.0 - tx) * ty
-            + fb[(x1, y1)] * tx * ty;
-        (a, b)
+        let sample = |f: &crate::Map2d<f64>| {
+            f[(x0, y0)] * (1.0 - tx) * (1.0 - ty)
+                + f[(x1, y0)] * tx * (1.0 - ty)
+                + f[(x0, y1)] * (1.0 - tx) * ty
+                + f[(x1, y1)] * tx * ty
+        };
+        (sample(fa), sample(fb), sample(fc))
     }
 }
 
@@ -301,14 +299,16 @@ mod tests {
     }
 
     #[test]
-    fn bilinear2_matches_two_single_samples_bitwise() {
+    fn bilinear3_matches_three_single_samples_bitwise() {
         let g = grid();
         let mut fa = Map2d::new(10, 5);
         let mut fb = Map2d::new(10, 5);
+        let mut fc = Map2d::new(10, 5);
         for iy in 0..5 {
             for ix in 0..10 {
                 fa[(ix, iy)] = (ix * 7 + iy * 3) as f64 * 0.37 - 2.0;
                 fb[(ix, iy)] = (ix as f64 * 1.3).sin() + iy as f64;
+                fc[(ix, iy)] = (iy as f64 * 0.7).cos() - ix as f64 * 1e-3;
             }
         }
         for p in [
@@ -318,9 +318,10 @@ mod tests {
             Point::new(99.99, 0.01),
             Point::new(-4.0, 60.0),
         ] {
-            let (a, b) = g.sample_bilinear2(&fa, &fb, p);
+            let (a, b, c) = g.sample_bilinear3(&fa, &fb, &fc, p);
             assert_eq!(a.to_bits(), g.sample_bilinear(&fa, p).to_bits());
             assert_eq!(b.to_bits(), g.sample_bilinear(&fb, p).to_bits());
+            assert_eq!(c.to_bits(), g.sample_bilinear(&fc, p).to_bits());
         }
     }
 

@@ -68,11 +68,13 @@ impl Cell {
     }
 
     /// Placement area in square microns.
+    #[inline]
     pub fn area(&self) -> f64 {
         self.w * self.h
     }
 
     /// Whether this cell contributes movable area.
+    #[inline]
     pub fn is_movable(&self) -> bool {
         !self.fixed
     }

@@ -87,14 +87,34 @@ impl HealthPolicy {
         if !self.enabled {
             return Ok(());
         }
+        for (i, &p) in values.iter().enumerate() {
+            self.check_point(stage, quantity, iteration, i, p)?;
+        }
+        Ok(())
+    }
+
+    /// Checks entry `index` of a point buffer exactly as
+    /// [`check_points`](HealthPolicy::check_points) does, for a caller
+    /// that folds the scan into a loop of its own: checked in index
+    /// order, the first error is the one `check_points` returns.
+    #[inline]
+    pub fn check_point(
+        &self,
+        stage: Stage,
+        quantity: &str,
+        iteration: Option<usize>,
+        index: usize,
+        p: Point,
+    ) -> Result<(), RdpError> {
+        if !self.enabled {
+            return Ok(());
+        }
         let ceiling = self.max_magnitude;
-        for (i, p) in values.iter().enumerate() {
-            if !(p.x.abs() <= ceiling) {
-                return Err(RdpError::non_finite(stage, quantity, iteration, i, p.x));
-            }
-            if !(p.y.abs() <= ceiling) {
-                return Err(RdpError::non_finite(stage, quantity, iteration, i, p.y));
-            }
+        if !(p.x.abs() <= ceiling) {
+            return Err(RdpError::non_finite(stage, quantity, iteration, index, p.x));
+        }
+        if !(p.y.abs() <= ceiling) {
+            return Err(RdpError::non_finite(stage, quantity, iteration, index, p.y));
         }
         Ok(())
     }

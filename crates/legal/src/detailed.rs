@@ -71,16 +71,16 @@ pub fn detailed_place_virtual_obs(
 fn detailed_impl(design: &mut Design, cfg: &DetailedConfig, virtual_widths: Option<&[f64]>) -> f64 {
     let before = design.hpwl();
     let segments = build_segments(design);
+    let index = SegmentIndex::new(&segments);
     let eps = 1e-6;
+    let mut per_seg: Vec<Vec<CellId>> = vec![Vec::new(); segments.len()];
+    let mut scratch = Scratch::default();
 
     for _ in 0..cfg.passes.max(1) {
         // Group movable cells by segment.
-        let mut per_seg: Vec<Vec<CellId>> = vec![Vec::new(); segments.len()];
+        per_seg.iter_mut().for_each(Vec::clear);
         for c in design.movable_cells() {
-            let p = design.pos(c);
-            if let Some(si) = segments.iter().position(|s| {
-                (s.y + s.height / 2.0 - p.y).abs() < eps && p.x >= s.x0 - eps && p.x <= s.x1 + eps
-            }) {
+            if let Some(si) = index.find(&segments, design.pos(c), eps) {
                 per_seg[si].push(c);
             }
         }
@@ -94,7 +94,13 @@ fn detailed_impl(design: &mut Design, cfg: &DetailedConfig, virtual_widths: Opti
         for cells in &per_seg {
             let mut i = 0;
             while i + 1 < cells.len() {
-                if try_swap(design, cells[i], cells[i + 1], virtual_widths) {
+                if try_swap(
+                    design,
+                    cells[i],
+                    cells[i + 1],
+                    virtual_widths,
+                    &mut scratch.nets,
+                ) {
                     i += 2;
                 } else {
                     i += 1;
@@ -107,10 +113,65 @@ fn detailed_impl(design: &mut Design, cfg: &DetailedConfig, virtual_widths: Opti
             if cells.is_empty() {
                 continue;
             }
-            shift_row(design, &segments[si], cells, virtual_widths);
+            shift_row(design, &segments[si], cells, virtual_widths, &mut scratch);
         }
     }
     before - design.hpwl()
+}
+
+/// Segments ordered by row centre, so a cell's segment is found without
+/// scanning every segment.
+struct SegmentIndex {
+    /// `(centre y, segment index)` sorted by centre, equal centres in
+    /// index order. A NaN centre matches no cell and is left out.
+    by_centre: Vec<(f64, usize)>,
+}
+
+impl SegmentIndex {
+    fn new(segments: &[Segment]) -> Self {
+        let mut by_centre: Vec<(f64, usize)> = segments
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.y + s.height / 2.0, i))
+            .filter(|(c, _)| !c.is_nan())
+            .collect();
+        by_centre.sort_by(|a, b| a.0.total_cmp(&b.0));
+        SegmentIndex { by_centre }
+    }
+
+    /// The lowest-index segment whose centre lies within `eps` of `p.y`
+    /// and whose extent, widened by `eps`, holds `p.x`: the first match a
+    /// scan over all segments would find.
+    fn find(&self, segments: &[Segment], p: Point, eps: f64) -> Option<usize> {
+        // The rounded difference `c - p.y` never decreases as the centre
+        // `c` grows, so the centres with `|c - p.y| < eps` form one run.
+        let lo = self.by_centre.partition_point(|&(c, _)| c - p.y <= -eps);
+        let hi = self.by_centre.partition_point(|&(c, _)| c - p.y < eps);
+        self.by_centre[lo..hi]
+            .iter()
+            .map(|&(_, si)| si)
+            .filter(|&si| p.x >= segments[si].x0 - eps && p.x <= segments[si].x1 + eps)
+            .min()
+    }
+}
+
+/// Buffers reused across the pairs and segments of a run.
+#[derive(Default)]
+struct Scratch {
+    nets: Vec<NetId>,
+    widths: Vec<f64>,
+    desired: Vec<f64>,
+    old: Vec<Point>,
+    xs: Vec<f64>,
+}
+
+/// The width a move uses: the virtual width when given, never below the
+/// real one.
+fn move_width(design: &Design, c: CellId, virtual_widths: Option<&[f64]>) -> f64 {
+    let real = design.cell(c).w;
+    virtual_widths
+        .map(|v| v[c.index()].max(real))
+        .unwrap_or(real)
 }
 
 /// Swaps two same-row neighbors (`a` left of `b`) by exchanging their
@@ -118,15 +179,18 @@ fn detailed_impl(design: &mut Design, cfg: &DetailedConfig, virtual_widths: Opti
 /// that reduces the HPWL of their nets. Returns whether the swap was kept.
 /// Both new footprints stay inside the union of the old ones, so no other
 /// cell can be collided with.
-fn try_swap(design: &mut Design, a: CellId, b: CellId, virtual_widths: Option<&[f64]>) -> bool {
-    let width_of = |c: CellId| -> f64 {
-        let real = design.cell(c).w;
-        virtual_widths
-            .map(|v| v[c.index()].max(real))
-            .unwrap_or(real)
-    };
-    let (wa, wb) = (width_of(a), width_of(b));
-    let nets = affected_nets(design, a, b);
+fn try_swap(
+    design: &mut Design,
+    a: CellId,
+    b: CellId,
+    virtual_widths: Option<&[f64]>,
+    nets: &mut Vec<NetId>,
+) -> bool {
+    let (wa, wb) = (
+        move_width(design, a, virtual_widths),
+        move_width(design, b, virtual_widths),
+    );
+    nets_of(design, &[a, b], nets);
     let before: f64 = nets.iter().map(|&n| design.net_hpwl(n)).sum();
     let (pa, pb) = (design.pos(a), design.pos(b));
     let new_pa = Point::new(pb.x + wb / 2.0 - wa / 2.0, pa.y);
@@ -142,34 +206,40 @@ fn try_swap(design: &mut Design, a: CellId, b: CellId, virtual_widths: Option<&[
     true
 }
 
-fn affected_nets(design: &Design, a: CellId, b: CellId) -> Vec<NetId> {
-    let mut nets: Vec<NetId> = design
-        .pins_of_cell(a)
-        .iter()
-        .chain(design.pins_of_cell(b))
-        .map(|&p| design.pin(p).net)
-        .collect();
+/// The distinct nets touching `cells`, ascending, into `nets`.
+fn nets_of(design: &Design, cells: &[CellId], nets: &mut Vec<NetId>) {
+    nets.clear();
+    nets.extend(
+        cells
+            .iter()
+            .flat_map(|&c| design.pins_of_cell(c).iter().map(|&p| design.pin(p).net)),
+    );
     nets.sort_unstable();
     nets.dedup();
-    nets
 }
 
 /// Order-preserving Abacus shift of a row's cells toward the x that
 /// minimizes each cell's connected-net HPWL (the median of the other pin
 /// positions).
-fn shift_row(design: &mut Design, seg: &Segment, cells: &[CellId], virtual_widths: Option<&[f64]>) {
-    let widths: Vec<f64> = cells
-        .iter()
-        .map(|&c| {
-            let real = design.cell(c).w;
-            virtual_widths
-                .map(|v| v[c.index()].max(real))
-                .unwrap_or(real)
-        })
-        .collect();
-    let mut desired: Vec<f64> = Vec::with_capacity(cells.len());
-    for (&c, w) in cells.iter().zip(&widths) {
-        let ox = optimal_x(design, c).unwrap_or(design.pos(c).x);
+fn shift_row(
+    design: &mut Design,
+    seg: &Segment,
+    cells: &[CellId],
+    virtual_widths: Option<&[f64]>,
+    scratch: &mut Scratch,
+) {
+    let Scratch {
+        nets,
+        widths,
+        desired,
+        old,
+        xs,
+    } = scratch;
+    widths.clear();
+    widths.extend(cells.iter().map(|&c| move_width(design, c, virtual_widths)));
+    desired.clear();
+    for (&c, w) in cells.iter().zip(widths.iter()) {
+        let ox = optimal_x(design, c, xs).unwrap_or(design.pos(c).x);
         desired.push(ox - w / 2.0);
     }
     // Keep the current order (Abacus requires sorted desired input to
@@ -179,19 +249,15 @@ fn shift_row(design: &mut Design, seg: &Segment, cells: &[CellId], virtual_width
             desired[i] = desired[i - 1];
         }
     }
-    let lefts = abacus(&desired, &widths, seg.x0, seg.x1);
+    let lefts = abacus(desired, widths, seg.x0, seg.x1);
     // Only the nets touching this segment's cells can change.
-    let mut nets: Vec<NetId> = cells
-        .iter()
-        .flat_map(|&c| design.pins_of_cell(c).iter().map(|&p| design.pin(p).net))
-        .collect();
-    nets.sort_unstable();
-    nets.dedup();
+    nets_of(design, cells, nets);
     let hpwl_before: f64 = nets.iter().map(|&n| design.net_hpwl(n)).sum();
-    let old: Vec<Point> = cells.iter().map(|&c| design.pos(c)).collect();
+    old.clear();
+    old.extend(cells.iter().map(|&c| design.pos(c)));
     // Snap to sites, monotone.
     let mut cursor = seg.x0;
-    for ((&c, w), l) in cells.iter().zip(&widths).zip(&lefts) {
+    for ((&c, w), l) in cells.iter().zip(widths.iter()).zip(&lefts) {
         let k = ((l - seg.x0) / seg.site_w).floor().max(0.0);
         let x = (seg.x0 + k * seg.site_w).max(cursor).min(seg.x1 - w);
         design.set_pos(c, Point::new(x + w / 2.0, seg.y + seg.height / 2.0));
@@ -199,16 +265,16 @@ fn shift_row(design: &mut Design, seg: &Segment, cells: &[CellId], virtual_width
     }
     let hpwl_after: f64 = nets.iter().map(|&n| design.net_hpwl(n)).sum();
     if hpwl_after > hpwl_before {
-        for (&c, &p) in cells.iter().zip(&old) {
+        for (&c, &p) in cells.iter().zip(old.iter()) {
             design.set_pos(c, p);
         }
     }
 }
 
 /// The x minimizing the cell's total connected HPWL: median of the other
-/// pins' x positions over all its nets.
-fn optimal_x(design: &Design, c: CellId) -> Option<f64> {
-    let mut xs: Vec<f64> = Vec::new();
+/// pins' x positions over all its nets (`xs` is scratch).
+fn optimal_x(design: &Design, c: CellId, xs: &mut Vec<f64>) -> Option<f64> {
+    xs.clear();
     for &pid in design.pins_of_cell(c) {
         let net = design.pin(pid).net;
         for &q in &design.net(net).pins {
@@ -265,6 +331,61 @@ mod tests {
 
     fn design_x(d: &Design, c: CellId) -> f64 {
         d.pos(c).x
+    }
+
+    /// The segment index finds what the scan over all segments it
+    /// replaced finds, ties and near-misses at `eps` included.
+    #[test]
+    fn segment_index_matches_linear_scan() {
+        use rdp_testkit::{prop_assert_eq, prop_check, range, PropConfig};
+        let eps = 1e-6;
+        prop_check!(
+            PropConfig::cases(1024),
+            (range(1u64..1 << 40), range(0usize..5), range(0usize..5)),
+            |(seed, pick, off): (u64, usize, usize)| {
+                let mut rng = rdp_testkit::Rng::new(seed);
+                // Segments of rows that may share a y or overlap; two of
+                // the heights put centres 5e-8 apart, inside `eps`.
+                let segments: Vec<Segment> = (0..rng.gen_range(1usize..12))
+                    .map(|row| {
+                        let y = rng.gen_range(0u32..6) as f64 * 2.0;
+                        let x0 = rng.gen_range(0.0..50.0);
+                        Segment {
+                            row,
+                            y,
+                            height: [2.0, 2.0 + 1e-7, 1.0][rng.gen_range(0usize..3)],
+                            site_w: 0.2,
+                            x0,
+                            x1: x0 + rng.gen_range(0.2..50.0),
+                        }
+                    })
+                    .collect();
+                let s = &segments[pick % segments.len()];
+                let c = s.y + s.height / 2.0;
+                let y = [c, c + eps, c - eps, c + 0.9 * eps, c - 0.9 * eps][off];
+                let xs = [
+                    s.x0,
+                    s.x1,
+                    s.x0 - eps,
+                    s.x1 + 2.0 * eps,
+                    (s.x0 + s.x1) / 2.0,
+                ];
+                let index = SegmentIndex::new(&segments);
+                for p in xs
+                    .iter()
+                    .map(|&x| Point::new(x, y))
+                    .chain([Point::new(f64::NAN, y), Point::new(s.x0, f64::NAN)])
+                {
+                    let scan = segments.iter().position(|s| {
+                        (s.y + s.height / 2.0 - p.y).abs() < eps
+                            && p.x >= s.x0 - eps
+                            && p.x <= s.x1 + eps
+                    });
+                    prop_assert_eq!(index.find(&segments, p, eps), scan, "at {p:?}");
+                }
+                Ok(())
+            }
+        );
     }
 
     #[test]

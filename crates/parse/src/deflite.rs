@@ -23,7 +23,7 @@
 //! Distances are DEF database units at `UNITS DISTANCE MICRONS 1000`, so
 //! geometry round-trips to 1/1000 µm.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use rdp_db::{
     Cell, CellId, CellKind, Design, DesignBuilder, Dir, Obstruction, PgRail, Point, Rect,
@@ -233,28 +233,33 @@ pub fn read_lefdef_obs(
 ) -> Result<Design, ParseDesignError> {
     let _span = obs.span("parse_lefdef", "parse");
     // --- LEF: layer stack + cell types -----------------------------------
-    struct TypeRec {
+    // Names stay borrowed from the input text until a cell, net or layer
+    // of the design needs its owned copy, and every line is split into
+    // one reused token buffer.
+    struct TypeRec<'a> {
         kind: CellKind,
         w: f64,
         h: f64,
         /// OBS rectangles (layer name, rect relative to the macro's
         /// lower-left corner), materialized per placed component.
-        obs: Vec<(String, Rect)>,
+        obs: Vec<(&'a str, Rect)>,
     }
     /// A LEF `LAYER` block: direction + pitch, capacity unknown.
-    struct LayerRec {
-        name: String,
+    struct LayerRec<'a> {
+        name: &'a str,
         dir: Dir,
         pitch: f64,
     }
-    let mut types: HashMap<String, TypeRec> = HashMap::new();
+    let mut toks: Vec<&str> = Vec::new();
+    let mut types: HashMap<&str, TypeRec> = HashMap::new();
     let mut lef_layers: Vec<LayerRec> = Vec::new();
-    let mut cur: Option<String> = None;
+    let mut cur: Option<&str> = None;
     let mut cur_layer: Option<usize> = None; // index into lef_layers
     let mut in_obs = false;
-    let mut obs_layer: Option<String> = None;
+    let mut obs_layer: Option<&str> = None;
     for (ln, line) in files.lef.lines().enumerate() {
-        let toks: Vec<&str> = line.split_whitespace().collect();
+        toks.clear();
+        toks.extend(line.split_whitespace());
         match toks.as_slice() {
             ["MACRO", name] => {
                 if types.contains_key(*name) {
@@ -264,9 +269,9 @@ pub fn read_lefdef_obs(
                         format!("duplicate macro `{name}`"),
                     ));
                 }
-                cur = Some((*name).to_string());
+                cur = Some(name);
                 types.insert(
-                    (*name).to_string(),
+                    name,
                     TypeRec {
                         kind: CellKind::Std,
                         w: 0.0,
@@ -284,7 +289,7 @@ pub fn read_lefdef_obs(
                     ));
                 }
                 lef_layers.push(LayerRec {
-                    name: (*name).to_string(),
+                    name,
                     dir: if lef_layers.len() % 2 == 0 {
                         Dir::Horizontal
                     } else {
@@ -323,7 +328,7 @@ pub fn read_lefdef_obs(
                 }
             }
             ["CLASS", class, ";"] => {
-                if let Some(name) = &cur {
+                if let Some(name) = cur {
                     let rec = types.get_mut(name).ok_or_else(|| {
                         ParseDesignError::new("lef", Some(ln + 1), "CLASS outside MACRO")
                     })?;
@@ -342,7 +347,7 @@ pub fn read_lefdef_obs(
                 }
             }
             ["SIZE", w, "BY", h, ";"] => {
-                if let Some(name) = &cur {
+                if let Some(name) = cur {
                     let rec = types.get_mut(name).ok_or_else(|| {
                         ParseDesignError::new("lef", Some(ln + 1), "SIZE outside MACRO")
                     })?;
@@ -354,10 +359,10 @@ pub fn read_lefdef_obs(
                 in_obs = true;
                 obs_layer = None;
             }
-            ["LAYER", name, ";"] if in_obs => obs_layer = Some((*name).to_string()),
+            ["LAYER", name, ";"] if in_obs => obs_layer = Some(name),
             ["RECT", a, b, c, d, ";"] if in_obs => {
-                let name = cur.as_ref().expect("OBS implies a current macro");
-                let layer = obs_layer.clone().ok_or_else(|| {
+                let name = cur.expect("OBS implies a current macro");
+                let layer = obs_layer.ok_or_else(|| {
                     ParseDesignError::new("lef", Some(ln + 1), "OBS RECT before LAYER")
                 })?;
                 let rect = rect(
@@ -380,7 +385,7 @@ pub fn read_lefdef_obs(
                 in_obs = false;
                 obs_layer = None;
             }
-            ["END", name] if Some(*name) == cur.as_deref() => {
+            ["END", name] if Some(*name) == cur => {
                 cur = None;
                 in_obs = false;
             }
@@ -392,24 +397,26 @@ pub fn read_lefdef_obs(
     }
 
     // --- DEF --------------------------------------------------------------
-    let mut design_name = String::from("design");
+    let mut design_name = "design";
     let mut die: Option<Rect> = None;
     let mut rows: Vec<Row> = Vec::new();
     let mut gx = 16usize;
     let mut gy = 16usize;
     let mut layers: Vec<RoutingLayer> = Vec::new();
-    let mut comps: Vec<(String, String, Point, bool)> = Vec::new(); // name, type, ll(µm), fixed
-    let mut comp_names: HashSet<String> = HashSet::new();
-    let mut nets: Vec<(String, Vec<(String, Point)>)> = Vec::new();
+    let mut comps: Vec<(&str, &str, Point, bool)> = Vec::new(); // name, type, ll(µm), fixed
+    let mut comp_index: HashMap<&str, usize> = HashMap::new(); // name -> index into `comps`
+    let mut net_pins: Vec<(&str, Point)> = Vec::new(); // every net's (component, offset) pins
+    let mut nets: Vec<(&str, std::ops::Range<usize>)> = Vec::new(); // name, range in `net_pins`
     let mut rails: Vec<PgRail> = Vec::new();
-    let mut tracks: Vec<(String, f64)> = Vec::new(); // layer name, step (µm)
-    let mut blockages: Vec<(String, Rect, usize)> = Vec::new(); // layer name, rect, line
+    let mut tracks: Vec<(&str, f64)> = Vec::new(); // layer name, step (µm)
+    let mut blockages: Vec<(&str, Rect, usize)> = Vec::new(); // layer name, rect, line
     let mut section = "";
 
     for (ln, line) in files.def.lines().enumerate() {
-        let toks: Vec<&str> = line.split_whitespace().collect();
+        toks.clear();
+        toks.extend(line.split_whitespace());
         match toks.as_slice() {
-            ["DESIGN", name, ";"] => design_name = (*name).to_string(),
+            ["DESIGN", name, ";"] => design_name = name,
             ["DIEAREA", "(", a, b, ")", "(", c, d, ")", ";"] => {
                 die = Some(rect(
                     "def",
@@ -474,7 +481,7 @@ pub fn read_lefdef_obs(
                         "bad track count",
                     ));
                 }
-                tracks.push(((*name).to_string(), from_dbu(int("def", ln, step)?)));
+                tracks.push((name, from_dbu(int("def", ln, step)?)));
             }
             ["COMPONENTS", ..] => section = "components",
             ["NETS", ..] if section != "nets" && !line.starts_with('-') => section = "nets",
@@ -492,7 +499,7 @@ pub fn read_lefdef_obs(
                         ));
                     }
                     // - name Tk + STATE ( x y ) N ;
-                    if !comp_names.insert(toks[1].to_string()) {
+                    if comp_index.insert(toks[1], comps.len()).is_some() {
                         return Err(ParseDesignError::new(
                             "def",
                             Some(ln + 1),
@@ -501,8 +508,8 @@ pub fn read_lefdef_obs(
                     }
                     let fixed = toks[4] == "FIXED";
                     comps.push((
-                        toks[1].to_string(),
-                        toks[2].to_string(),
+                        toks[1],
+                        toks[2],
                         Point::new(
                             from_dbu(int("def", ln, toks[6])?),
                             from_dbu(int("def", ln, toks[7])?),
@@ -515,13 +522,12 @@ pub fn read_lefdef_obs(
                     if toks.len() < 2 {
                         return Err(ParseDesignError::new("def", Some(ln + 1), "short net line"));
                     }
-                    let name = toks[1].to_string();
-                    let mut pins = Vec::new();
+                    let start = net_pins.len();
                     let mut i = 2;
                     while i + 4 < toks.len() {
                         if toks[i] == "(" {
-                            pins.push((
-                                toks[i + 1].to_string(),
+                            net_pins.push((
+                                toks[i + 1],
                                 Point::new(
                                     from_dbu(int("def", ln, toks[i + 2])?),
                                     from_dbu(int("def", ln, toks[i + 3])?),
@@ -532,14 +538,14 @@ pub fn read_lefdef_obs(
                             i += 1;
                         }
                     }
-                    nets.push((name, pins));
+                    nets.push((toks[1], start..net_pins.len()));
                 }
                 "blockages" => {
                     // - LAYER <name> RECT ( a b ) ( c d ) ;
                     match toks.as_slice() {
                         ["-", "LAYER", name, "RECT", "(", a, b, ")", "(", c, d, ")", ";"] => {
                             blockages.push((
-                                (*name).to_string(),
+                                name,
                                 rect(
                                     "def",
                                     ln,
@@ -639,7 +645,7 @@ pub fn read_lefdef_obs(
                 DEFAULT_CAPACITY
             };
             layers.push(RoutingLayer {
-                name: l.name.clone(),
+                name: l.name.to_string(),
                 dir: l.dir,
                 capacity,
                 pitch,
@@ -674,10 +680,10 @@ pub fn read_lefdef_obs(
     };
 
     let mut b = DesignBuilder::new(design_name, die);
-    let mut ids: HashMap<String, CellId> = HashMap::new();
+    let mut ids: Vec<CellId> = Vec::with_capacity(comps.len());
     for (name, ty, ll, fixed) in comps {
         let rec = types
-            .get(&ty)
+            .get(ty)
             .ok_or_else(|| ParseDesignError::new("def", None, format!("unknown type `{ty}`")))?;
         let center = Point::new(ll.x + rec.w / 2.0, ll.y + rec.h / 2.0);
         // Materialize the macro's OBS geometry at this placement.
@@ -688,27 +694,27 @@ pub fn read_lefdef_obs(
             });
         }
         let cell = Cell {
-            name: name.clone(),
+            name: name.to_string(),
             kind: rec.kind,
             w: rec.w,
             h: rec.h,
             fixed,
         };
-        ids.insert(name, b.add_cell(cell, center));
+        ids.push(b.add_cell(cell, center));
     }
     for (lname, rect, ln) in blockages {
         b.add_obstruction(Obstruction {
-            layer: layer_index(&lname, Some(ln + 1))?,
+            layer: layer_index(lname, Some(ln + 1))?,
             rect,
         });
     }
-    for (name, pins) in nets {
-        let mut resolved = Vec::with_capacity(pins.len());
-        for (comp, off) in pins {
-            let id = *ids.get(&comp).ok_or_else(|| {
+    for (name, range) in nets {
+        let mut resolved = Vec::with_capacity(range.len());
+        for &(comp, off) in &net_pins[range] {
+            let k = *comp_index.get(comp).ok_or_else(|| {
                 ParseDesignError::new("def", None, format!("net `{name}` references `{comp}`"))
             })?;
-            resolved.push((id, off));
+            resolved.push((ids[k], off));
         }
         b.add_net(name, resolved);
     }

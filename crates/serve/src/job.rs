@@ -13,6 +13,8 @@ use rdp_db::Point;
 use rdp_guard::{RdpError, SnapshotReader, SnapshotWriter};
 use rdp_obs::json::{self, Value};
 
+use crate::protocol::{error_parts, parse_site, ParseSite};
+
 /// A JSON string literal: quoted + escaped.
 pub(crate) fn jstr(s: &str) -> String {
     format!("\"{}\"", json::escape(s))
@@ -231,6 +233,8 @@ pub struct JobRecord {
     pub consumed_ms: u64,
     /// Terminal error as `(kind, detail)` when `state == Failed`.
     pub error: Option<(String, String)>,
+    /// Context and line of a terminal `Parse` error.
+    pub parse_site: Option<ParseSite>,
     /// Result when `state == Done`.
     pub result: Option<JobResult>,
 }
@@ -239,7 +243,7 @@ impl JobRecord {
     /// Record format version. [`JobRecord::from_bytes`] reads this version
     /// only, so a record written by a build with another version is a
     /// typed `Checkpoint` error and `Store::scan` quarantines it.
-    pub const VERSION: u32 = 4;
+    pub const VERSION: u32 = 5;
 
     /// A fresh queued record.
     pub fn queued(id: u64, spec: JobSpec) -> Self {
@@ -250,8 +254,19 @@ impl JobRecord {
             attempt: 0,
             consumed_ms: 0,
             error: None,
+            parse_site: None,
             result: None,
         }
+    }
+
+    /// Records `e` as the terminal error in its wire form, or clears the
+    /// error with `None`.
+    pub fn set_error(&mut self, e: Option<&RdpError>) {
+        self.error = e.map(|e| {
+            let (kind, detail) = error_parts(e);
+            (kind.to_string(), detail)
+        });
+        self.parse_site = e.and_then(parse_site);
     }
 
     /// Serializes into the versioned, checksummed `RDPSNAP` format. The
@@ -268,6 +283,20 @@ impl JobRecord {
                 w.put_u64(1);
                 w.put_str(kind);
                 w.put_str(detail);
+            }
+            None => w.put_u64(0),
+        }
+        match &self.parse_site {
+            Some((context, line)) => {
+                w.put_u64(1);
+                w.put_str(context);
+                match line {
+                    Some(l) => {
+                        w.put_u64(1);
+                        w.put_u64(*l);
+                    }
+                    None => w.put_u64(0),
+                }
             }
             None => w.put_u64(0),
         }
@@ -308,6 +337,17 @@ impl JobRecord {
             0 => None,
             _ => Some((r.take_str()?, r.take_str()?)),
         };
+        let parse_site = match r.take_u64()? {
+            0 => None,
+            _ => {
+                let context = r.take_str()?;
+                let line = match r.take_u64()? {
+                    0 => None,
+                    _ => Some(r.take_u64()?),
+                };
+                Some((context, line))
+            }
+        };
         let result = match r.take_u64()? {
             0 => None,
             _ => {
@@ -345,6 +385,7 @@ impl JobRecord {
             attempt,
             consumed_ms,
             error,
+            parse_site,
             result,
         })
     }
@@ -359,10 +400,16 @@ impl JobRecord {
             self.consumed_ms
         );
         if let Some((kind, detail)) = &self.error {
+            // A parse error names its file and line, as the reader does.
+            let detail = match &self.parse_site {
+                Some((context, Some(line))) => format!("{context} line {line}: {detail}"),
+                Some((context, None)) => format!("{context}: {detail}"),
+                None => detail.clone(),
+            };
             out.push_str(&format!(
                 ",\"kind\":{},\"error\":{}",
                 jstr(kind),
-                jstr(detail)
+                jstr(&detail)
             ));
         }
         if let Some(res) = &self.result {
@@ -465,6 +512,24 @@ mod tests {
             ..rec
         };
         assert_eq!(failed, JobRecord::from_bytes(&failed.to_bytes()).unwrap());
+
+        // A parse failure, with a line and without, comes back from a
+        // stored record as the variant it was and displays the same.
+        for line in [Some(41), None] {
+            let e = RdpError::Parse {
+                context: "def".into(),
+                line,
+                message: "duplicate component `m0`".into(),
+            };
+            let mut rec = failed.clone();
+            rec.set_error(Some(&e));
+            let back = JobRecord::from_bytes(&rec.to_bytes()).unwrap();
+            assert_eq!(back, rec);
+            let (kind, detail) = back.error.clone().unwrap();
+            let typed = crate::protocol::error_from_parts(&kind, detail, back.parse_site, |_| 0);
+            assert_eq!(typed, e);
+            assert_eq!(typed.to_string(), e.to_string());
+        }
     }
 
     #[test]

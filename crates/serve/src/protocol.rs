@@ -26,7 +26,7 @@ use crate::job::JobSpec;
 /// incompatibly; `ping` reports it so clients (notably `rdp top`, which
 /// parses streaming responses) can refuse a mismatched peer with a typed
 /// error instead of a JSON parse failure.
-pub const PROTOCOL_VERSION: u64 = 4;
+pub const PROTOCOL_VERSION: u64 = 5;
 
 /// Default cap on a single frame's payload (1 MiB holds the positions of
 /// well over 30k cells; larger results stream in run-dir artifacts).
@@ -327,12 +327,13 @@ pub fn is_frame_limit(e: &RdpError) -> bool {
 
 /// An error's wire form: the stable kind label of its [`RdpError`]
 /// variant, and the variant's own detail (not its display text), so the
-/// far side's `Display` frames it exactly once. `Parse`, `NonFinite` and
-/// `Diverged` carry their whole display text, since their structured
-/// fields do not cross.
+/// far side's `Display` frames it exactly once. A `Parse` error's detail
+/// is its message; its context and line cross beside it as its
+/// [`ParseSite`]. `NonFinite` and `Diverged` carry their whole display
+/// text, since their structured fields do not cross.
 pub fn error_parts(e: &RdpError) -> (&'static str, String) {
     match e {
-        RdpError::Parse { .. } => ("parse", e.to_string()),
+        RdpError::Parse { message, .. } => ("parse", message.clone()),
         RdpError::Design { message } => ("design", message.clone()),
         RdpError::NonFinite { .. } => ("non-finite", e.to_string()),
         RdpError::Diverged { .. } => ("diverged", e.to_string()),
@@ -346,12 +347,31 @@ pub fn error_parts(e: &RdpError) -> (&'static str, String) {
     }
 }
 
+/// Where a `Parse` error failed: its context and 1-based line. It crosses
+/// the wire (`context`, `line`) and the job record beside the kind and
+/// detail, so the far side rebuilds the variant instead of wrapping its
+/// text in a new one.
+pub type ParseSite = (String, Option<u64>);
+
+/// The [`ParseSite`] of a `Parse` error; `None` for every other variant.
+pub fn parse_site(e: &RdpError) -> Option<ParseSite> {
+    match e {
+        RdpError::Parse { context, line, .. } => Some((context.clone(), line.map(|l| l as u64))),
+        _ => None,
+    }
+}
+
 /// Rebuilds a typed error from its [`error_parts`] (kind label and
-/// detail) and `num`, which looks up the numeric fields
-/// (`retry_after_ms`, `elapsed_ms`, `budget_ms`). The one kind-to-variant
-/// table: wire responses and stored job failures both come back through
-/// it.
-pub fn error_from_parts(kind: &str, detail: String, num: impl Fn(&str) -> u64) -> RdpError {
+/// detail), the [`ParseSite`] of a `Parse` error, and `num`, which looks
+/// up the numeric fields (`retry_after_ms`, `elapsed_ms`, `budget_ms`).
+/// The one kind-to-variant table: wire responses and stored job failures
+/// both come back through it.
+pub fn error_from_parts(
+    kind: &str,
+    detail: String,
+    site: Option<ParseSite>,
+    num: impl Fn(&str) -> u64,
+) -> RdpError {
     match kind {
         "busy" => RdpError::Busy {
             detail,
@@ -366,11 +386,15 @@ pub fn error_from_parts(kind: &str, detail: String, num: impl Fn(&str) -> u64) -
         "protocol" => RdpError::Protocol { detail },
         "config" => RdpError::Config { detail },
         "checkpoint" => RdpError::Checkpoint { detail },
-        "parse" => RdpError::Parse {
-            context: "serve response".into(),
-            line: None,
-            message: detail,
-        },
+        "parse" => {
+            // A peer that sent no site still yields a typed error.
+            let (context, line) = site.unwrap_or_else(|| ("serve response".into(), None));
+            RdpError::Parse {
+                context,
+                line: line.and_then(|l| usize::try_from(l).ok()),
+                message: detail,
+            }
+        }
         "design" => RdpError::Design { message: detail },
         _ => RdpError::Internal { detail },
     }
@@ -386,6 +410,12 @@ pub fn error_response(e: &RdpError) -> Vec<u8> {
     );
     if let RdpError::Busy { retry_after_ms, .. } = e {
         out.push_str(&format!(",\"retry_after_ms\":{retry_after_ms}"));
+    }
+    if let Some((context, line)) = parse_site(e) {
+        out.push_str(&format!(",\"context\":{}", crate::job::jstr(&context)));
+        if let Some(line) = line {
+            out.push_str(&format!(",\"line\":{line}"));
+        }
     }
     if let RdpError::Deadline {
         elapsed_ms,
@@ -409,6 +439,10 @@ pub fn error_from_response(v: &Value) -> RdpError {
             .and_then(Value::as_str)
             .unwrap_or("(no detail)")
             .to_string(),
+        v.get("context").and_then(Value::as_str).map(|context| {
+            let line = v.get("line").and_then(Value::as_f64).map(|l| l as u64);
+            (context.to_string(), line)
+        }),
         |key| v.get(key).and_then(Value::as_f64).unwrap_or(0.0) as u64,
     )
 }
@@ -539,6 +573,16 @@ mod tests {
                 message: "no rows".into(),
             },
             RdpError::internal("worker panicked"),
+            RdpError::Parse {
+                context: "bookshelf /missing/x".into(),
+                line: None,
+                message: "No such file or directory (os error 2)".into(),
+            },
+            RdpError::Parse {
+                context: "def".into(),
+                line: Some(41),
+                message: "duplicate component `m0`".into(),
+            },
         ];
         for e in cases {
             let bytes = error_response(&e);

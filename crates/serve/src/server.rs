@@ -24,9 +24,8 @@ use rdp_obs::json;
 
 use crate::job::{flow_config, JobRecord, JobState};
 use crate::protocol::{
-    error_from_parts, error_parts, error_response, is_frame_limit, parse_request, read_frame_opt,
-    write_frame, FrameLimits, Request, WatchParams, IO_TIMEOUT_DEFAULT_MS, MAX_FRAME_DEFAULT,
-    PROTOCOL_VERSION,
+    error_from_parts, error_response, is_frame_limit, parse_request, read_frame_opt, write_frame,
+    FrameLimits, Request, WatchParams, IO_TIMEOUT_DEFAULT_MS, MAX_FRAME_DEFAULT, PROTOCOL_VERSION,
 };
 use crate::store::{write_atomic, write_run_dir, RecoveryReport, Store};
 use crate::telemetry::{job_live_json, job_watch_json, op_name, ServiceMetrics, SERVER_VERSION};
@@ -486,7 +485,9 @@ fn handle_request(shared: &Arc<Shared>, req: Request) -> Result<String, RdpError
             match rec.state {
                 JobState::Queued => {
                     rec.state = JobState::Cancelled;
-                    rec.error = Some(("cancelled".into(), format!("job {id} cancelled while queued")));
+                    rec.set_error(Some(&RdpError::Cancelled {
+                        detail: format!("job {id} cancelled while queued"),
+                    }));
                     let rec = rec.clone();
                     shared.store.persist_record(&rec)?;
                     shared.store.remove_checkpoint(id);
@@ -583,7 +584,7 @@ fn handle_request(shared: &Arc<Shared>, req: Request) -> Result<String, RdpError
                         .unwrap_or_else(|| ("internal".into(), "no error recorded".into()));
                     // A deadline failure reports the job's whole consumed
                     // time against its budget.
-                    Err(error_from_parts(&kind, detail, |key| match key {
+                    Err(error_from_parts(&kind, detail, rec.parse_site.clone(), |key| match key {
                         "elapsed_ms" => rec.consumed_ms,
                         "budget_ms" => rec.spec.deadline_ms.unwrap_or(0),
                         _ => 0,
@@ -742,21 +743,19 @@ fn settle(shared: &Shared, rec: JobRecord, ctl: &JobControl, outcome: crate::wor
             shared.metrics.incr("completions");
             rec.state = JobState::Done;
             rec.result = Some(*result);
-            rec.error = None;
+            rec.set_error(None);
             false
         }
         Disposition::Failed(e) => {
             shared.metrics.incr("failures");
             rec.state = JobState::Failed;
-            let (kind, detail) = error_parts(&e);
-            rec.error = Some((kind.into(), detail));
+            rec.set_error(Some(&e));
             false
         }
         Disposition::Cancelled(e) => {
             shared.metrics.incr("cancellations");
             rec.state = JobState::Cancelled;
-            let (kind, detail) = error_parts(&e);
-            rec.error = Some((kind.into(), detail));
+            rec.set_error(Some(&e));
             false
         }
         Disposition::Retry(e) => {
@@ -767,7 +766,7 @@ fn settle(shared: &Shared, rec: JobRecord, ctl: &JobControl, outcome: crate::wor
             shared.metrics.incr("retries");
             rec.state = JobState::Queued;
             rec.attempt += 1;
-            rec.error = None;
+            rec.set_error(None);
             // A fresh (damped) run must not resume the diverged trajectory.
             false
         }

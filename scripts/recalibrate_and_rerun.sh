@@ -6,8 +6,11 @@
 # Run this after any change that affects placement or evaluation
 # behavior; see EXPERIMENTS.md "Calibration provenance".
 set -e
-cd /root/repo
-cargo run --release -p rdp-bench --bin calibrate > results_calibrate.txt 2>&1
+cd "$(dirname "$0")/.."
+# Build first and capture only the binary's stdout, as tables.sh does, so
+# cargo's progress lines never land in the data file.
+cargo build --release --offline -p rdp-bench --bin calibrate
+target/release/calibrate > results_calibrate.txt
 python3 - <<'PY'
 import re
 margins = {}

@@ -100,3 +100,120 @@ fn wa_bounds_hpwl() {
         }
     );
 }
+
+/// The density penalty and the gradient pass that reports it
+/// (`DensityModel::accumulate_gradient`) at the design's positions.
+fn density_penalty_and_gradient(
+    model: &rdp::core::DensityModel,
+    d: &rdp::Design,
+) -> (f64, Vec<rdp::db::Point>) {
+    let field = model.compute(d, None, None, 1.0);
+    let mut grad = vec![rdp::db::Point::default(); d.num_cells()];
+    let penalty = model.accumulate_gradient(d, &field, None, 1.0, &mut grad);
+    (penalty, grad)
+}
+
+/// A scenario design with its movable cells pulled toward a cluster at
+/// (`fx`, `fy`) of the die by the factor `pull`.
+fn clustered_scenario(name: &str, fx: f64, fy: f64, pull: f64) -> rdp::Design {
+    let mut d = rdp::gen::scenario_by_name(name)
+        .expect("scenario")
+        .build(rdp::gen::Scale::Small);
+    let die = d.die();
+    let c = rdp::db::Point::new(die.lo.x + fx * die.width(), die.lo.y + fy * die.height());
+    let movable: Vec<_> = d.movable_cells().collect();
+    for id in movable {
+        let p = d.pos(id);
+        d.set_pos(id, die.clamp_point(c + (p - c).scale(pull)));
+    }
+    d
+}
+
+/// Cases of the density descent property.
+const CASES_DENSITY_DESCENT: u32 = 48;
+
+/// The density term descends along its gradient: on every generated
+/// scenario class, with the movable cells pulled toward a cluster, a
+/// small step along the negative density gradient lowers the penalty the
+/// same gradient pass reports.
+///
+/// `−A·E` is a descent direction but not the exact gradient of that
+/// penalty (DESIGN.md §4): the penalty samples ψ bilinearly between bin
+/// centres, while `E` is the spectral derivative of ψ and the cells are
+/// binned by area overlap. Central differences of the penalty in one
+/// cell's x, measured on the same cases, differ from `−A·E` by a median
+/// relative error of about 0.4, with a few cells of opposite sign; the
+/// check below only bounds that median.
+#[test]
+fn density_penalty_descends_along_its_gradient() {
+    let classes: Vec<&str> = rdp::gen::scenario_matrix()
+        .into_iter()
+        .filter(|s| s.ordering_gated)
+        .map(|s| s.name)
+        .collect();
+    let rel_errors = std::cell::RefCell::new(Vec::new());
+    prop_check!(
+        PropConfig::cases(CASES_DENSITY_DESCENT),
+        (
+            rdp_testkit::select(classes),
+            range(0.2f64..0.8),
+            range(0.2f64..0.8),
+            range(0.15f64..0.6),
+            range(0.01f64..0.1),
+        ),
+        |(name, fx, fy, pull, step): (&str, f64, f64, f64, f64)| {
+            let mut d = clustered_scenario(name, fx, fy, pull);
+            let model = rdp::core::DensityModel::new(&d);
+            let (before, grad) = density_penalty_and_gradient(&model, &d);
+            let movable: Vec<_> = d.movable_cells().collect();
+            let gmax = movable
+                .iter()
+                .map(|&c| grad[c.index()].norm())
+                .fold(0.0, f64::max);
+            prop_assert!(gmax > 0.0, "{name}: no density gradient");
+            let bin = model.grid().bin_w().min(model.grid().bin_h());
+
+            // Central differences in x at a few cells, against −A·E.
+            let h = 1e-4 * bin;
+            for &c in movable.iter().step_by((movable.len() / 4).max(1)) {
+                let p = d.pos(c);
+                d.set_pos(c, rdp::db::Point::new(p.x + h, p.y));
+                let (plus, _) = density_penalty_and_gradient(&model, &d);
+                d.set_pos(c, rdp::db::Point::new(p.x - h, p.y));
+                let (minus, _) = density_penalty_and_gradient(&model, &d);
+                d.set_pos(c, p);
+                let fd = (plus - minus) / (2.0 * h);
+                let g = grad[c.index()].x;
+                let scale = fd.abs().max(g.abs());
+                if scale > 0.0 {
+                    rel_errors.borrow_mut().push((fd - g).abs() / scale);
+                }
+            }
+
+            // The largest move is `step` of a bin.
+            let t = step * bin / gmax;
+            for &c in &movable {
+                d.set_pos(c, d.pos(c) - grad[c.index()].scale(t));
+            }
+            let (after, _) = density_penalty_and_gradient(&model, &d);
+            prop_assert!(
+                after < before,
+                "{name}: penalty {after} after a step along −∇D, {before} before"
+            );
+            Ok(())
+        }
+    );
+    let mut rel = rel_errors.into_inner();
+    rel.sort_by(f64::total_cmp);
+    let median = rel[rel.len() / 2];
+    eprintln!(
+        "density gradient vs central differences: n={} median relative error {median:.3} p90 {:.3} max {:.3}",
+        rel.len(),
+        rel[rel.len() * 9 / 10],
+        rel[rel.len() - 1]
+    );
+    assert!(
+        median < 1.0,
+        "−A·E no longer tracks the penalty: median relative error {median}"
+    );
+}

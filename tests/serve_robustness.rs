@@ -1001,3 +1001,55 @@ fn service_session_export_is_ingestible_by_report() {
     );
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A served parse failure fetches as the error the input resolver
+/// returned, with its context and line, and its display framed once.
+#[test]
+fn served_parse_failure_fetches_as_the_original_error() {
+    let root = tmp_root("parse-error");
+    std::fs::create_dir_all(&root).unwrap();
+    // A LEF/DEF pair whose DEF has a bad integer on a known line.
+    let design = rdp::gen::generate(
+        "bad",
+        &rdp::gen::GenParams {
+            num_cells: 40,
+            ..rdp::gen::GenParams::default()
+        },
+    );
+    let files = rdp::parse::write_lefdef(&design);
+    let (lef, def) = (root.join("bad.lef"), root.join("bad.def"));
+    std::fs::write(&lef, &files.lef).unwrap();
+    std::fs::write(&def, files.def.replacen(" PLACED ( ", " PLACED ( 1x2 ", 1)).unwrap();
+    let inputs = [
+        format!("bookshelf:{}:x", root.join("missing").display()),
+        format!("lefdef:{}:{}", lef.display(), def.display()),
+    ];
+    let (server, client) = start(ServeConfig {
+        dir: root.join("store"),
+        ..ServeConfig::default()
+    });
+    for (input, line) in inputs.iter().zip([None, Some(())]) {
+        let want = rdp::serve::resolve_input(input, &rdp::obs::Collector::disabled())
+            .expect_err("input does not parse");
+        assert!(
+            matches!(&want, RdpError::Parse { line: l, .. } if l.is_some() == line.is_some()),
+            "{want:?}"
+        );
+        let id = client
+            .submit(&JobSpec {
+                input: input.clone(),
+                ..small_spec()
+            })
+            .expect("submit");
+        let got = client.wait(id, 10, 60_000).expect_err("parse failure");
+        assert_eq!(got, want);
+        assert_eq!(got.to_string(), want.to_string());
+        assert_eq!(
+            got.to_string().matches("parse error in").count(),
+            1,
+            "{got}"
+        );
+    }
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+}
