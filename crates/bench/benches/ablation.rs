@@ -7,8 +7,8 @@ use rdp_testkit::BenchHarness;
 use std::hint::black_box;
 
 use rdp_core::{
-    congestion_gradients, lambda2, CongestionField, DpaConfig, InflationBounds, InflationPolicy,
-    InflationState, NetMoveConfig, PgDensity,
+    congestion_gradients, lambda2, CongestionField, DpaConfig, HealthPolicy, InflationBounds,
+    InflationPolicy, InflationState, NetMoveConfig, PgDensity,
 };
 use rdp_gen::{generate, GenParams};
 use rdp_route::GlobalRouter;
@@ -28,7 +28,8 @@ fn ablation(c: &mut BenchHarness) {
         },
     );
     let route = GlobalRouter::default().route(&design);
-    let field = CongestionField::from_route(&design, &route);
+    let field = CongestionField::try_from_route(&design, &route, &HealthPolicy::default())
+        .expect("finite congestion field");
 
     // Inflation policies (MCI vs the two baselines).
     for (name, policy) in [

@@ -6,8 +6,8 @@ use rdp_testkit::BenchHarness;
 use std::hint::black_box;
 
 use rdp_core::{
-    congestion_gradients, CongestionField, DensityModel, GlobalPlacer, GpSession, NetMoveConfig,
-    PlacerConfig, StepExtras, WaModel, WaScratch,
+    congestion_gradients, run_flow, CongestionField, DensityModel, GpSession, HealthPolicy,
+    NetMoveConfig, PlacerConfig, PlacerPreset, RoutabilityConfig, StepExtras, WaModel, WaScratch,
 };
 use rdp_db::Point;
 use rdp_gen::{generate, GenParams};
@@ -129,7 +129,8 @@ fn kernels(c: &mut BenchHarness) {
 
     // Net-moving congestion gradients (Algorithms 1–2).
     let route = router.route(&design);
-    let field = CongestionField::from_route(&design, &route);
+    let field = CongestionField::try_from_route(&design, &route, &HealthPolicy::default())
+        .expect("finite congestion field");
     c.bench_function("netmove_gradients_2k_cells", |b| {
         b.iter(|| {
             black_box(
@@ -301,9 +302,7 @@ fn superblue14_stages(c: &mut BenchHarness) {
 
     // Detailed placement from one legalized global placement.
     let mut d = design;
-    GlobalPlacer::default()
-        .place(&mut d)
-        .expect("global placement");
+    run_flow(&mut d, &RoutabilityConfig::preset(PlacerPreset::Xplace)).expect("global placement");
     rdp_legal::legalize(&mut d, &rdp_legal::LegalizeConfig::default());
     let legal = d.positions().to_vec();
     let cfg = rdp_legal::DetailedConfig::default();

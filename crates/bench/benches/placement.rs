@@ -5,9 +5,7 @@
 use rdp_testkit::BenchHarness;
 use std::hint::black_box;
 
-use rdp_core::{
-    run_flow, GlobalPlacer, GpSession, PlacerConfig, PlacerPreset, RoutabilityConfig, StepExtras,
-};
+use rdp_core::{run_flow, GpSession, PlacerConfig, PlacerPreset, RoutabilityConfig, StepExtras};
 use rdp_drc::{evaluate, EvalConfig};
 use rdp_gen::{generate, GenParams};
 use rdp_legal::{detailed_place, legalize, DetailedConfig, LegalizeConfig};
@@ -39,19 +37,20 @@ fn placement(c: &mut BenchHarness) {
         })
     });
 
-    // Full wirelength-driven placement.
+    // Full wirelength-driven placement (the Xplace preset).
+    let xplace = RoutabilityConfig::preset(PlacerPreset::Xplace);
     c.bench_function("global_place_1k_cells", |b| {
         b.iter(|| {
             let mut design = small_design();
-            let stats = GlobalPlacer::default().place(&mut design).unwrap();
-            black_box(stats.hpwl)
+            let r = run_flow(&mut design, &xplace).unwrap();
+            black_box(r.hpwl)
         })
     });
 
     // Legalization + detailed placement of a placed design.
     c.bench_function("legalize_and_dp_1k_cells", |b| {
         let mut placed = small_design();
-        GlobalPlacer::default().place(&mut placed).unwrap();
+        run_flow(&mut placed, &xplace).unwrap();
         b.iter(|| {
             let mut d = placed.clone();
             legalize(&mut d, &LegalizeConfig::default());
@@ -71,7 +70,7 @@ fn placement(c: &mut BenchHarness) {
     // Evaluation routing + DRV proxy.
     c.bench_function("evaluate_1k_cells", |b| {
         let mut placed = small_design();
-        GlobalPlacer::default().place(&mut placed).unwrap();
+        run_flow(&mut placed, &xplace).unwrap();
         legalize(&mut placed, &LegalizeConfig::default());
         b.iter(|| black_box(evaluate(&placed, &EvalConfig::default()).drvs))
     });

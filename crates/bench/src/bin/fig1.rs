@@ -15,7 +15,7 @@
 //! cargo run --release -p rdp-bench --bin fig1
 //! ```
 
-use rdp_core::{two_pin_gradient, CongestionField, NetMoveConfig};
+use rdp_core::{two_pin_gradient, CongestionField, HealthPolicy, NetMoveConfig};
 use rdp_db::{Cell, DesignBuilder, NetId, Point, Rect, RoutingSpec};
 use rdp_route::{rudy_map, GlobalRouter};
 
@@ -65,7 +65,8 @@ fn main() {
     let design = b.build().unwrap();
 
     let route = GlobalRouter::default().route(&design);
-    let field = CongestionField::from_route(&design, &route);
+    let field = CongestionField::try_from_route(&design, &route, &HealthPolicy::default())
+        .expect("finite congestion field");
     let grid = design.gcell_grid();
 
     println!("== Fig. 1(a): congestion map (Eq. 3) ==");

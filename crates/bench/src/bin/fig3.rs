@@ -8,7 +8,7 @@
 //! cargo run --release -p rdp-bench --bin fig3
 //! ```
 
-use rdp_core::{two_pin_gradient, CongestionField, NetMoveConfig};
+use rdp_core::{two_pin_gradient, CongestionField, HealthPolicy, NetMoveConfig};
 use rdp_db::{Cell, DesignBuilder, NetId, Point, Rect, RoutingSpec};
 use rdp_route::GlobalRouter;
 
@@ -39,7 +39,8 @@ fn main() {
     let design = b.build().unwrap();
 
     let route = GlobalRouter::default().route(&design);
-    let field = CongestionField::from_route(&design, &route);
+    let field = CongestionField::try_from_route(&design, &route, &HealthPolicy::default())
+        .expect("finite congestion field");
     println!("congestion map (the red stripe):");
     println!("{}", field.cmap.ascii_heatmap(32));
 

@@ -27,43 +27,13 @@ pub struct CongestionField {
 impl CongestionField {
     /// Builds the field from a routing result on the design's G-cell grid.
     ///
-    /// # Panics
-    ///
-    /// Panics if the route result's grid differs from the design's G-cell
-    /// grid.
-    pub fn from_route(design: &Design, route: &RouteResult) -> Self {
-        let grid = design.gcell_grid();
-        assert_eq!(route.congestion.nx(), grid.nx(), "grid mismatch");
-        assert_eq!(route.congestion.ny(), grid.ny(), "grid mismatch");
-
-        let charge = route.maps.charge_density();
-        let solver = PoissonSolver::new(
-            grid.nx(),
-            grid.ny(),
-            grid.region().width(),
-            grid.region().height(),
-        );
-        let sol = solver.solve(charge.as_slice());
-        let cmap = route.congestion.clone();
-        let mean_congestion = cmap.mean();
-        CongestionField {
-            grid,
-            cmap,
-            psi: Map2d::from_vec(grid.nx(), grid.ny(), sol.psi),
-            ex: Map2d::from_vec(grid.nx(), grid.ny(), sol.ex),
-            ey: Map2d::from_vec(grid.nx(), grid.ny(), sol.ey),
-            mean_congestion,
-        }
-    }
-
-    /// Checked variant of [`CongestionField::from_route`]: grid mismatch
-    /// becomes a typed [`RdpError::Config`] instead of a panic, the
-    /// router's charge density is screened for NaN/Inf before the Poisson
-    /// solve, and the solve itself runs through
-    /// [`rdp_poisson::PoissonSolver::solve_checked`]. This is the entry
-    /// point the guarded flow uses so that a pathological routing result
-    /// (e.g. zero-capacity layers driving Eq. (3) to +∞) degrades to the
-    /// RUDY fallback rather than poisoning the placement gradients.
+    /// A grid mismatch is a typed [`RdpError::Config`], the router's
+    /// congestion map and charge density are screened for NaN/Inf before
+    /// the Poisson solve, and the solve runs through
+    /// [`rdp_poisson::PoissonSolver::solve_checked`]. A pathological
+    /// routing result (e.g. zero-capacity layers driving Eq. (3) to +∞) is
+    /// therefore an error, which the guarded flow degrades to the RUDY
+    /// fallback rather than poisoning the placement gradients.
     pub fn try_from_route(
         design: &Design,
         route: &RouteResult,
@@ -84,29 +54,16 @@ impl CongestionField {
         health.check_map(Stage::Routing, "congestion map", None, &route.congestion)?;
         let charge = route.maps.charge_density();
         health.check_slice(Stage::Routing, "charge density", None, charge.as_slice())?;
-        let solver = PoissonSolver::try_new(
-            grid.nx(),
-            grid.ny(),
-            grid.region().width(),
-            grid.region().height(),
-        )?;
-        let sol = solver.solve_checked(charge.as_slice(), health)?;
-        let cmap = route.congestion.clone();
-        let mean_congestion = cmap.mean();
-        Ok(CongestionField {
-            grid,
-            cmap,
-            psi: Map2d::from_vec(grid.nx(), grid.ny(), sol.psi),
-            ex: Map2d::from_vec(grid.nx(), grid.ny(), sol.ex),
-            ey: Map2d::from_vec(grid.nx(), grid.ny(), sol.ey),
-            mean_congestion,
-        })
+        Self::from_charge(grid, route.congestion.clone(), &charge, health)
     }
 
-    /// Checked variant of [`CongestionField::from_rudy`] with the same
-    /// sentinel screening as [`CongestionField::try_from_route`]. RUDY
-    /// clamps capacity away from zero, so this succeeds on designs whose
-    /// routed congestion is unusable — it is the degraded-mode fallback.
+    /// Builds the field from a **RUDY** estimate instead of a routed
+    /// demand map — the bounding-box congestion model the paper argues
+    /// against (Fig. 1(b)): every G-cell inside a net's box is charged
+    /// whether or not the net's wire goes there. It is the router-vs-RUDY
+    /// ablation's source ([`crate::DcSource::Rudy`]) and the guarded
+    /// flow's degraded-mode fallback: RUDY clamps capacity away from zero,
+    /// so this succeeds on designs whose routed congestion is unusable.
     ///
     /// The utilization charge is saturated at [`Self::RUDY_CHARGE_CEIL`]:
     /// a G-cell at 8× capacity is already maximally repulsive, and the
@@ -115,28 +72,6 @@ impl CongestionField {
     /// gradients — far past what the placer can follow, turning a
     /// degraded run into a divergent one.
     pub fn try_from_rudy(design: &Design, health: &HealthPolicy) -> Result<Self, RdpError> {
-        let field = Self::from_rudy_saturated(design, Self::RUDY_CHARGE_CEIL);
-        health.check_map(Stage::Routing, "RUDY congestion map", None, &field.cmap)?;
-        health.check_map(Stage::Routing, "RUDY potential", None, &field.psi)?;
-        Ok(field)
-    }
-
-    /// Saturation ceiling for the RUDY utilization charge in the guarded
-    /// fallback path (see [`CongestionField::try_from_rudy`]). Healthy
-    /// designs sit far below it, so saturation only engages on
-    /// pathological capacity (zero-capacity layers, absurd demand).
-    pub const RUDY_CHARGE_CEIL: f64 = 8.0;
-
-    /// Builds the field from a **RUDY** estimate instead of a routed
-    /// demand map — the bounding-box congestion model the paper argues
-    /// against (Fig. 1(b)): every G-cell inside a net's box is charged
-    /// whether or not the net's wire goes there. Provided for the
-    /// router-vs-RUDY ablation (`ablation_sweep`).
-    pub fn from_rudy(design: &Design) -> Self {
-        Self::from_rudy_saturated(design, f64::INFINITY)
-    }
-
-    fn from_rudy_saturated(design: &Design, charge_ceil: f64) -> Self {
         let grid = design.gcell_grid();
         let rudy = rdp_route::rudy_map(design, &grid);
         let caps = rdp_route::CapacityMaps::build(design, &rdp_route::CapacityOptions::default());
@@ -150,56 +85,65 @@ impl CongestionField {
             for ix in 0..grid.nx() {
                 let demand_tracks = rudy[(ix, iy)] * grid.bin_area() / extent;
                 let cap = caps.h[(ix, iy)] + caps.v[(ix, iy)];
-                let ratio = (demand_tracks / cap.max(1e-9)).min(charge_ceil);
+                let ratio = (demand_tracks / cap.max(1e-9)).min(Self::RUDY_CHARGE_CEIL);
                 charge[(ix, iy)] = ratio;
                 cmap[(ix, iy)] = (ratio - 1.0).max(0.0);
             }
         }
-        let solver = PoissonSolver::new(
-            grid.nx(),
-            grid.ny(),
-            grid.region().width(),
-            grid.region().height(),
-        );
-        let sol = solver.solve(charge.as_slice());
-        let mean_congestion = cmap.mean();
-        CongestionField {
-            grid,
-            cmap,
-            psi: Map2d::from_vec(grid.nx(), grid.ny(), sol.psi),
-            ex: Map2d::from_vec(grid.nx(), grid.ny(), sol.ex),
-            ey: Map2d::from_vec(grid.nx(), grid.ny(), sol.ey),
-            mean_congestion,
-        }
+        health.check_map(Stage::Routing, "RUDY congestion map", None, &cmap)?;
+        Self::from_charge(grid, cmap, &charge, health)
     }
+
+    /// Saturation ceiling for the RUDY utilization charge (see
+    /// [`CongestionField::try_from_rudy`]). Healthy designs sit far below
+    /// it, so saturation only engages on pathological capacity
+    /// (zero-capacity layers, absurd demand).
+    pub const RUDY_CHARGE_CEIL: f64 = 8.0;
 
     /// Builds a field from an explicit congestion map with the potential
     /// solved from that map directly (testing and what-if analyses; the
-    /// production path is [`CongestionField::from_route`]).
+    /// production path is [`CongestionField::try_from_route`]).
     ///
     /// # Panics
     ///
-    /// Panics if `cmap` does not match the design's G-cell grid.
+    /// Panics if `cmap` does not match the design's G-cell grid or holds
+    /// a non-finite value.
     pub fn synthetic(design: &Design, cmap: Map2d<f64>) -> Self {
         let grid = design.gcell_grid();
         assert_eq!(cmap.nx(), grid.nx());
         assert_eq!(cmap.ny(), grid.ny());
-        let solver = PoissonSolver::new(
+        let charge = cmap.clone();
+        Self::from_charge(grid, cmap, &charge, &HealthPolicy::default())
+            .expect("synthetic congestion map must be finite")
+    }
+
+    /// Solves Poisson's equation on the G-cell grid with `charge` as the
+    /// charge density — through [`PoissonSolver::try_new`] and
+    /// [`PoissonSolver::solve_checked`], so a degenerate grid or a
+    /// non-finite ψ/E is a typed error — and packs the field around the
+    /// Eq. (3) map `cmap`.
+    fn from_charge(
+        grid: GridSpec,
+        cmap: Map2d<f64>,
+        charge: &Map2d<f64>,
+        health: &HealthPolicy,
+    ) -> Result<Self, RdpError> {
+        let solver = PoissonSolver::try_new(
             grid.nx(),
             grid.ny(),
             grid.region().width(),
             grid.region().height(),
-        );
-        let sol = solver.solve(cmap.as_slice());
+        )?;
+        let sol = solver.solve_checked(charge.as_slice(), health)?;
         let mean_congestion = cmap.mean();
-        CongestionField {
+        Ok(CongestionField {
             grid,
             cmap,
             psi: Map2d::from_vec(grid.nx(), grid.ny(), sol.psi),
             ex: Map2d::from_vec(grid.nx(), grid.ny(), sol.ex),
             ey: Map2d::from_vec(grid.nx(), grid.ny(), sol.ey),
             mean_congestion,
-        }
+        })
     }
 
     /// The G-cell grid.
@@ -259,7 +203,7 @@ mod tests {
         b.routing(RoutingSpec::uniform(4, 2.0, 16, 16));
         let d = b.build().unwrap();
         let route = GlobalRouter::default().route(&d);
-        let field = CongestionField::from_route(&d, &route);
+        let field = CongestionField::try_from_route(&d, &route, &HealthPolicy::default()).unwrap();
 
         assert!(field.congestion_at(Point::new(32.0, 31.0)) > 0.0);
         assert!(field.congested_gcells() > 0);
@@ -284,7 +228,7 @@ mod tests {
         b.routing(RoutingSpec::uniform(4, 2.0, 16, 16));
         let d = b.build().unwrap();
 
-        let rudy_field = CongestionField::from_rudy(&d);
+        let rudy_field = CongestionField::try_from_rudy(&d, &HealthPolicy::default()).unwrap();
         // RUDY deposits density over the whole box, including the
         // anti-diagonal corners.
         let corner = rdp_db::Point::new(6.0, 58.0);

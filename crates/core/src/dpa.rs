@@ -170,6 +170,7 @@ fn cut_rail(rail: &PgRail, boxes: &[Rect]) -> Vec<PgRail> {
 mod tests {
     use super::*;
     use rdp_db::{Cell, DesignBuilder, Point, RoutingSpec};
+    use rdp_guard::HealthPolicy;
 
     /// 100×100 die, one macro in the center, vertical rails every 10 µm.
     fn rail_design() -> Design {
@@ -247,7 +248,8 @@ mod tests {
         let pg = PgDensity::new(&d, &grid, &DpaConfig::default());
         // Synthetic congestion field: congested stripe in bins iy ∈ {4}.
         let route = rdp_route::GlobalRouter::default().route(&d);
-        let mut field = CongestionField::from_route(&d, &route);
+        let mut field =
+            CongestionField::try_from_route(&d, &route, &HealthPolicy::default()).unwrap();
         field.cmap.clear();
         for ix in 0..16 {
             field.cmap[(ix, 4)] = 1.0;

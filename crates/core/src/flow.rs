@@ -32,7 +32,7 @@
 use std::time::Instant;
 
 use rdp_db::{Design, Point};
-use rdp_guard::{fnv1a64, RdpError, SnapshotReader, SnapshotWriter, Stage, Warning};
+use rdp_guard::{fnv1a64, HealthPolicy, RdpError, SnapshotReader, SnapshotWriter, Stage, Warning};
 use rdp_obs::Collector;
 use rdp_route::{GlobalRouter, RouterConfig};
 
@@ -40,8 +40,6 @@ use crate::congestion::CongestionField;
 use crate::dpa::{DpaConfig, PgDensity};
 use crate::inflate::{InflationBounds, InflationPolicy, InflationSnapshot, InflationState};
 use crate::netmove::{congestion_gradients, lambda2, NetMoveConfig};
-#[allow(unused_imports)]
-use crate::placer::GlobalPlacer;
 use crate::placer::{GpSession, GpSnapshot, PlacerConfig, StepExtras};
 
 /// Which congestion model feeds the differentiable congestion field.
@@ -569,27 +567,133 @@ impl FlowCheckpoint {
     }
 }
 
-/// Records a degraded-mode warning in the report **and** mirrors it into
-/// the trace as a `guard_warning` instant at emission time (satisfying the
-/// report/trace parity contract — see `tests/obs_integration.rs`).
-fn note_warning(obs: &Collector, warnings: &mut Vec<Warning>, w: Warning) {
-    obs.instant("guard_warning", w.iteration as i64, w.to_string());
-    obs.counter_add("guard_warnings", 1);
-    warnings.push(w);
+/// Where the flow steps its GP session.
+#[derive(Debug, Clone, Copy)]
+enum Burst {
+    /// Phase 1, problem (2): up to `max_iters` steps, stopping after
+    /// step 20 once the density overflow is below `stop_overflow`.
+    Wirelength {
+        max_iters: usize,
+        stop_overflow: f64,
+    },
+    /// Routability iteration `t`, problem (5): `steps` steps.
+    Routability { t: usize, steps: usize },
 }
 
-/// Consumes `fault` if it is a [`FlowFault::NanReference`] aimed at this
-/// exact (routability iteration, GP step) pair.
-fn take_fault(fault: &mut Option<FlowFault>, route_iter: usize, gp_iter: usize) -> bool {
-    match *fault {
-        Some(FlowFault::NanReference {
-            route_iter: rt,
-            gp_iter: gi,
-        }) if rt == route_iter && gi == gp_iter => {
-            *fault = None;
-            true
+/// The flow's degraded-mode record — the warnings and rollbacks that the
+/// report and every checkpoint carry — with the health policy, the
+/// injected fault still to fire, and the trace each event is mirrored to.
+struct Guard {
+    health: HealthPolicy,
+    obs: Collector,
+    fault: Option<FlowFault>,
+    warnings: Vec<Warning>,
+    rollbacks: usize,
+}
+
+impl Guard {
+    /// Records a degraded-mode warning in the report **and** mirrors it
+    /// into the trace as a `guard_warning` instant at emission time
+    /// (satisfying the report/trace parity contract — see
+    /// `tests/obs_integration.rs`).
+    fn warn(&mut self, w: Warning) {
+        self.obs
+            .instant("guard_warning", w.iteration as i64, w.to_string());
+        self.obs.counter_add("guard_warnings", 1);
+        self.warnings.push(w);
+    }
+
+    /// Consumes the injected fault if it is exactly `f` (each fault fires
+    /// at most once).
+    fn take_fault(&mut self, f: FlowFault) -> bool {
+        let hit = self.fault == Some(f);
+        if hit {
+            self.fault = None;
         }
-        _ => false,
+        hit
+    }
+
+    /// Runs one guarded burst of GP steps and returns how many steps it
+    /// accepted and the γ of the last one (NaN when it accepted none).
+    ///
+    /// A step that trips a health sentinel or blows the density overflow
+    /// up is rolled back to the last good optimizer state, the session is
+    /// re-tuned (γ boosted, λ₁ damped) and the step is retried. Each
+    /// rollback is counted, traced as a `rollback` instant and noted as a
+    /// warning; once `max_rollbacks` are spent the burst fails with
+    /// [`RdpError::Diverged`]. An injected [`FlowFault::NanReference`]
+    /// fires here.
+    fn burst(
+        &mut self,
+        burst: Burst,
+        session: &mut GpSession,
+        design: &mut Design,
+        extras: &StepExtras<'_>,
+    ) -> Result<(usize, f64), RdpError> {
+        let (stage, route_iter, max_steps) = match burst {
+            Burst::Wirelength { max_iters, .. } => (Stage::WirelengthGp, 0, max_iters),
+            Burst::Routability { t, steps } => (Stage::Routability, t, steps),
+        };
+        // Rollback target: the last optimizer state that passed the health
+        // checks, re-captured into the same buffer after every accepted
+        // step.
+        let mut good = session.save_state();
+        let mut k = 0usize;
+        let mut last_gamma = f64::NAN;
+        while k < max_steps {
+            let fault = FlowFault::NanReference {
+                route_iter,
+                gp_iter: k,
+            };
+            if self.take_fault(fault) {
+                session.inject_nan_reference();
+            }
+            match session.step(design, extras) {
+                Ok(report) if !self.health.is_blowup(good.last_overflow, report.overflow) => {
+                    last_gamma = report.gamma;
+                    session.save_state_into(&mut good);
+                    let stop = matches!(burst, Burst::Wirelength { stop_overflow, .. }
+                        if k >= 20 && report.overflow < stop_overflow);
+                    k += 1;
+                    if stop {
+                        break;
+                    }
+                }
+                outcome => {
+                    let detail = match outcome {
+                        Err(e) => e.to_string(),
+                        Ok(r) => format!("density overflow blew up to {:.3e}", r.overflow),
+                    };
+                    // `Diverged` names the step in the wirelength phase and
+                    // the routability iteration in a burst; the two phases
+                    // also label the step differently in their messages.
+                    let (iteration, traced, noted) = match burst {
+                        Burst::Wirelength { .. } => (k, "wirelength GP step", "step"),
+                        Burst::Routability { t, .. } => (t, "GP step", "GP step"),
+                    };
+                    if self.rollbacks >= self.health.max_rollbacks {
+                        return Err(RdpError::Diverged {
+                            stage,
+                            iteration,
+                            rollbacks: self.rollbacks,
+                            detail,
+                        });
+                    }
+                    session.restore_state(design, &good)?;
+                    session.retune_after_rollback();
+                    self.rollbacks += 1;
+                    let at = route_iter as i64;
+                    self.obs
+                        .instant("rollback", at, format!("{traced} {k}: {detail}"));
+                    self.obs.counter_add("rollbacks", 1);
+                    let boost = session.gamma_boost();
+                    let message =
+                        format!("{noted} {k} rolled back ({detail}); γ ×{boost:.2}, λ₁ damped");
+                    self.warn(Warning::new(stage, route_iter, message));
+                }
+            }
+        }
+        Ok((k, last_gamma))
     }
 }
 
@@ -620,25 +724,25 @@ pub fn run_flow_with(
         cp.check_config(config)?;
     }
     let resumed_from = resume.as_ref().map(|cp| cp.next_route_iter);
-    let mut fault = ctrl.fault;
     let obs = ctrl.obs.clone();
-    let mut warnings: Vec<Warning> = Vec::new();
-    let mut rollbacks = 0usize;
+    let mut guard = Guard {
+        health,
+        obs: obs.clone(),
+        fault: ctrl.fault,
+        warnings: Vec::new(),
+        rollbacks: 0,
+    };
 
     // Degraded mode: a design with no movable cells (all-fixed netlists
     // and similar adversarial inputs) has nothing to optimize. Report the
     // placement as-is with a warning instead of diverging or panicking on
     // the empty optimizer state.
     if design.movable_cells().next().is_none() {
-        note_warning(
-            &obs,
-            &mut warnings,
-            Warning::new(
-                Stage::WirelengthGp,
-                0,
-                "no movable cells; skipping placement (degraded mode)",
-            ),
-        );
+        guard.warn(Warning::new(
+            Stage::WirelengthGp,
+            0,
+            "no movable cells; skipping placement (degraded mode)",
+        ));
         if obs.is_enabled() {
             obs.gauge_set("final_hpwl", design.hpwl());
             obs.gauge_set("final_density_overflow", 0.0);
@@ -651,7 +755,7 @@ pub fn run_flow_with(
             density_overflow: 0.0,
             log: Vec::new(),
             inflation_ratios: None,
-            warnings,
+            warnings: guard.warnings,
             rollbacks: 0,
             resumed_from,
         });
@@ -687,11 +791,8 @@ pub fn run_flow_with(
                 Ok(p) => Some(p),
                 Err(e) => {
                     if resume.is_none() {
-                        note_warning(
-                            &obs,
-                            &mut warnings,
-                            Warning::new(Stage::Dpa, 0, format!("{e}; skipping the D^PG addend")),
-                        );
+                        let msg = format!("{e}; skipping the D^PG addend");
+                        guard.warn(Warning::new(Stage::Dpa, 0, msg));
                     }
                     None
                 }
@@ -709,15 +810,12 @@ pub fn run_flow_with(
         cfg.inflation,
         InflationBounds::default(),
     );
-    let mut gp_iterations = 0usize;
+    let gp_iterations;
     let mut log: Vec<RouteIterLog> = Vec::new();
     let mut best_penalty = f64::INFINITY;
     let mut stale = 0usize;
     let mut route_iterations = 0usize;
     let mut best_positions: Option<(f64, Vec<Point>)> = None;
-    // Rollback target: the last optimizer state that passed the health
-    // checks. Re-captured after every successful step (allocation-free).
-    let mut good = GpSnapshot::default();
     let start_iter;
 
     let mut session = match resume {
@@ -739,8 +837,8 @@ pub fn run_flow_with(
             stale = cp.stale;
             best_positions = cp.best;
             route_iterations = cp.next_route_iter.saturating_sub(1);
-            warnings = cp.warnings;
-            rollbacks = cp.rollbacks;
+            guard.warnings = cp.warnings;
+            guard.rollbacks = cp.rollbacks;
             start_iter = cp.next_route_iter;
             session
         }
@@ -749,58 +847,15 @@ pub fn run_flow_with(
             let _wl_span = obs.span("wirelength_gp", "flow");
             let mut session = GpSession::new(design, cfg.gp.clone());
             session.set_obs(obs.clone());
-            session.save_state_into(&mut good);
-            let mut i = 0usize;
-            while i < cfg.gp.max_iters {
-                if take_fault(&mut fault, 0, i) {
-                    session.inject_nan_reference();
-                }
-                let extras = StepExtras {
-                    extra_density: static_pg.as_ref(),
-                    ..Default::default()
-                };
-                match session.step(design, &extras) {
-                    Ok(report) if !health.is_blowup(good.last_overflow, report.overflow) => {
-                        gp_iterations = i + 1;
-                        session.save_state_into(&mut good);
-                        if i >= 20 && report.overflow < cfg.gp.stop_overflow {
-                            break;
-                        }
-                        i += 1;
-                    }
-                    outcome => {
-                        let detail = match outcome {
-                            Err(e) => e.to_string(),
-                            Ok(r) => format!("density overflow blew up to {:.3e}", r.overflow),
-                        };
-                        if rollbacks >= health.max_rollbacks {
-                            return Err(RdpError::Diverged {
-                                stage: Stage::WirelengthGp,
-                                iteration: i,
-                                rollbacks,
-                                detail,
-                            });
-                        }
-                        session.restore_state(design, &good)?;
-                        session.retune_after_rollback();
-                        rollbacks += 1;
-                        obs.instant("rollback", 0, format!("wirelength GP step {i}: {detail}"));
-                        obs.counter_add("rollbacks", 1);
-                        note_warning(
-                            &obs,
-                            &mut warnings,
-                            Warning::new(
-                                Stage::WirelengthGp,
-                                0,
-                                format!(
-                                    "step {i} rolled back ({detail}); γ ×{:.2}, λ₁ damped",
-                                    session.gamma_boost()
-                                ),
-                            ),
-                        );
-                    }
-                }
-            }
+            let extras = StepExtras {
+                extra_density: static_pg.as_ref(),
+                ..Default::default()
+            };
+            let burst = Burst::Wirelength {
+                max_iters: cfg.gp.max_iters,
+                stop_overflow: cfg.gp.stop_overflow,
+            };
+            (gp_iterations, _) = guard.burst(burst, &mut session, design, &extras)?;
             start_iter = 1;
             session
         }
@@ -848,8 +903,8 @@ pub fn run_flow_with(
                 stale,
                 best: best_positions.clone(),
                 log: log.clone(),
-                warnings: warnings.clone(),
-                rollbacks,
+                warnings: guard.warnings.clone(),
+                rollbacks: guard.rollbacks,
             };
             cb(&cp);
         }
@@ -875,7 +930,7 @@ pub fn run_flow_with(
                             // back to the RUDY estimate, which clamps capacity.
                             let msg =
                                 format!("router congestion unusable ({e}); falling back to RUDY");
-                            note_warning(&obs, &mut warnings, Warning::new(Stage::Routing, t, msg));
+                            guard.warn(Warning::new(Stage::Routing, t, msg));
                             CongestionField::try_from_rudy(design, &health)?
                         }
                     }
@@ -933,15 +988,8 @@ pub fn run_flow_with(
                     match health.check_map(Stage::Dpa, "dynamic PG density", Some(t), &m) {
                         Ok(()) => Some(m),
                         Err(e) => {
-                            note_warning(
-                                &obs,
-                                &mut warnings,
-                                Warning::new(
-                                    Stage::Dpa,
-                                    t,
-                                    format!("{e}; skipping the D^PG addend this iteration"),
-                                ),
-                            );
+                            let msg = format!("{e}; skipping the D^PG addend this iteration");
+                            guard.warn(Warning::new(Stage::Dpa, t, msg));
                             None
                         }
                     }
@@ -957,24 +1005,15 @@ pub fn run_flow_with(
         let (cgrad, l2, c_penalty, virtual_cells) = if cfg.enable_dc {
             let _nm_span = obs.span_iter("netmove", "flow", t as i64);
             let mut g = congestion_gradients(design, &field, &cfg.netmove);
-            if matches!(fault, Some(FlowFault::NanCongestionGrad { route_iter }) if route_iter == t)
-            {
-                fault = None;
+            if guard.take_fault(FlowFault::NanCongestionGrad { route_iter: t }) {
                 if let Some(p) = g.grad.first_mut() {
                     p.x = f64::NAN;
                 }
             }
             match health.check_points(Stage::NetMoving, "congestion gradient", Some(t), &g.grad) {
                 Err(e) => {
-                    note_warning(
-                        &obs,
-                        &mut warnings,
-                        Warning::new(
-                            Stage::NetMoving,
-                            t,
-                            format!("{e}; skipping net moving this iteration"),
-                        ),
-                    );
+                    let msg = format!("{e}; skipping net moving this iteration");
+                    guard.warn(Warning::new(Stage::NetMoving, t, msg));
                     (None, 0.0, 0.0, 0)
                 }
                 Ok(()) => {
@@ -990,15 +1029,9 @@ pub fn run_flow_with(
                         let vc = g.virtual_cells;
                         (Some(g), l2, pen, vc)
                     } else {
-                        note_warning(
-                            &obs,
-                            &mut warnings,
-                            Warning::new(
-                                Stage::NetMoving,
-                                t,
-                                format!("λ₂ evaluated to {l2}; skipping net moving this iteration"),
-                            ),
-                        );
+                        let msg =
+                            format!("λ₂ evaluated to {l2}; skipping net moving this iteration");
+                        guard.warn(Warning::new(Stage::NetMoving, t, msg));
                         (None, 0.0, 0.0, 0)
                     }
                 }
@@ -1011,65 +1044,17 @@ pub fn run_flow_with(
         // the density weight so wirelength stays in the objective.
         let burst_span = obs.span_iter("gp_burst", "gp", t as i64);
         session.restart_momentum();
-        {
-            let extras = StepExtras {
-                inflation: ratios,
-                extra_density: pg_map.as_ref(),
-                congestion_grad: cgrad.as_ref().map(|g| (g.grad.as_slice(), l2)),
-            };
-            session.rebalance_lambda1(design, &extras, cfg.lambda1_rebalance)?;
-        }
-        session.save_state_into(&mut good);
-        let mut k = 0usize;
-        let mut last_gamma = f64::NAN;
-        while k < cfg.gp_iters_per_route {
-            if take_fault(&mut fault, t, k) {
-                session.inject_nan_reference();
-            }
-            let extras = StepExtras {
-                inflation: ratios,
-                extra_density: pg_map.as_ref(),
-                congestion_grad: cgrad.as_ref().map(|g| (g.grad.as_slice(), l2)),
-            };
-            match session.step(design, &extras) {
-                Ok(report) if !health.is_blowup(good.last_overflow, report.overflow) => {
-                    last_gamma = report.gamma;
-                    session.save_state_into(&mut good);
-                    k += 1;
-                }
-                outcome => {
-                    let detail = match outcome {
-                        Err(e) => e.to_string(),
-                        Ok(r) => format!("density overflow blew up to {:.3e}", r.overflow),
-                    };
-                    if rollbacks >= health.max_rollbacks {
-                        return Err(RdpError::Diverged {
-                            stage: Stage::Routability,
-                            iteration: t,
-                            rollbacks,
-                            detail,
-                        });
-                    }
-                    session.restore_state(design, &good)?;
-                    session.retune_after_rollback();
-                    rollbacks += 1;
-                    obs.instant("rollback", t as i64, format!("GP step {k}: {detail}"));
-                    obs.counter_add("rollbacks", 1);
-                    note_warning(
-                        &obs,
-                        &mut warnings,
-                        Warning::new(
-                            Stage::Routability,
-                            t,
-                            format!(
-                                "GP step {k} rolled back ({detail}); γ ×{:.2}, λ₁ damped",
-                                session.gamma_boost()
-                            ),
-                        ),
-                    );
-                }
-            }
-        }
+        let extras = StepExtras {
+            inflation: ratios,
+            extra_density: pg_map.as_ref(),
+            congestion_grad: cgrad.as_ref().map(|g| (g.grad.as_slice(), l2)),
+        };
+        session.rebalance_lambda1(design, &extras, cfg.lambda1_rebalance)?;
+        let burst = Burst::Routability {
+            t,
+            steps: cfg.gp_iters_per_route,
+        };
+        let (_, last_gamma) = guard.burst(burst, &mut session, design, &extras)?;
         drop(burst_span);
 
         route_iterations = t;
@@ -1161,8 +1146,8 @@ pub fn run_flow_with(
         density_overflow: session.overflow(),
         log,
         inflation_ratios,
-        warnings,
-        rollbacks,
+        warnings: guard.warnings,
+        rollbacks: guard.rollbacks,
         resumed_from,
     })
 }

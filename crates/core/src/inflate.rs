@@ -240,6 +240,7 @@ impl InflationState {
 mod tests {
     use super::*;
     use rdp_db::{Cell, CellId, DesignBuilder, Point, Rect, RoutingSpec};
+    use rdp_guard::HealthPolicy;
     use rdp_route::GlobalRouter;
 
     /// Builds a design whose left half is congested and returns it with
@@ -266,7 +267,7 @@ mod tests {
         b.routing(RoutingSpec::uniform(4, 1.5, 16, 16));
         let d = b.build().unwrap();
         let route = GlobalRouter::default().route(&d);
-        let f = CongestionField::from_route(&d, &route);
+        let f = CongestionField::try_from_route(&d, &route, &HealthPolicy::default()).unwrap();
         (d, f)
     }
 

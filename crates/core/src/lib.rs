@@ -7,8 +7,8 @@
 //! * [`WaModel`] — the weighted-average wirelength surrogate (Section II-A),
 //! * [`DensityModel`] — ePlace electrostatic density on the bin grid,
 //! * [`NesterovSolver`] — the accelerated first-order solver,
-//! * [`GpSession`] / [`GlobalPlacer`] — the placement engine and the plain
-//!   wirelength-driven placer (problem (2), the "Xplace" baseline),
+//! * [`GpSession`] — the placement engine; one session runs both phases
+//!   of the flow,
 //! * [`CongestionField`] — the differentiable congestion function from
 //!   Poisson's equation over `Dmd/Cap` (Section II-B),
 //! * [`congestion_gradients`] — virtual-cell net moving and multi-pin cell
@@ -18,7 +18,8 @@
 //! * [`PgDensity`] — dynamic pin-accessibility density around PG rails
 //!   (Eqs. (13)–(15), Fig. 4),
 //! * [`run_flow`] — the complete Fig. 2 flow with the Table I presets
-//!   ([`PlacerPreset`]).
+//!   ([`PlacerPreset`]); the plain wirelength-driven placer (problem (2),
+//!   the "Xplace" baseline) is `run_flow` with [`PlacerPreset::Xplace`].
 //!
 //! ```no_run
 //! use rdp_core::{run_flow, PlacerPreset, RoutabilityConfig};
@@ -62,8 +63,6 @@ pub use netmove::{
     congestion_gradients, lambda2, two_pin_gradient, CongestionGradients, NetMoveConfig,
     VirtualCellInfo,
 };
-pub use placer::{
-    GlobalPlacer, GpSession, GpSnapshot, PlaceStats, PlacerConfig, StepExtras, StepReport,
-};
+pub use placer::{GpSession, GpSnapshot, PlacerConfig, StepExtras, StepReport};
 pub use rdp_guard::{HealthPolicy, RdpError, Stage, Warning};
 pub use wirelength::{WaModel, WaScratch};

@@ -261,6 +261,7 @@ pub fn lambda2(design: &Design, field: &CongestionField, cgrad: &CongestionGradi
 mod tests {
     use super::*;
     use rdp_db::{Cell, DesignBuilder, Rect, RoutingSpec};
+    use rdp_guard::HealthPolicy;
     use rdp_route::GlobalRouter;
 
     /// A design with a congested horizontal stripe in the middle and one
@@ -293,7 +294,7 @@ mod tests {
 
     fn field_of(d: &Design) -> CongestionField {
         let route = GlobalRouter::default().route(d);
-        CongestionField::from_route(d, &route)
+        CongestionField::try_from_route(d, &route, &HealthPolicy::default()).unwrap()
     }
 
     #[test]
@@ -537,7 +538,7 @@ mod tests {
             },
         );
         let route = GlobalRouter::default().route(&g);
-        let cf = CongestionField::from_route(&g, &route);
+        let cf = CongestionField::try_from_route(&g, &route, &HealthPolicy::default()).unwrap();
         let cg = congestion_gradients(&g, &cf, &NetMoveConfig::default());
         for (i, _) in g.cells().iter().enumerate().filter(|(_, c)| c.fixed) {
             assert_eq!(cg.grad[i], Point::default());

@@ -4,9 +4,9 @@
 //! WA wirelength term, the electro-density term, and (optionally) the
 //! paper's routability extras — inflated areas, the DPA density addend,
 //! and the net-moving congestion gradient with its λ₂ weight. The plain
-//! wirelength-driven placer ([`GlobalPlacer`], the "Xplace" baseline of
-//! Table I) is a session run with no extras until the density overflow
-//! target is reached.
+//! wirelength-driven placer (the "Xplace" baseline of Table I) is
+//! [`crate::run_flow`] with [`crate::PlacerPreset::Xplace`]: a session run
+//! with no extras until the density overflow target is reached.
 
 use rdp_db::{CellId, Design, Map2d, Point};
 use rdp_guard::{HealthPolicy, RdpError, Stage};
@@ -133,10 +133,8 @@ impl GpSession {
     pub fn new(design: &mut Design, cfg: PlacerConfig) -> Self {
         let model = DensityModel::new(design);
         let movable: Vec<CellId> = design.movable_cells().collect();
-        let grid = model.grid();
-        let base_gamma = cfg.gamma_factor * 0.5 * (grid.bin_w() + grid.bin_h());
-
         if cfg.center_init {
+            let grid = model.grid();
             let c = design.die().center();
             let amp = 1.0 * (grid.bin_w() + grid.bin_h());
             for (k, &id) in movable.iter().enumerate() {
@@ -147,45 +145,18 @@ impl GpSession {
                 design.set_pos(id, design.die().clamp_point(c.offset(jx, jy)));
             }
         }
+        let mut session = GpSession::assemble(design, cfg, model, movable);
 
         // Initial λ₁ = ‖∇WA‖₁ / ‖∇D‖₁ (ePlace). The first gradient binds
         // the session's WA scratch (and its flat netlist view) to the
         // design; every later step reuses it.
-        let field = model.compute(design, None, None, cfg.target_density);
-        let mut gw = vec![Point::default(); design.num_cells()];
-        let mut wa_scratch = WaScratch::new();
-        WaModel::new(base_gamma * gamma_scale(field.overflow)).accumulate_gradient_with(
-            design,
-            &mut gw,
-            Pool::global(),
-            &mut wa_scratch,
-        );
-        let mut gd = vec![Point::default(); design.num_cells()];
-        model.accumulate_gradient(design, &field, None, 1.0, &mut gd);
-        let l1_w: f64 = movable.iter().map(|&c| l1(gw[c.index()])).sum();
-        let l1_d: f64 = movable.iter().map(|&c| l1(gd[c.index()])).sum();
-        let lambda1 = if l1_d > 1e-12 { l1_w / l1_d } else { 1.0 };
-
-        let init: Vec<Point> = movable.iter().map(|&c| design.pos(c)).collect();
-        let first_step = grid.bin_w().min(grid.bin_h());
-        let last_overflow = field.overflow;
-
-        let num_cells = design.num_cells();
-        GpSession {
-            cfg,
-            model,
-            movable,
-            solver: NesterovSolver::new(init, first_step),
-            lambda1,
-            base_gamma,
-            gamma_boost: 1.0,
-            last_overflow,
-            steps_done: 0,
-            stage: Stage::WirelengthGp,
-            full_grad: vec![Point::default(); num_cells],
-            wa_scratch,
-            obs: Collector::disabled(),
-        }
+        let field = session
+            .model
+            .compute(design, None, None, session.cfg.target_density);
+        session.last_overflow = field.overflow;
+        let (l1_w, l1_d) = session.gradient_l1_norms(design, &field, None);
+        session.lambda1 = if l1_d > 1e-12 { l1_w / l1_d } else { 1.0 };
+        session
     }
 
     /// Rebuilds a session around the design's **current** positions with
@@ -200,35 +171,40 @@ impl GpSession {
     ) -> Result<Self, RdpError> {
         let model = DensityModel::new(design);
         let movable: Vec<CellId> = design.movable_cells().collect();
-        if snap.positions.len() != movable.len() {
-            return Err(RdpError::checkpoint(format!(
-                "session snapshot has {} movable positions, design has {}",
-                snap.positions.len(),
-                movable.len()
-            )));
-        }
+        let mut session = GpSession::assemble(design, cfg, model, movable);
+        session.restore_state(design, snap)?;
+        Ok(session)
+    }
+
+    /// The construction [`GpSession::new`] and [`GpSession::resume`]
+    /// share: the base γ and first step from the bin grid, and a Nesterov
+    /// solver started at the movable cells' current positions. The
+    /// optimizer scalars are a fresh session's; the callers set them.
+    fn assemble(
+        design: &Design,
+        cfg: PlacerConfig,
+        model: DensityModel,
+        movable: Vec<CellId>,
+    ) -> Self {
         let grid = model.grid();
         let base_gamma = cfg.gamma_factor * 0.5 * (grid.bin_w() + grid.bin_h());
-        for (k, &id) in movable.iter().enumerate() {
-            design.set_pos(id, snap.positions[k]);
-        }
         let first_step = grid.bin_w().min(grid.bin_h());
-        let num_cells = design.num_cells();
-        Ok(GpSession {
+        let init: Vec<Point> = movable.iter().map(|&c| design.pos(c)).collect();
+        GpSession {
             cfg,
             model,
             movable,
-            solver: NesterovSolver::new(snap.positions.clone(), first_step),
-            lambda1: snap.lambda1,
+            solver: NesterovSolver::new(init, first_step),
+            lambda1: 1.0,
             base_gamma,
-            gamma_boost: snap.gamma_boost,
-            last_overflow: snap.last_overflow,
-            steps_done: snap.steps_done,
+            gamma_boost: 1.0,
+            last_overflow: 0.0,
+            steps_done: 0,
             stage: Stage::WirelengthGp,
-            full_grad: vec![Point::default(); num_cells],
+            full_grad: vec![Point::default(); design.num_cells()],
             wa_scratch: WaScratch::new(),
             obs: Collector::disabled(),
-        })
+        }
     }
 
     /// Attaches an observability collector to the session (and its density
@@ -269,7 +245,7 @@ impl GpSession {
     ) -> Result<(), RdpError> {
         if snap.positions.len() != self.movable.len() {
             return Err(RdpError::checkpoint(format!(
-                "session snapshot has {} movable positions, session has {}",
+                "session snapshot has {} movable positions, design has {}",
                 snap.positions.len(),
                 self.movable.len()
             )));
@@ -349,25 +325,13 @@ impl GpSession {
         extras: &StepExtras<'_>,
         factor: f64,
     ) -> Result<(), RdpError> {
-        let gamma = self.gamma_boost * self.base_gamma * gamma_scale(self.last_overflow);
         let field = self.model.compute(
             design,
             extras.inflation,
             extras.extra_density,
             self.cfg.target_density,
         );
-        let mut gw = vec![Point::default(); design.num_cells()];
-        WaModel::new(gamma).accumulate_gradient_with(
-            design,
-            &mut gw,
-            Pool::global(),
-            &mut self.wa_scratch,
-        );
-        let mut gd = vec![Point::default(); design.num_cells()];
-        self.model
-            .accumulate_gradient(design, &field, extras.inflation, 1.0, &mut gd);
-        let l1_w: f64 = self.movable.iter().map(|&c| l1(gw[c.index()])).sum();
-        let l1_d: f64 = self.movable.iter().map(|&c| l1(gd[c.index()])).sum();
+        let (l1_w, l1_d) = self.gradient_l1_norms(design, &field, extras.inflation);
         let it = Some(self.steps_done as usize);
         let health = &self.cfg.health;
         health.check_scalar(self.stage, "wirelength gradient norm", it, l1_w)?;
@@ -376,6 +340,41 @@ impl GpSession {
             self.lambda1 = factor * l1_w / l1_d;
         }
         Ok(())
+    }
+
+    /// ‖∇WA‖₁ and ‖∇D‖₁ over the movable cells at the current positions,
+    /// the ratio λ₁ is set from: the WA gradient at the session's current
+    /// γ, and the density gradient of `field` at unit weight.
+    ///
+    /// ‖∇D‖₁ is ‖A·E‖₁, the norm of the descent direction the step
+    /// follows, not of the exact gradient of the penalty D: ψ is sampled
+    /// bilinearly while E is its spectral derivative, and cells are
+    /// binned by area overlap (DESIGN.md §4).
+    fn gradient_l1_norms(
+        &mut self,
+        design: &Design,
+        field: &DensityField,
+        inflation: Option<&[f64]>,
+    ) -> (f64, f64) {
+        let mut gw = vec![Point::default(); design.num_cells()];
+        WaModel::new(self.wa_gamma()).accumulate_gradient_with(
+            design,
+            &mut gw,
+            Pool::global(),
+            &mut self.wa_scratch,
+        );
+        let mut gd = vec![Point::default(); design.num_cells()];
+        self.model
+            .accumulate_gradient(design, field, inflation, 1.0, &mut gd);
+        let l1_w: f64 = self.movable.iter().map(|&c| l1(gw[c.index()])).sum();
+        let l1_d: f64 = self.movable.iter().map(|&c| l1(gd[c.index()])).sum();
+        (l1_w, l1_d)
+    }
+
+    /// γ of the WA model at the session's current overflow and rollback
+    /// boost.
+    fn wa_gamma(&self) -> f64 {
+        self.gamma_boost * self.base_gamma * gamma_scale(self.last_overflow)
     }
 
     /// Runs one Nesterov step of problem (2)/(5) and writes the updated
@@ -393,7 +392,7 @@ impl GpSession {
         extras: &StepExtras<'_>,
     ) -> Result<StepReport, RdpError> {
         let bounds = design.die().clamp_box();
-        let gamma = self.gamma_boost * self.base_gamma * gamma_scale(self.last_overflow);
+        let gamma = self.wa_gamma();
         let wa = WaModel::new(gamma);
         let target = self.cfg.target_density;
         let health = self.cfg.health;
@@ -529,62 +528,10 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Statistics of a completed wirelength-driven placement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlaceStats {
-    /// Iterations executed.
-    pub iterations: usize,
-    /// Final HPWL.
-    pub hpwl: f64,
-    /// Final density overflow.
-    pub overflow: f64,
-}
-
-/// The wirelength-driven analytical global placer (problem (2)): the
-/// "Xplace" baseline of the paper's Table I.
-#[derive(Debug, Clone, Default)]
-pub struct GlobalPlacer {
-    cfg: PlacerConfig,
-}
-
-impl GlobalPlacer {
-    /// Creates a placer with the given configuration.
-    pub fn new(cfg: PlacerConfig) -> Self {
-        GlobalPlacer { cfg }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &PlacerConfig {
-        &self.cfg
-    }
-
-    /// Places the design, mutating cell positions, and returns statistics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates health-monitor trips ([`RdpError::NonFinite`]); the
-    /// rollback/retry policy lives in the flow (`run_flow`), not here.
-    pub fn place(&self, design: &mut Design) -> Result<PlaceStats, RdpError> {
-        let mut session = GpSession::new(design, self.cfg.clone());
-        let mut iterations = 0;
-        for i in 0..self.cfg.max_iters {
-            let report = session.step(design, &StepExtras::default())?;
-            iterations = i + 1;
-            if i >= 20 && report.overflow < self.cfg.stop_overflow {
-                break;
-            }
-        }
-        Ok(PlaceStats {
-            iterations,
-            hpwl: design.hpwl(),
-            overflow: session.overflow(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_flow, PlacerPreset, RoutabilityConfig};
     use rdp_gen::{generate, GenParams};
 
     fn small() -> Design {
@@ -603,44 +550,25 @@ mod tests {
         )
     }
 
+    /// The Xplace preset of the flow (wirelength-driven GP only) spreads
+    /// the cells below the overflow target within 300 steps, inside the
+    /// die, at a small multiple of the compact tile placement's HPWL.
     #[test]
-    fn placement_reduces_overflow_below_target() {
-        let mut d = small();
-        let placer = GlobalPlacer::new(PlacerConfig {
-            max_iters: 300,
-            ..PlacerConfig::default()
-        });
-        let stats = placer.place(&mut d).unwrap();
-        assert!(
-            stats.overflow < 0.12,
-            "overflow {} after {} iters",
-            stats.overflow,
-            stats.iterations
-        );
-    }
-
-    #[test]
-    fn placement_beats_center_blob_hpwl_growth() {
-        // After spreading from the center the HPWL must stay well below a
-        // random-like scatter: compare to the tile placement baseline.
+    fn xplace_placement_spreads_inside_the_die() {
         let mut d = small();
         let tile_hpwl = d.hpwl();
-        let placer = GlobalPlacer::default();
-        let stats = placer.place(&mut d).unwrap();
-        // Analytic GP on a clustered netlist should land within a small
-        // multiple of the compact tile placement's HPWL.
+        let r = run_flow(&mut d, &RoutabilityConfig::preset(PlacerPreset::Xplace)).unwrap();
         assert!(
-            stats.hpwl < tile_hpwl * 3.0,
-            "hpwl {} vs tile {}",
-            stats.hpwl,
-            tile_hpwl
+            r.gp_iterations <= 300 && r.density_overflow < 0.12,
+            "overflow {} after {} iters",
+            r.density_overflow,
+            r.gp_iterations
         );
-    }
-
-    #[test]
-    fn all_cells_stay_inside_die() {
-        let mut d = small();
-        GlobalPlacer::default().place(&mut d).unwrap();
+        assert!(
+            r.hpwl < tile_hpwl * 3.0,
+            "hpwl {} vs tile {tile_hpwl}",
+            r.hpwl
+        );
         let die = d.die();
         for c in d.movable_cells() {
             assert!(die.contains(d.pos(c)), "{c} at {} outside", d.pos(c));
@@ -648,18 +576,9 @@ mod tests {
     }
 
     #[test]
-    fn placement_is_deterministic() {
-        let mut d1 = small();
-        let mut d2 = small();
-        GlobalPlacer::default().place(&mut d1).unwrap();
-        GlobalPlacer::default().place(&mut d2).unwrap();
-        assert_eq!(d1.positions(), d2.positions());
-    }
-
-    #[test]
     fn extras_congestion_gradient_shifts_cells() {
         let mut d = small();
-        GlobalPlacer::default().place(&mut d).unwrap();
+        run_flow(&mut d, &RoutabilityConfig::preset(PlacerPreset::Xplace)).unwrap();
         // A uniform rightward descent-gradient (negative x) pushes cells
         // right when applied via extras.
         let mut session = GpSession::new(

@@ -4,6 +4,7 @@
 use crate::legalize::abacus;
 use crate::segments::{build_segments, Segment};
 use rdp_db::{CellId, Design, NetId, Point};
+use rdp_obs::Collector;
 
 /// Configuration for [`detailed_place`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,20 +22,13 @@ impl Default for DetailedConfig {
 /// Runs detailed placement on an already-legal design; returns the HPWL
 /// improvement (positive = better). Legality is preserved.
 pub fn detailed_place(design: &mut Design, cfg: &DetailedConfig) -> f64 {
-    detailed_impl(design, cfg, None)
+    detailed_place_obs(design, cfg, &Collector::disabled())
 }
 
 /// [`detailed_place`] with a `"detailed_place"` span recorded on `obs`;
 /// the HPWL improvement is recorded as the `detailed_hpwl_gain` gauge.
-pub fn detailed_place_obs(
-    design: &mut Design,
-    cfg: &DetailedConfig,
-    obs: &rdp_obs::Collector,
-) -> f64 {
-    let _span = obs.span("detailed_place", "legal");
-    let gain = detailed_impl(design, cfg, None);
-    obs.gauge_set("detailed_hpwl_gain", gain);
-    gain
+pub fn detailed_place_obs(design: &mut Design, cfg: &DetailedConfig, obs: &Collector) -> f64 {
+    detailed_impl(design, cfg, None, obs)
 }
 
 /// Detailed placement that moves cells by their **virtual widths** (see
@@ -49,8 +43,7 @@ pub fn detailed_place_virtual(
     cfg: &DetailedConfig,
     virtual_widths: &[f64],
 ) -> f64 {
-    assert_eq!(virtual_widths.len(), design.num_cells());
-    detailed_impl(design, cfg, Some(virtual_widths))
+    detailed_place_virtual_obs(design, cfg, virtual_widths, &Collector::disabled())
 }
 
 /// [`detailed_place_virtual`] with a `"detailed_place"` span recorded on
@@ -59,16 +52,19 @@ pub fn detailed_place_virtual_obs(
     design: &mut Design,
     cfg: &DetailedConfig,
     virtual_widths: &[f64],
-    obs: &rdp_obs::Collector,
+    obs: &Collector,
 ) -> f64 {
     assert_eq!(virtual_widths.len(), design.num_cells());
-    let _span = obs.span("detailed_place", "legal");
-    let gain = detailed_impl(design, cfg, Some(virtual_widths));
-    obs.gauge_set("detailed_hpwl_gain", gain);
-    gain
+    detailed_impl(design, cfg, Some(virtual_widths), obs)
 }
 
-fn detailed_impl(design: &mut Design, cfg: &DetailedConfig, virtual_widths: Option<&[f64]>) -> f64 {
+fn detailed_impl(
+    design: &mut Design,
+    cfg: &DetailedConfig,
+    virtual_widths: Option<&[f64]>,
+    obs: &Collector,
+) -> f64 {
+    let _span = obs.span("detailed_place", "legal");
     let before = design.hpwl();
     let segments = build_segments(design);
     let index = SegmentIndex::new(&segments);
@@ -116,7 +112,9 @@ fn detailed_impl(design: &mut Design, cfg: &DetailedConfig, virtual_widths: Opti
             shift_row(design, &segments[si], cells, virtual_widths, &mut scratch);
         }
     }
-    before - design.hpwl()
+    let gain = before - design.hpwl();
+    obs.gauge_set("detailed_hpwl_gain", gain);
+    gain
 }
 
 /// Segments ordered by row centre, so a cell's segment is found without

@@ -9,6 +9,7 @@
 
 use crate::segments::{build_segments, Segment};
 use rdp_db::{CellId, Design, Point};
+use rdp_obs::Collector;
 
 /// Configuration for [`legalize`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,15 +50,12 @@ struct SegState {
 /// row, horizontally non-overlapping and site-aligned within each row
 /// segment, and outside macro footprints.
 pub fn legalize(design: &mut Design, cfg: &LegalizeConfig) -> LegalizeReport {
-    legalize_impl(design, cfg, None)
+    legalize_obs(design, cfg, &Collector::disabled())
 }
 
-/// [`legalize`] with a `"legalize"` span recorded on `obs`.
-pub fn legalize_obs(
-    design: &mut Design,
-    cfg: &LegalizeConfig,
-    obs: &rdp_obs::Collector,
-) -> LegalizeReport {
+/// [`legalize`] with a `"legalize"` span recorded on `obs`; the report's
+/// `failed` count is added to the `legalize_failed` counter.
+pub fn legalize_obs(design: &mut Design, cfg: &LegalizeConfig, obs: &Collector) -> LegalizeReport {
     let _span = obs.span("legalize", "legal");
     let report = legalize_impl(design, cfg, None);
     obs.counter_add("legalize_failed", report.failed as u64);
@@ -82,29 +80,23 @@ pub fn legalize_virtual(
     cfg: &LegalizeConfig,
     virtual_widths: &[f64],
 ) -> LegalizeReport {
-    assert_eq!(virtual_widths.len(), design.num_cells());
-    let saved: Vec<Point> = design.positions().to_vec();
-    let report = legalize_impl(design, cfg, Some(virtual_widths));
-    if report.failed > 0 {
-        design.set_positions(&saved);
-        return legalize_impl(design, cfg, None);
-    }
-    report
+    legalize_virtual_obs(design, cfg, virtual_widths, &Collector::disabled())
 }
 
 /// [`legalize_virtual`] with a `"legalize"` span recorded on `obs`. A
 /// `"legalize_virtual_fallback"` instant is emitted when the virtual
-/// widths do not fit and the plain pass is used instead.
+/// widths do not fit and the plain pass is used instead. The returned
+/// report's `failed` count is added to the `legalize_failed` counter.
 pub fn legalize_virtual_obs(
     design: &mut Design,
     cfg: &LegalizeConfig,
     virtual_widths: &[f64],
-    obs: &rdp_obs::Collector,
+    obs: &Collector,
 ) -> LegalizeReport {
     assert_eq!(virtual_widths.len(), design.num_cells());
     let _span = obs.span("legalize", "legal");
     let saved: Vec<Point> = design.positions().to_vec();
-    let report = legalize_impl(design, cfg, Some(virtual_widths));
+    let mut report = legalize_impl(design, cfg, Some(virtual_widths));
     if report.failed > 0 {
         obs.instant(
             "legalize_virtual_fallback",
@@ -112,8 +104,9 @@ pub fn legalize_virtual_obs(
             format!("{} cells failed with virtual widths", report.failed),
         );
         design.set_positions(&saved);
-        return legalize_impl(design, cfg, None);
+        report = legalize_impl(design, cfg, None);
     }
+    obs.counter_add("legalize_failed", report.failed as u64);
     report
 }
 

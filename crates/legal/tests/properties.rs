@@ -2,7 +2,8 @@
 //! harness).
 
 use rdp_db::{Cell, CellId, Design, DesignBuilder, Point, Rect, RoutingSpec, Row};
-use rdp_legal::{check_legality, legalize, legalize_virtual, LegalizeConfig};
+use rdp_legal::{check_legality, legalize, legalize_virtual, legalize_virtual_obs, LegalizeConfig};
+use rdp_obs::Collector;
 use rdp_testkit::{prop_assert, prop_assert_eq, prop_check, range, select, vecs, PropConfig};
 
 /// Builds a design with `n` cells at arbitrary positions in a fixed
@@ -107,4 +108,26 @@ fn relegalization_is_cheap() {
         );
         Ok(())
     });
+}
+
+/// The virtual-width path adds the `failed` count of the report it
+/// returns to `legalize_failed`: when the virtual widths fit, when it
+/// falls back to the plain pass, and when some cells fit nowhere (ten
+/// 60 µm rows hold 80 of the 7 µm cells).
+#[test]
+fn legalize_virtual_obs_counts_failed_cells() {
+    // (cells, width, virtual width, failed)
+    for (n, w, virtual_w, failed) in [(20, 2.0, 2.4, 0), (20, 2.0, 40.0, 0), (100, 7.0, 7.0, 20)] {
+        let mut d = design_with(vec![(30.0, 10.0, w); n]);
+        let obs = Collector::enabled();
+        let widths = vec![virtual_w; n];
+        let report = legalize_virtual_obs(&mut d, &LegalizeConfig::default(), &widths, &obs);
+        let counted = obs.with_metrics(|m| m.counters.get("legalize_failed").copied());
+        assert_eq!(report.failed, failed, "{n} cells of {w} at {virtual_w}");
+        assert_eq!(
+            counted,
+            Some(Some(failed as u64)),
+            "{n} cells of {w} at {virtual_w}"
+        );
+    }
 }

@@ -50,12 +50,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A parsed design drops straight into the placer.
     let mut placed = from_def;
-    let stats = rdp::core::GlobalPlacer::default()
-        .place(&mut placed)
-        .expect("placement diverged");
+    let report = rdp::core::run_flow(
+        &mut placed,
+        &rdp::RoutabilityConfig::preset(rdp::PlacerPreset::Xplace),
+    )
+    .expect("placement diverged");
     println!(
         "\nplaced the parsed design: {} iters, HPWL {:.0} um, overflow {:.3}",
-        stats.iterations, stats.hpwl, stats.overflow
+        report.gp_iterations, report.hpwl, report.density_overflow
     );
     Ok(())
 }

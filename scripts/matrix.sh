@@ -8,7 +8,8 @@
 #
 # Usage: scripts/matrix.sh [--full] [extra `rdp matrix` args...]
 #   default   small instances, pinned seeds (~seconds; the CI fast tier)
-#   --full    Table-1-sized instances (minutes; the nightly tier)
+#   --full    Table-1-sized instances (~10 s on a 2-vCPU host; scripts/ci.sh
+#             runs it right after the small tier)
 #
 # Exits non-zero naming the violating class(es) on any gate failure.
 set -euo pipefail

@@ -33,7 +33,8 @@ use rdp_parse::{read_lefdef, write_lefdef};
 /// Configuration of a matrix run.
 #[derive(Debug, Clone)]
 pub struct MatrixConfig {
-    /// Instance scale (`Small` = CI fast tier, `Full` = nightly).
+    /// Instance scale (`Small` = small instances, `Full` = Table-1-sized;
+    /// `scripts/ci.sh` runs both).
     pub scale: Scale,
     /// Restrict to these scenario names (`None` = the whole matrix).
     pub classes: Option<Vec<String>>,

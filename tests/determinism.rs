@@ -6,7 +6,7 @@
 //! test: any change that breaks bit-reproducibility of generation or
 //! placement must be intentional and update the contract here.
 
-use rdp::core::GlobalPlacer;
+use rdp::core::{run_flow, PlacerPreset, RoutabilityConfig};
 use rdp::db::DesignStats;
 use rdp::gen::{generate, ispd2015_suite, GenParams, SuiteEntry};
 use rdp::parse::write_bookshelf;
@@ -49,16 +49,17 @@ fn same_seed_placement_metrics_identical_to_last_ulp() {
     // Identical netlist stats before placement.
     assert_eq!(DesignStats::of(&a), DesignStats::of(&b));
 
-    let sa = GlobalPlacer::default().place(&mut a).unwrap();
-    let sb = GlobalPlacer::default().place(&mut b).unwrap();
+    let xplace = RoutabilityConfig::preset(PlacerPreset::Xplace);
+    let sa = run_flow(&mut a, &xplace).unwrap();
+    let sb = run_flow(&mut b, &xplace).unwrap();
 
-    assert_eq!(sa.iterations, sb.iterations);
+    assert_eq!(sa.gp_iterations, sb.gp_iterations);
     // Bitwise comparison: `to_bits` distinguishes even -0.0 from 0.0, so
     // equality here means identical to the last ULP.
     assert_eq!(sa.hpwl.to_bits(), sb.hpwl.to_bits(), "hpwl differs");
     assert_eq!(
-        sa.overflow.to_bits(),
-        sb.overflow.to_bits(),
+        sa.density_overflow.to_bits(),
+        sb.density_overflow.to_bits(),
         "overflow differs"
     );
     assert_eq!(a.positions(), b.positions());
@@ -162,9 +163,10 @@ fn tiny_design_determinism() {
     };
     let mut a = generate("tiny", &params);
     let mut b = generate("tiny", &params);
-    let sa = GlobalPlacer::default().place(&mut a).unwrap();
-    let sb = GlobalPlacer::default().place(&mut b).unwrap();
+    let xplace = RoutabilityConfig::preset(PlacerPreset::Xplace);
+    let sa = run_flow(&mut a, &xplace).unwrap();
+    let sb = run_flow(&mut b, &xplace).unwrap();
     assert_eq!(sa.hpwl.to_bits(), sb.hpwl.to_bits());
-    assert_eq!(sa.overflow.to_bits(), sb.overflow.to_bits());
+    assert_eq!(sa.density_overflow.to_bits(), sb.density_overflow.to_bits());
     assert_eq!(a.positions(), b.positions());
 }

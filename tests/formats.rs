@@ -1,7 +1,7 @@
 //! Integration tests of the file formats: a design survives a disk round
 //! trip and then behaves identically in the placement flow.
 
-use rdp::core::GlobalPlacer;
+use rdp::core::{run_flow, PlacerPreset, RoutabilityConfig};
 use rdp::gen::{generate, GenParams};
 use rdp::parse::{load_bookshelf, read_lefdef, save_bookshelf, write_bookshelf, write_lefdef};
 
@@ -29,9 +29,10 @@ fn bookshelf_roundtrip_preserves_placement_behavior() {
 
     // The parsed design places identically to the original.
     let mut orig_copy = original.clone();
-    let s1 = GlobalPlacer::default().place(&mut orig_copy).unwrap();
-    let s2 = GlobalPlacer::default().place(&mut reparsed).unwrap();
-    assert_eq!(s1.iterations, s2.iterations);
+    let xplace = RoutabilityConfig::preset(PlacerPreset::Xplace);
+    let s1 = run_flow(&mut orig_copy, &xplace).unwrap();
+    let s2 = run_flow(&mut reparsed, &xplace).unwrap();
+    assert_eq!(s1.gp_iterations, s2.gp_iterations);
     assert!((s1.hpwl - s2.hpwl).abs() < 1e-6 * s1.hpwl.max(1.0));
 }
 

@@ -10,7 +10,7 @@
 //! Update a golden only for an intentional change of the output, and say
 //! so in the change log.
 
-use rdp::core::{DensityModel, GlobalPlacer, PlacerConfig};
+use rdp::core::{run_flow, DensityModel, PlacerConfig, PlacerPreset, RoutabilityConfig};
 use rdp::db::{CellKind, Design, Dir};
 use rdp::gen::{generate_named, scenario_by_name, scenario_matrix, Scale};
 use rdp::legal::{
@@ -252,14 +252,23 @@ fn read_lefdef_errors_keep_their_messages() {
     }
 }
 
+/// Wirelength-driven global placement (the Xplace preset of the flow),
+/// capped at `max_iters` steps.
+fn global_place(d: &mut Design, max_iters: usize) {
+    let cfg = RoutabilityConfig {
+        gp: PlacerConfig {
+            max_iters,
+            ..PlacerConfig::default()
+        },
+        ..RoutabilityConfig::preset(PlacerPreset::Xplace)
+    };
+    run_flow(d, &cfg).expect("global placement");
+}
+
 /// Global placement (a short run), legalization and detailed placement;
 /// with `inflate`, both back-end steps use virtual widths.
 fn post_dp_hash(mut d: Design, inflate: bool) -> u64 {
-    let placer = GlobalPlacer::new(PlacerConfig {
-        max_iters: 60,
-        ..PlacerConfig::default()
-    });
-    placer.place(&mut d).expect("global placement");
+    global_place(&mut d, 60);
     let gain = if inflate {
         let widths: Vec<f64> = d
             .cells()
@@ -315,11 +324,7 @@ fn density_penalty_matches_golden_bits() {
             .map(|s| s.build(Scale::Small))
             .or_else(|| generate_named(name))
             .expect("design");
-        let placer = GlobalPlacer::new(PlacerConfig {
-            max_iters: 30,
-            ..PlacerConfig::default()
-        });
-        placer.place(&mut d).expect("global placement");
+        global_place(&mut d, 30);
         let model = DensityModel::new(&d);
         let ratios: Vec<f64> = (0..d.num_cells())
             .map(|i| 1.0 + 0.1 * (i % 4) as f64)

@@ -8,7 +8,7 @@
 //! end-to-end test flips the process-global pool (`RDP_THREADS`
 //! override) around whole placements.
 
-use rdp::core::{DensityModel, GlobalPlacer, WaModel, WaScratch};
+use rdp::core::{run_flow, DensityModel, PlacerPreset, RoutabilityConfig, WaModel, WaScratch};
 use rdp::db::Point;
 use rdp::gen::{generate, GenParams};
 use rdp::par::{set_global_threads, Pool};
@@ -204,27 +204,28 @@ fn rudy_map_thread_invariant() {
 #[test]
 fn route_and_placement_thread_invariant_end_to_end() {
     let route_of = |d: &rdp::db::Design| GlobalRouter::default().route(d);
+    let xplace = RoutabilityConfig::preset(PlacerPreset::Xplace);
 
     set_global_threads(1);
     let mut d1 = test_design();
-    let stats1 = GlobalPlacer::default().place(&mut d1).unwrap();
+    let stats1 = run_flow(&mut d1, &xplace).unwrap();
     let r1 = route_of(&d1);
 
     set_global_threads(4);
     let mut d4 = test_design();
-    let stats4 = GlobalPlacer::default().place(&mut d4).unwrap();
+    let stats4 = run_flow(&mut d4, &xplace).unwrap();
     let r4 = route_of(&d4);
     set_global_threads(1);
 
-    assert_eq!(stats1.iterations, stats4.iterations);
+    assert_eq!(stats1.gp_iterations, stats4.gp_iterations);
     assert_eq!(
         stats1.hpwl.to_bits(),
         stats4.hpwl.to_bits(),
         "post-GP HPWL differs between 1 and 4 threads"
     );
     assert_eq!(
-        stats1.overflow.to_bits(),
-        stats4.overflow.to_bits(),
+        stats1.density_overflow.to_bits(),
+        stats4.density_overflow.to_bits(),
         "post-GP overflow differs between 1 and 4 threads"
     );
     assert_eq!(d1.positions(), d4.positions());

@@ -19,11 +19,13 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rdp::core::{
-    run_flow, run_flow_with, FlowCheckpoint, FlowControl, FlowFault, PlacerPreset,
+    run_flow, run_flow_with, FlowCheckpoint, FlowControl, FlowFault, PlacerPreset, RdpError,
     RoutabilityConfig, Stage,
 };
 use rdp::db::{Cell, Design, DesignBuilder, Dir, PgRail, Point, Rect, RoutingSpec};
 use rdp::gen::{generate, GenParams};
+use rdp::obs::{Collector, Event};
+use rdp_guard::fnv1a64;
 use rdp_testkit::{FaultExpectation, FaultKind, FaultPlan};
 
 fn small_design(seed: u64) -> Design {
@@ -460,4 +462,104 @@ fn killed_and_resumed_flow_is_bitwise_identical() {
     );
     assert_eq!(resumed.route_iterations, full.route_iterations);
     assert_eq!(resumed_design.positions(), uninterrupted.positions());
+}
+
+/// Everything a NaN fault at (`route_iter`, `gp_iter`) leaves behind, one
+/// fact a line: an FNV-1a hash of the final positions, the report's
+/// rollbacks, wirelength-phase iterations and warnings (or the `Diverged`
+/// error's fields and text), and the traced `rollback` instants.
+fn rollback_transcript(route_iter: usize, gp_iter: usize, max_rollbacks: usize) -> String {
+    let mut design = small_design(21);
+    let mut cfg = fast_cfg();
+    cfg.gp.health.max_rollbacks = max_rollbacks;
+    let obs = Collector::enabled();
+    let ctrl = FlowControl {
+        fault: Some(FlowFault::NanReference {
+            route_iter,
+            gp_iter,
+        }),
+        obs: obs.clone(),
+        ..Default::default()
+    };
+    let result = run_flow_with(&mut design, &cfg, ctrl);
+    let bits: Vec<u8> = design
+        .positions()
+        .iter()
+        .flat_map(|p| [p.x.to_bits(), p.y.to_bits()])
+        .flat_map(u64::to_le_bytes)
+        .collect();
+    let mut out = format!("NaN at ({route_iter}, {gp_iter}), rollback budget {max_rollbacks}\n");
+    out += &format!("positions {:#018x}\n", fnv1a64(&bits));
+    match &result {
+        Ok(r) => {
+            out += &format!(
+                "rollbacks {} gp_iterations {}\n",
+                r.rollbacks, r.gp_iterations
+            );
+            for w in &r.warnings {
+                out += &format!("warning {:?} {} {}\n", w.stage, w.iteration, w.message);
+            }
+        }
+        Err(
+            e @ RdpError::Diverged {
+                stage,
+                iteration,
+                rollbacks,
+                detail,
+            },
+        ) => {
+            out += &format!("diverged {stage:?} {iteration} {rollbacks} {detail}\nerror {e}\n");
+        }
+        Err(e) => panic!("expected a report or a Diverged error, got {e}"),
+    }
+    obs.with_snapshot(|events, _, _| {
+        for ev in events {
+            if let Event::Instant {
+                name: "rollback",
+                iter,
+                detail,
+                ..
+            } = ev
+            {
+                out += &format!("rollback {iter} {detail}\n");
+            }
+        }
+    })
+    .expect("collector enabled");
+    out
+}
+
+/// What a rollback leaves behind, pinned exactly: a NaN injected in the
+/// wirelength phase (step 5) and in routability iteration 2 (step 3),
+/// with the default rollback budget (one rollback, then the flow
+/// completes) and with none (a `Diverged` error). The CI harness runs
+/// this suite at `RDP_THREADS=1` and `RDP_THREADS=4`.
+#[test]
+fn rollback_outcomes_match_the_oracle() {
+    const ORACLE: &str = "\
+NaN at (0, 5), rollback budget 3
+positions 0xf96e85d12dca5dcf
+rollbacks 1 gp_iterations 96
+warning WirelengthGp 0 step 5 rolled back ([wirelength-gp] non-finite or oversized reference positions at iteration 5 (index 0, value NaN)); γ ×1.50, λ₁ damped
+rollback 0 wirelength GP step 5: [wirelength-gp] non-finite or oversized reference positions at iteration 5 (index 0, value NaN)
+NaN at (2, 3), rollback budget 3
+positions 0xda9e5d5cfbc1c54d
+rollbacks 1 gp_iterations 89
+warning Routability 2 GP step 3 rolled back ([routability] non-finite or oversized reference positions at iteration 100 (index 0, value NaN)); γ ×1.50, λ₁ damped
+rollback 2 GP step 3: [routability] non-finite or oversized reference positions at iteration 100 (index 0, value NaN)
+NaN at (0, 5), rollback budget 0
+positions 0x9523ac81825ef7ab
+diverged WirelengthGp 5 0 [wirelength-gp] non-finite or oversized reference positions at iteration 5 (index 0, value NaN)
+error [wirelength-gp] diverged at iteration 5 after 0 rollback(s): [wirelength-gp] non-finite or oversized reference positions at iteration 5 (index 0, value NaN)
+NaN at (2, 3), rollback budget 0
+positions 0x92ddb5fe3d319fe6
+diverged Routability 2 0 [routability] non-finite or oversized reference positions at iteration 100 (index 0, value NaN)
+error [routability] diverged at iteration 2 after 0 rollback(s): [routability] non-finite or oversized reference positions at iteration 100 (index 0, value NaN)
+";
+    let budget = fast_cfg().gp.health.max_rollbacks;
+    let got: String = [(0, 5, budget), (2, 3, budget), (0, 5, 0), (2, 3, 0)]
+        .into_iter()
+        .map(|(route_iter, gp_iter, max)| rollback_transcript(route_iter, gp_iter, max))
+        .collect();
+    assert_eq!(got, ORACLE);
 }
