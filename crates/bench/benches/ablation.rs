@@ -7,8 +7,8 @@ use rdp_testkit::BenchHarness;
 use std::hint::black_box;
 
 use rdp_core::{
-    congestion_gradients, lambda2, CongestionField, DpaConfig, HealthPolicy, InflationBounds,
-    InflationPolicy, InflationState, NetMoveConfig, PgDensity,
+    congestion_gradients, lambda2, CongestionField, HealthPolicy, InflationPolicy, InflationState,
+    NetMoveConfig, PgDensity,
 };
 use rdp_gen::{generate, GenParams};
 use rdp_route::GlobalRouter;
@@ -47,8 +47,7 @@ fn ablation(c: &mut BenchHarness) {
         ),
     ] {
         c.bench_function(name, |b| {
-            let mut st =
-                InflationState::new(design.num_cells(), policy, InflationBounds::default());
+            let mut st = InflationState::new(design.num_cells(), policy);
             b.iter(|| {
                 st.update(&design, &field);
                 black_box(st.ratios()[0])
@@ -59,15 +58,9 @@ fn ablation(c: &mut BenchHarness) {
     // DPA: rail selection (once) + dynamic density map per iteration.
     let grid = design.gcell_grid();
     c.bench_function("dpa_rail_selection", |b| {
-        b.iter(|| {
-            black_box(
-                PgDensity::new(&design, &grid, &DpaConfig::default())
-                    .selected_rails()
-                    .len(),
-            )
-        })
+        b.iter(|| black_box(PgDensity::new(&design, &grid).selected_rails().len()))
     });
-    let pg = PgDensity::new(&design, &grid, &DpaConfig::default());
+    let pg = PgDensity::new(&design, &grid);
     c.bench_function("dpa_dynamic_density_map", |b| {
         b.iter(|| black_box(pg.density_map(Some(&field)).sum()))
     });
@@ -77,7 +70,6 @@ fn ablation(c: &mut BenchHarness) {
     for (name, threshold) in [("netmove_thresh_paper", 0.7), ("netmove_thresh_zero", 0.0)] {
         let cfg = NetMoveConfig {
             multi_pin_threshold: threshold,
-            ..NetMoveConfig::default()
         };
         c.bench_function(name, |b| {
             b.iter(|| black_box(congestion_gradients(&design, &field, &cfg).multi_pin_cells))

@@ -15,7 +15,7 @@
 //! cargo run --release -p rdp-bench --bin fig1
 //! ```
 
-use rdp_core::{two_pin_gradient, CongestionField, HealthPolicy, NetMoveConfig};
+use rdp_core::{two_pin_gradient, CongestionField, HealthPolicy};
 use rdp_db::{Cell, DesignBuilder, NetId, Point, Rect, RoutingSpec};
 use rdp_route::{rudy_map, GlobalRouter};
 
@@ -100,8 +100,7 @@ fn main() {
             bb_cells += 1;
         }
     }
-    let info = two_pin_gradient(&design, &field, &NetMoveConfig::default(), probe, 1.0)
-        .expect("probe net spans G-cells");
+    let info = two_pin_gradient(&design, &field, probe, 1.0).expect("probe net spans G-cells");
     println!("== Fig. 1(b): probe net bounding box {bb} ==");
     println!(
         "congested G-cells inside the BB: {bb_cells} (total C = {bb_congestion:.1}) — RUDY max inside BB {:.2}",

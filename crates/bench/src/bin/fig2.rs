@@ -6,7 +6,7 @@
 //! cargo run --release -p rdp-bench --bin fig2 [design]
 //! ```
 
-use rdp_core::{run_flow, select_rails, DpaConfig, PlacerPreset, RoutabilityConfig};
+use rdp_core::{run_flow, select_rails, PlacerPreset, RoutabilityConfig};
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "fft_b".into());
@@ -18,7 +18,7 @@ fn main() {
 
     println!("== Fig. 2 flow walk-through on `{name}` ==\n");
     println!("[1] PG rail selection for pin accessibility");
-    let selected = select_rails(&design, &DpaConfig::default());
+    let selected = select_rails(&design);
     println!(
         "    {} rails in the design → {} selected pieces after macro cutting + length filter",
         design.rails().len(),

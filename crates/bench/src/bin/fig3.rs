@@ -8,7 +8,7 @@
 //! cargo run --release -p rdp-bench --bin fig3
 //! ```
 
-use rdp_core::{two_pin_gradient, CongestionField, HealthPolicy, NetMoveConfig};
+use rdp_core::{two_pin_gradient, CongestionField, HealthPolicy};
 use rdp_db::{Cell, DesignBuilder, NetId, Point, Rect, RoutingSpec};
 use rdp_route::GlobalRouter;
 
@@ -66,8 +66,7 @@ fn main() {
         );
     }
 
-    let info = two_pin_gradient(&design, &field, &NetMoveConfig::default(), probe, 1.0)
-        .expect("probe spans G-cells");
+    let info = two_pin_gradient(&design, &field, probe, 1.0).expect("probe spans G-cells");
     println!("\nvirtual cell c_v (Eq. 8):    {}", info.pos);
     println!(
         "field gradient ∇C_cv:        ({:+.4}, {:+.4})",

@@ -7,7 +7,7 @@
 //! cargo run --release -p rdp-bench --bin fig4
 //! ```
 
-use rdp_core::{select_rails, DpaConfig};
+use rdp_core::{select_rails, PG_MACRO_EXPAND, PG_MIN_LENGTH_FRACTION};
 use rdp_db::{Dir, Map2d};
 
 fn main() {
@@ -21,14 +21,13 @@ fn main() {
         design.rails().len()
     );
 
-    let cfg = DpaConfig::default();
-    let selected = select_rails(&design, &cfg);
-    let min_len = cfg.min_length_fraction * die.height();
+    let selected = select_rails(&design);
+    let min_len = PG_MIN_LENGTH_FRACTION * die.height();
     println!(
         "macro boxes expanded by {:.0}%; surviving pieces must be ≥ {:.1} um ({}% of die height)",
-        cfg.macro_expand * 100.0,
+        PG_MACRO_EXPAND * 100.0,
         min_len,
-        (cfg.min_length_fraction * 100.0) as u32
+        (PG_MIN_LENGTH_FRACTION * 100.0) as u32
     );
     println!(
         "(a) rails before selection: {}   (b) selected pieces: {}\n",

@@ -28,12 +28,13 @@ impl CongestionField {
     /// Builds the field from a routing result on the design's G-cell grid.
     ///
     /// A grid mismatch is a typed [`RdpError::Config`], the router's
-    /// congestion map and charge density are screened for NaN/Inf before
-    /// the Poisson solve, and the solve runs through
-    /// [`rdp_poisson::PoissonSolver::solve_checked`]. A pathological
-    /// routing result (e.g. zero-capacity layers driving Eq. (3) to +∞) is
-    /// therefore an error, which the guarded flow degrades to the RUDY
-    /// fallback rather than poisoning the placement gradients.
+    /// congestion map is screened for NaN/Inf, and the solve runs through
+    /// [`rdp_poisson::PoissonSolver::solve_checked`], which screens the
+    /// charge density before solving. A pathological routing result
+    /// (e.g. zero-capacity layers driving Eq. (3) to +∞, or their empty
+    /// G-cells to a 0/0 charge) is therefore an error, which the guarded
+    /// flow degrades to the RUDY fallback rather than poisoning the
+    /// placement gradients.
     pub fn try_from_route(
         design: &Design,
         route: &RouteResult,
@@ -53,7 +54,6 @@ impl CongestionField {
         }
         health.check_map(Stage::Routing, "congestion map", None, &route.congestion)?;
         let charge = route.maps.charge_density();
-        health.check_slice(Stage::Routing, "charge density", None, charge.as_slice())?;
         Self::from_charge(grid, route.congestion.clone(), &charge, health)
     }
 
@@ -74,7 +74,7 @@ impl CongestionField {
     pub fn try_from_rudy(design: &Design, health: &HealthPolicy) -> Result<Self, RdpError> {
         let grid = design.gcell_grid();
         let rudy = rdp_route::rudy_map(design, &grid);
-        let caps = rdp_route::CapacityMaps::build(design, &rdp_route::CapacityOptions::default());
+        let caps = rdp_route::CapacityMaps::build(design);
         // RUDY is wirelength per unit area; convert to track units per
         // G-cell (wire crossing a G-cell consumes one track over its
         // extent) and ratio against the total capacity.
@@ -213,6 +213,31 @@ mod tests {
         // Potential peaks at the stripe.
         assert!(field.psi_at(Point::new(32.0, 31.0)) > field.psi_at(Point::new(32.0, 56.0)));
         assert!(field.mean_congestion >= 0.0);
+    }
+
+    /// With zero-capacity layers and no nets every G-cell's charge is
+    /// 0/0 = NaN, while Eq. (3) reads 0 there (`f64::max` drops the NaN):
+    /// the congestion map passes its check, and the charge must still be
+    /// a typed non-finite error, which the flow degrades to RUDY.
+    #[test]
+    fn nan_charge_with_finite_congestion_is_a_typed_error() {
+        let mut b = DesignBuilder::new("z", Rect::new(0.0, 0.0, 64.0, 64.0));
+        b.add_cell(Cell::std("a", 1.0, 1.0), Point::new(32.0, 32.0));
+        b.routing(RoutingSpec::uniform(4, 0.0, 16, 16));
+        let d = b.build().unwrap();
+        let route = GlobalRouter::default().route(&d);
+        assert!(route.congestion.as_slice().iter().all(|&c| c == 0.0));
+        let err = CongestionField::try_from_route(&d, &route, &HealthPolicy::default())
+            .expect_err("a NaN charge must not reach the solve");
+        match err {
+            RdpError::NonFinite {
+                quantity, value, ..
+            } => {
+                assert_eq!(quantity, "charge density");
+                assert!(value.is_nan(), "value {value}");
+            }
+            other => panic!("expected a non-finite charge error, got {other}"),
+        }
     }
 
     /// The RUDY-based field charges the whole bounding box (the Fig. 1(b)

@@ -16,24 +16,12 @@ use rdp_db::{Design, Dir, GridSpec, Map2d, PgRail, Rect};
 
 use crate::congestion::CongestionField;
 
-/// Configuration for the DPA technique.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DpaConfig {
-    /// Macro bounding-box expansion fraction (0.1 = 10 %, per the paper).
-    pub macro_expand: f64,
-    /// Minimum surviving rail length as a fraction of the die extent in
-    /// the rail's direction (0.2 per the paper).
-    pub min_length_fraction: f64,
-}
-
-impl Default for DpaConfig {
-    fn default() -> Self {
-        DpaConfig {
-            macro_expand: 0.1,
-            min_length_fraction: 0.2,
-        }
-    }
-}
+/// Macro bounding-box expansion fraction of PG-rail selection (0.1 =
+/// 10 % per side, per the paper).
+pub const PG_MACRO_EXPAND: f64 = 0.1;
+/// Minimum surviving rail length in PG-rail selection, as a fraction of
+/// the die extent in the rail's direction (0.2 per the paper).
+pub const PG_MIN_LENGTH_FRACTION: f64 = 0.2;
 
 /// Pre-processed PG-rail density state: the selected rails and their
 /// per-bin overlap fractions.
@@ -47,8 +35,8 @@ pub struct PgDensity {
 impl PgDensity {
     /// Runs PG-rail selection on the design and precomputes bin overlaps
     /// on `grid`.
-    pub fn new(design: &Design, grid: &GridSpec, cfg: &DpaConfig) -> Self {
-        let selected = select_rails(design, cfg);
+    pub fn new(design: &Design, grid: &GridSpec) -> Self {
+        let selected = select_rails(design);
         let mut overlap = Map2d::new(grid.nx(), grid.ny());
         let bin_area = grid.bin_area();
         for rail in &selected {
@@ -98,17 +86,17 @@ impl PgDensity {
 
 /// PG-rail selection (Fig. 4): cut rails by expanded macro boxes, keep
 /// long survivors.
-pub fn select_rails(design: &Design, cfg: &DpaConfig) -> Vec<PgRail> {
+pub fn select_rails(design: &Design) -> Vec<PgRail> {
     let die = design.die();
     let boxes: Vec<Rect> = design
         .macros()
-        .map(|m| design.cell_rect(m).expanded_fraction(cfg.macro_expand))
+        .map(|m| design.cell_rect(m).expanded_fraction(PG_MACRO_EXPAND))
         .collect();
     let mut out = Vec::new();
     for rail in design.rails() {
         let min_len = match rail.dir {
-            Dir::Horizontal => cfg.min_length_fraction * die.width(),
-            Dir::Vertical => cfg.min_length_fraction * die.height(),
+            Dir::Horizontal => PG_MIN_LENGTH_FRACTION * die.width(),
+            Dir::Vertical => PG_MIN_LENGTH_FRACTION * die.height(),
         };
         for piece in cut_rail(rail, &boxes) {
             if piece.length() >= min_len {
@@ -172,10 +160,16 @@ mod tests {
     use rdp_db::{Cell, DesignBuilder, Point, RoutingSpec};
     use rdp_guard::HealthPolicy;
 
-    /// 100×100 die, one macro in the center, vertical rails every 10 µm.
+    /// 100×100 die, one 30×30 macro in the center, vertical rails every
+    /// 10 µm.
     fn rail_design() -> Design {
+        rail_design_with_macro(30.0)
+    }
+
+    /// [`rail_design`] with a `side`×`side` macro.
+    fn rail_design_with_macro(side: f64) -> Design {
         let mut b = DesignBuilder::new("r", Rect::new(0.0, 0.0, 100.0, 100.0));
-        let m = b.add_cell(Cell::fixed_macro("m", 30.0, 30.0), Point::new(50.0, 50.0));
+        let m = b.add_cell(Cell::fixed_macro("m", side, side), Point::new(50.0, 50.0));
         let a = b.add_cell(Cell::std("a", 1.0, 1.0), Point::new(10.0, 10.0));
         b.add_net("n", vec![(m, Point::default()), (a, Point::default())]);
         for i in 0..10 {
@@ -193,7 +187,7 @@ mod tests {
     #[test]
     fn rails_clear_of_macro_survive_whole() {
         let d = rail_design();
-        let rails = select_rails(&d, &DpaConfig::default());
+        let rails = select_rails(&d);
         // Expanded macro box: 30×30 +10% per side → spans x ∈ [32, 68].
         // Rails at x=5..25 and 75..95 are untouched (length 100); rails at
         // 35..65 are cut into two 33.5-length pieces (≥ 20) → survive too.
@@ -208,7 +202,7 @@ mod tests {
     #[test]
     fn cut_pieces_avoid_expanded_macro() {
         let d = rail_design();
-        let rails = select_rails(&d, &DpaConfig::default());
+        let rails = select_rails(&d);
         let expanded = d.cell_rect(rdp_db::CellId(0)).expanded_fraction(0.1);
         for r in &rails {
             assert!(
@@ -221,21 +215,23 @@ mod tests {
 
     #[test]
     fn short_pieces_are_dropped() {
-        let d = rail_design();
-        let cfg = DpaConfig {
-            min_length_fraction: 0.4,
-            ..DpaConfig::default()
-        };
-        let rails = select_rails(&d, &cfg);
-        // Cut pieces are ~33.5 < 40: only untouched rails survive.
-        assert_eq!(rails.len(), 6);
+        // Expanded 60×60 macro: 60 +10% per side spans x, y ∈ [14, 86],
+        // so the rails at x = 15..85 are cut into 14-long pieces, below
+        // the 0.2 × 100 = 20 minimum: only the rails at x = 5 and 95
+        // survive, whole.
+        let d = rail_design_with_macro(60.0);
+        let rails = select_rails(&d);
+        assert_eq!(rails.len(), 2);
+        for r in &rails {
+            assert!((r.length() - 100.0).abs() < 1e-9, "{:?}", r.rect);
+        }
     }
 
     #[test]
     fn static_density_matches_coverage() {
         let d = rail_design();
         let grid = d.gcell_grid();
-        let pg = PgDensity::new(&d, &grid, &DpaConfig::default());
+        let pg = PgDensity::new(&d, &grid);
         let dm = pg.density_map(None);
         assert_eq!(&dm, pg.overlap_map());
         assert!(dm.sum() > 0.0);
@@ -245,7 +241,7 @@ mod tests {
     fn dynamic_density_gated_by_congestion() {
         let d = rail_design();
         let grid = d.gcell_grid();
-        let pg = PgDensity::new(&d, &grid, &DpaConfig::default());
+        let pg = PgDensity::new(&d, &grid);
         // Synthetic congestion field: congested stripe in bins iy ∈ {4}.
         let route = rdp_route::GlobalRouter::default().route(&d);
         let mut field =

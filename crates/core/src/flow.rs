@@ -34,13 +34,15 @@ use std::time::Instant;
 use rdp_db::{Design, Point};
 use rdp_guard::{fnv1a64, HealthPolicy, RdpError, SnapshotReader, SnapshotWriter, Stage, Warning};
 use rdp_obs::Collector;
-use rdp_route::{GlobalRouter, RouterConfig};
+use rdp_route::GlobalRouter;
 
 use crate::congestion::CongestionField;
-use crate::dpa::{DpaConfig, PgDensity};
-use crate::inflate::{InflationBounds, InflationPolicy, InflationSnapshot, InflationState};
+use crate::dpa::PgDensity;
+use crate::inflate::{InflationPolicy, InflationSnapshot, InflationState};
 use crate::netmove::{congestion_gradients, lambda2, NetMoveConfig};
-use crate::placer::{GpSession, GpSnapshot, PlacerConfig, StepExtras};
+use crate::placer::{
+    GpSession, GpSnapshot, PlacerConfig, StepExtras, STOP_OVERFLOW, TARGET_DENSITY,
+};
 
 /// Which congestion model feeds the differentiable congestion field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,18 +80,12 @@ pub enum PlacerPreset {
 pub struct RoutabilityConfig {
     /// Global-placement engine options.
     pub gp: PlacerConfig,
-    /// Router options for congestion estimation.
-    pub router: RouterConfig,
     /// Cell inflation policy (MCI and its baselines).
     pub inflation: InflationPolicy,
     /// Enable the differentiable congestion / net-moving term (DC).
     pub enable_dc: bool,
-    /// Net-moving tuning.
-    pub netmove: NetMoveConfig,
     /// Pin-accessibility density mode, or `None` to disable.
     pub dpa: Option<DpaMode>,
-    /// DPA tuning.
-    pub dpa_cfg: DpaConfig,
     /// Maximum routability iterations (router invocations).
     pub max_route_iters: usize,
     /// Nesterov steps of problem (5) per routability iteration.
@@ -113,12 +109,9 @@ impl RoutabilityConfig {
     pub fn preset(p: PlacerPreset) -> Self {
         let base = RoutabilityConfig {
             gp: PlacerConfig::default(),
-            router: RouterConfig::default(),
             inflation: InflationPolicy::None,
             enable_dc: false,
-            netmove: NetMoveConfig::default(),
             dpa: None,
-            dpa_cfg: DpaConfig::default(),
             max_route_iters: 0,
             gp_iters_per_route: 24,
             stop_patience: 2,
@@ -571,11 +564,8 @@ impl FlowCheckpoint {
 #[derive(Debug, Clone, Copy)]
 enum Burst {
     /// Phase 1, problem (2): up to `max_iters` steps, stopping after
-    /// step 20 once the density overflow is below `stop_overflow`.
-    Wirelength {
-        max_iters: usize,
-        stop_overflow: f64,
-    },
+    /// step 20 once the density overflow is below [`STOP_OVERFLOW`].
+    Wirelength { max_iters: usize },
     /// Routability iteration `t`, problem (5): `steps` steps.
     Routability { t: usize, steps: usize },
 }
@@ -631,7 +621,7 @@ impl Guard {
         extras: &StepExtras<'_>,
     ) -> Result<(usize, f64), RdpError> {
         let (stage, route_iter, max_steps) = match burst {
-            Burst::Wirelength { max_iters, .. } => (Stage::WirelengthGp, 0, max_iters),
+            Burst::Wirelength { max_iters } => (Stage::WirelengthGp, 0, max_iters),
             Burst::Routability { t, steps } => (Stage::Routability, t, steps),
         };
         // Rollback target: the last optimizer state that passed the health
@@ -652,8 +642,9 @@ impl Guard {
                 Ok(report) if !self.health.is_blowup(good.last_overflow, report.overflow) => {
                     last_gamma = report.gamma;
                     session.save_state_into(&mut good);
-                    let stop = matches!(burst, Burst::Wirelength { stop_overflow, .. }
-                        if k >= 20 && report.overflow < stop_overflow);
+                    let stop = matches!(burst, Burst::Wirelength { .. })
+                        && k >= 20
+                        && report.overflow < STOP_OVERFLOW;
                     k += 1;
                     if stop {
                         break;
@@ -782,7 +773,7 @@ pub fn run_flow_with(
                     f64::NAN,
                 ))
             } else {
-                let p = PgDensity::new(design, &grid, &cfg.dpa_cfg);
+                let p = PgDensity::new(design, &grid);
                 health
                     .check_map(Stage::Dpa, "PG track density", None, &p.density_map(None))
                     .map(|()| p)
@@ -805,11 +796,7 @@ pub fn run_flow_with(
         _ => None,
     };
 
-    let mut inflation = InflationState::new(
-        design.num_cells(),
-        cfg.inflation,
-        InflationBounds::default(),
-    );
+    let mut inflation = InflationState::new(design.num_cells(), cfg.inflation);
     let gp_iterations;
     let mut log: Vec<RouteIterLog> = Vec::new();
     let mut best_penalty = f64::INFINITY;
@@ -853,7 +840,6 @@ pub fn run_flow_with(
             };
             let burst = Burst::Wirelength {
                 max_iters: cfg.gp.max_iters,
-                stop_overflow: cfg.gp.stop_overflow,
             };
             (gp_iterations, _) = guard.burst(burst, &mut session, design, &extras)?;
             start_iter = 1;
@@ -863,7 +849,7 @@ pub fn run_flow_with(
 
     // Phase 2: routability-driven iterations.
     session.set_stage(Stage::Routability);
-    let router = GlobalRouter::new(cfg.router.clone());
+    let router = GlobalRouter::default();
     // Best-so-far snapshot: the routability iterations can regress (or,
     // with aggressive settings, diverge), so the flow keeps the placement
     // with the lowest observed score and restores it at the end. Total
@@ -874,7 +860,7 @@ pub fn run_flow_with(
     // cells make nets short), so the score also penalizes real-area
     // density overflow beyond what legalization absorbs cheaply.
     let pitch = 0.5 * (grid.bin_w() + grid.bin_h());
-    let overflow_allowance = (1.5 * cfg.gp.stop_overflow).max(0.12);
+    let overflow_allowance = (1.5 * STOP_OVERFLOW).max(0.12);
     let snapshot_score = |route: &rdp_route::RouteResult, real_density_overflow: f64| {
         route.maps.total_overflow()
             + 0.02 * route.wirelength / pitch
@@ -883,7 +869,7 @@ pub fn run_flow_with(
     let real_density_overflow = |session: &GpSession, design: &Design| {
         session
             .model()
-            .compute(design, None, None, cfg.gp.target_density)
+            .compute(design, None, None, TARGET_DENSITY)
             .overflow
     };
 
@@ -941,9 +927,7 @@ pub fn run_flow_with(
         // One density evaluation serves both the snapshot score and the
         // per-iteration frame capture, so traced runs perform exactly the
         // same arithmetic as untraced ones (frames only *read* the field).
-        let dens = session
-            .model()
-            .compute(design, None, None, cfg.gp.target_density);
+        let dens = session.model().compute(design, None, None, TARGET_DENSITY);
         if obs.is_enabled() {
             obs.frame(
                 "congestion",
@@ -1004,7 +988,7 @@ pub fn run_flow_with(
         // feeding NaN into the optimizer.
         let (cgrad, l2, c_penalty, virtual_cells) = if cfg.enable_dc {
             let _nm_span = obs.span_iter("netmove", "flow", t as i64);
-            let mut g = congestion_gradients(design, &field, &cfg.netmove);
+            let mut g = congestion_gradients(design, &field, &NetMoveConfig::default());
             if guard.take_fault(FlowFault::NanCongestionGrad { route_iter: t }) {
                 if let Some(p) = g.grad.first_mut() {
                     p.x = f64::NAN;
@@ -1277,10 +1261,7 @@ mod tests {
             .iter()
             .map(|l| l.overflow)
             .fold(f64::INFINITY, f64::min);
-        let final_overflow = GlobalRouter::new(cfg.router.clone())
-            .route(&d)
-            .maps
-            .total_overflow();
+        let final_overflow = GlobalRouter::default().route(&d).maps.total_overflow();
         assert!(
             final_overflow <= best_logged * 1.5 + 10.0,
             "final {final_overflow} vs best logged {best_logged}"

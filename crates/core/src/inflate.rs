@@ -39,32 +39,18 @@ impl Default for InflationPolicy {
     }
 }
 
-/// Ratio clamp bounds (`r_min`, `r_max` of Eq. (11)) and the global area
-/// budget.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InflationBounds {
-    /// Lower clamp (0.9 in the paper — mild deflation is allowed).
-    pub r_min: f64,
-    /// Upper clamp (2.0 in the paper).
-    pub r_max: f64,
-    /// Maximum total inflated area as a fraction of the design's free
-    /// area. When the per-cell ratios would exceed it, every cell's
-    /// inflation *excess* `(r − 1)` is scaled down by a common factor.
-    /// Without this budget, high-utilization designs become infeasible
-    /// under inflation: the placer piles cells at the die boundary and
-    /// legalization tears the placement apart.
-    pub area_budget: f64,
-}
-
-impl Default for InflationBounds {
-    fn default() -> Self {
-        InflationBounds {
-            r_min: 0.9,
-            r_max: 2.0,
-            area_budget: 0.92,
-        }
-    }
-}
+/// Lower ratio clamp `r_min` of Eq. (11) (0.9 in the paper — mild
+/// deflation is allowed).
+const R_MIN: f64 = 0.9;
+/// Upper ratio clamp `r_max` of Eq. (11) (2.0 in the paper).
+const R_MAX: f64 = 2.0;
+/// Maximum total inflated area as a fraction of the design's free area.
+/// When the per-cell ratios would exceed it, every cell's inflation
+/// *excess* `(r − 1)` is scaled down by a common factor. Without this
+/// budget, high-utilization designs become infeasible under inflation:
+/// the placer piles cells at the die boundary and legalization tears the
+/// placement apart.
+const AREA_BUDGET: f64 = 0.92;
 
 /// Portable capture of an [`InflationState`]'s evolving fields, used by
 /// the flow checkpoint (`FlowCheckpoint`).
@@ -88,7 +74,6 @@ pub struct InflationSnapshot {
 #[derive(Debug, Clone)]
 pub struct InflationState {
     policy: InflationPolicy,
-    bounds: InflationBounds,
     r: Vec<f64>,
     effective: Vec<f64>,
     delta_r: Vec<f64>,
@@ -99,10 +84,9 @@ pub struct InflationState {
 
 impl InflationState {
     /// Creates the state for `num_cells` cells, all at ratio 1.
-    pub fn new(num_cells: usize, policy: InflationPolicy, bounds: InflationBounds) -> Self {
+    pub fn new(num_cells: usize, policy: InflationPolicy) -> Self {
         InflationState {
             policy,
-            bounds,
             r: vec![1.0; num_cells],
             effective: vec![1.0; num_cells],
             delta_r: vec![0.0; num_cells],
@@ -129,8 +113,8 @@ impl InflationState {
     }
 
     /// Captures the full evolving state for a flow checkpoint. The policy
-    /// and bounds are configuration, not state — the restoring side
-    /// supplies them again via [`InflationState::new`].
+    /// is configuration, not state — the restoring side supplies it again
+    /// via [`InflationState::new`].
     pub fn save_state(&self) -> InflationSnapshot {
         InflationSnapshot {
             r: self.r.clone(),
@@ -180,10 +164,10 @@ impl InflationState {
             match self.policy {
                 InflationPolicy::None => {}
                 InflationPolicy::PresentOnly { beta } => {
-                    self.r[i] = (1.0 + beta * c).clamp(self.bounds.r_min, self.bounds.r_max);
+                    self.r[i] = (1.0 + beta * c).clamp(R_MIN, R_MAX);
                 }
                 InflationPolicy::Monotone { beta } => {
-                    self.r[i] = (self.r[i] + beta * c).clamp(self.bounds.r_min, self.bounds.r_max);
+                    self.r[i] = (self.r[i] + beta * c).clamp(R_MIN, R_MAX);
                 }
                 InflationPolicy::Momentum { alpha } => {
                     let delta = if self.t == 1 {
@@ -207,7 +191,7 @@ impl InflationState {
                         alpha * self.delta_r[i] + (1.0 - alpha) * s
                     };
                     self.delta_r[i] = delta;
-                    self.r[i] = (self.r[i] + delta).clamp(self.bounds.r_min, self.bounds.r_max);
+                    self.r[i] = (self.r[i] + delta).clamp(R_MIN, R_MAX);
                 }
             }
             self.c_prev[i] = c;
@@ -223,7 +207,7 @@ impl InflationState {
             base += a;
             inflated += a * self.r[cid.index()];
         }
-        let budget = self.bounds.area_budget * design.free_area();
+        let budget = AREA_BUDGET * design.free_area();
         if inflated > budget && inflated > base {
             let scale = ((budget - base) / (inflated - base)).clamp(0.0, 1.0);
             for cid in design.movable_cells() {
@@ -274,11 +258,7 @@ mod tests {
     #[test]
     fn ratios_start_at_one_and_stay_bounded() {
         let (d, f) = congested_design();
-        let mut st = InflationState::new(
-            d.num_cells(),
-            InflationPolicy::default(),
-            InflationBounds::default(),
-        );
+        let mut st = InflationState::new(d.num_cells(), InflationPolicy::default());
         assert!(st.ratios().iter().all(|&r| r == 1.0));
         for _ in 0..10 {
             st.update(&d, &f);
@@ -292,11 +272,7 @@ mod tests {
     #[test]
     fn congested_cells_inflate_quiet_cells_do_not() {
         let (d, f) = congested_design();
-        let mut st = InflationState::new(
-            d.num_cells(),
-            InflationPolicy::default(),
-            InflationBounds::default(),
-        );
+        let mut st = InflationState::new(d.num_cells(), InflationPolicy::default());
         for _ in 0..3 {
             st.update(&d, &f);
         }
@@ -311,11 +287,7 @@ mod tests {
     #[test]
     fn momentum_growth_stalls_for_fully_escaped_cell() {
         let (mut d, f) = congested_design();
-        let mut st = InflationState::new(
-            d.num_cells(),
-            InflationPolicy::Momentum { alpha: 0.4 },
-            InflationBounds::default(),
-        );
+        let mut st = InflationState::new(d.num_cells(), InflationPolicy::Momentum { alpha: 0.4 });
         let victim = d.find_cell("a0").unwrap();
         st.update(&d, &f);
         let r_inflated = st.ratios()[victim.index()];
@@ -371,11 +343,7 @@ mod tests {
         let f = CongestionField::synthetic(&d, cmap);
         assert!(f.mean_congestion > 0.099 && f.mean_congestion < 0.12);
 
-        let mut st = InflationState::new(
-            d.num_cells(),
-            InflationPolicy::Momentum { alpha: 0.4 },
-            InflationBounds::default(),
-        );
+        let mut st = InflationState::new(d.num_cells(), InflationPolicy::Momentum { alpha: 0.4 });
         let victim = rdp_db::CellId(0);
         st.update(&d, &f); // inflates at C = 1.0
         let r_hot = st.ratios()[victim.index()];
@@ -390,11 +358,7 @@ mod tests {
     #[test]
     fn present_only_forgets_history() {
         let (mut d, f) = congested_design();
-        let mut st = InflationState::new(
-            d.num_cells(),
-            InflationPolicy::PresentOnly { beta: 1.0 },
-            InflationBounds::default(),
-        );
+        let mut st = InflationState::new(d.num_cells(), InflationPolicy::PresentOnly { beta: 1.0 });
         let victim = d.find_cell("a0").unwrap();
         st.update(&d, &f);
         assert!(st.ratios()[victim.index()] > 1.0);
@@ -407,11 +371,7 @@ mod tests {
     #[test]
     fn monotone_never_deflates() {
         let (mut d, f) = congested_design();
-        let mut st = InflationState::new(
-            d.num_cells(),
-            InflationPolicy::Monotone { beta: 0.6 },
-            InflationBounds::default(),
-        );
+        let mut st = InflationState::new(d.num_cells(), InflationPolicy::Monotone { beta: 0.6 });
         let victim = d.find_cell("a0").unwrap();
         st.update(&d, &f);
         let r1 = st.ratios()[victim.index()];
@@ -424,11 +384,7 @@ mod tests {
     #[test]
     fn none_policy_is_inert() {
         let (d, f) = congested_design();
-        let mut st = InflationState::new(
-            d.num_cells(),
-            InflationPolicy::None,
-            InflationBounds::default(),
-        );
+        let mut st = InflationState::new(d.num_cells(), InflationPolicy::None);
         for _ in 0..5 {
             st.update(&d, &f);
         }

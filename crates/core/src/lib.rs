@@ -21,6 +21,11 @@
 //!   ([`PlacerPreset`]); the plain wirelength-driven placer (problem (2),
 //!   the "Xplace" baseline) is `run_flow` with [`PlacerPreset::Xplace`].
 //!
+//! The paper's fixed parameters (r ∈ [0.9, 2.0], the +10 % macro
+//! expansion and the 0.2·extent rail filter) and the placer's target
+//! density, stop overflow and WA γ factor are constants, not settings;
+//! DESIGN.md §4 lists every model constant with its provenance.
+//!
 //! ```no_run
 //! use rdp_core::{run_flow, PlacerPreset, RoutabilityConfig};
 //! use rdp_gen::generate_named;
@@ -52,12 +57,12 @@ pub mod wirelength;
 
 pub use congestion::CongestionField;
 pub use density::{DensityField, DensityModel};
-pub use dpa::{select_rails, DpaConfig, PgDensity};
+pub use dpa::{select_rails, PgDensity, PG_MACRO_EXPAND, PG_MIN_LENGTH_FRACTION};
 pub use flow::{
     run_flow, run_flow_with, DcSource, DpaMode, FlowCheckpoint, FlowControl, FlowFault, FlowReport,
     PlacerPreset, RoutabilityConfig, RouteIterLog,
 };
-pub use inflate::{InflationBounds, InflationPolicy, InflationSnapshot, InflationState};
+pub use inflate::{InflationPolicy, InflationSnapshot, InflationState};
 pub use nesterov::NesterovSolver;
 pub use netmove::{
     congestion_gradients, lambda2, two_pin_gradient, CongestionGradients, NetMoveConfig,

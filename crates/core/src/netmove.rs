@@ -23,22 +23,22 @@ use rdp_db::{Design, NetId, Point};
 
 use crate::congestion::CongestionField;
 
-/// Tuning knobs of the net-moving gradient computation.
+/// Lower bound on the pin-to-virtual-cell distance `d_iv` as a fraction
+/// of the G-cell extent, guarding the `L/(2·d_iv)` lever arm.
+const MIN_DISTANCE_FRACTION: f64 = 0.25;
+
+/// Tuning knob of the net-moving gradient computation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetMoveConfig {
     /// Congestion threshold above which a multi-pin cell receives the raw
     /// field gradient (0.7 in the paper, Algorithm 2 line 11).
     pub multi_pin_threshold: f64,
-    /// Lower bound on the pin-to-virtual-cell distance `d_iv` as a
-    /// fraction of the G-cell extent, guarding the `L/(2·d_iv)` lever arm.
-    pub min_distance_fraction: f64,
 }
 
 impl Default for NetMoveConfig {
     fn default() -> Self {
         NetMoveConfig {
             multi_pin_threshold: 0.7,
-            min_distance_fraction: 0.25,
         }
     }
 }
@@ -89,7 +89,7 @@ pub fn congestion_gradients(
 
         // Two-pin net: Algorithm 1.
         if net.is_two_pin() {
-            if let Some(v) = two_pin_gradient(design, field, cfg, net_id, std_area) {
+            if let Some(v) = two_pin_gradient(design, field, net_id, std_area) {
                 if design.cell(v.cell1).is_movable() {
                     grad[v.cell1.index()].x += v.g1.x;
                     grad[v.cell1.index()].y += v.g1.y;
@@ -160,7 +160,6 @@ pub struct VirtualCellInfo {
 pub fn two_pin_gradient(
     design: &Design,
     field: &CongestionField,
-    cfg: &NetMoveConfig,
     net: NetId,
     std_area: f64,
 ) -> Option<VirtualCellInfo> {
@@ -216,7 +215,7 @@ pub fn two_pin_gradient(
 
     // Lines 6–9: project and distribute with the lever-arm weighting.
     let proj = normal.scale(grad_v.dot(normal));
-    let d_min = cfg.min_distance_fraction * lx.max(ly);
+    let d_min = MIN_DISTANCE_FRACTION * lx.max(ly);
     let d1 = p1.distance(pos).max(d_min);
     let d2 = p2.distance(pos).max(d_min);
     let g1 = proj.scale(len / (2.0 * d1));
@@ -302,8 +301,7 @@ mod tests {
         let d = stripe_design();
         let f = field_of(&d);
         let probe = NetId::from_index(d.num_nets() - 1);
-        let info = two_pin_gradient(&d, &f, &NetMoveConfig::default(), probe, 1.0)
-            .expect("net spans many G-cells");
+        let info = two_pin_gradient(&d, &f, probe, 1.0).expect("net spans many G-cells");
         // The stripe is at y≈30–34; candidates lie along y=31 so the
         // virtual cell must be in the stripe.
         assert!(info.pos.y > 28.0 && info.pos.y < 36.0, "{}", info.pos);
@@ -315,7 +313,7 @@ mod tests {
         let d = stripe_design();
         let f = field_of(&d);
         let probe = NetId::from_index(d.num_nets() - 1);
-        let info = two_pin_gradient(&d, &f, &NetMoveConfig::default(), probe, 1.0).unwrap();
+        let info = two_pin_gradient(&d, &f, probe, 1.0).unwrap();
         let dir = Point::new(1.0, 0.0); // probe net is horizontal
         assert!(
             info.normal.dot(dir).abs() < 1e-9,
@@ -333,7 +331,7 @@ mod tests {
         let d = stripe_design();
         let f = field_of(&d);
         let probe = NetId::from_index(d.num_nets() - 1);
-        let info = two_pin_gradient(&d, &f, &NetMoveConfig::default(), probe, 1.0).unwrap();
+        let info = two_pin_gradient(&d, &f, probe, 1.0).unwrap();
         // The probe net runs along the stripe center (y=31); the stripe
         // spans roughly y∈[30,34]. Descent −g moves both cells in the same
         // vertical direction, out of the stripe.
@@ -372,7 +370,7 @@ mod tests {
         let d = b.build().unwrap();
         let f = field_of(&d);
         let probe = NetId::from_index(d.num_nets() - 1);
-        let info = two_pin_gradient(&d, &f, &NetMoveConfig::default(), probe, 1.0).unwrap();
+        let info = two_pin_gradient(&d, &f, probe, 1.0).unwrap();
         let d1 = Point::new(20.0, 36.0).distance(info.pos);
         let d2 = Point::new(60.0, 60.0).distance(info.pos);
         if d1 < d2 {
@@ -392,14 +390,7 @@ mod tests {
         b.add_net("n", vec![(a, Point::default()), (c, Point::default())]);
         b.routing(RoutingSpec::uniform(4, 2.0, 16, 16));
         let tiny = b.build().unwrap();
-        assert!(two_pin_gradient(
-            &tiny,
-            &f,
-            &NetMoveConfig::default(),
-            NetId::from_index(0),
-            1.0
-        )
-        .is_none());
+        assert!(two_pin_gradient(&tiny, &f, NetId::from_index(0), 1.0).is_none());
     }
 
     #[test]
@@ -505,7 +496,6 @@ mod tests {
             &f,
             &NetMoveConfig {
                 multi_pin_threshold: 0.0,
-                ..NetMoveConfig::default()
             },
         );
         assert!(loose.multi_pin_cells >= paper.multi_pin_cells);
@@ -520,7 +510,6 @@ mod tests {
             &f,
             &NetMoveConfig {
                 multi_pin_threshold: f64::INFINITY,
-                ..NetMoveConfig::default()
             },
         );
         assert_eq!(strict.multi_pin_cells, 0);

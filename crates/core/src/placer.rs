@@ -17,17 +17,19 @@ use crate::nesterov::NesterovSolver;
 use crate::wirelength::{WaModel, WaScratch};
 use rdp_par::Pool;
 
+/// Target bin utilization for the overflow metric and stop criterion.
+pub(crate) const TARGET_DENSITY: f64 = 0.9;
+/// The wirelength-driven phase stops once the density overflow drops
+/// below this value.
+pub(crate) const STOP_OVERFLOW: f64 = 0.08;
+/// Base γ of the WA model, in units of mean bin extent.
+const GAMMA_FACTOR: f64 = 0.5;
+
 /// Configuration of the global-placement engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacerConfig {
-    /// Target bin utilization for the overflow metric and stop criterion.
-    pub target_density: f64,
     /// Hard iteration cap of the wirelength-driven phase.
     pub max_iters: usize,
-    /// Stop when density overflow drops below this value.
-    pub stop_overflow: f64,
-    /// Base γ of the WA model, in units of mean bin extent.
-    pub gamma_factor: f64,
     /// Multiplicative growth of the density weight λ₁ per iteration.
     pub lambda_growth: f64,
     /// Spread movable cells around the die center before optimizing
@@ -41,10 +43,7 @@ pub struct PlacerConfig {
 impl Default for PlacerConfig {
     fn default() -> Self {
         PlacerConfig {
-            target_density: 0.9,
             max_iters: 500,
-            stop_overflow: 0.08,
-            gamma_factor: 0.5,
             lambda_growth: 1.05,
             center_init: true,
             health: HealthPolicy::default(),
@@ -150,9 +149,7 @@ impl GpSession {
         // Initial λ₁ = ‖∇WA‖₁ / ‖∇D‖₁ (ePlace). The first gradient binds
         // the session's WA scratch (and its flat netlist view) to the
         // design; every later step reuses it.
-        let field = session
-            .model
-            .compute(design, None, None, session.cfg.target_density);
+        let field = session.model.compute(design, None, None, TARGET_DENSITY);
         session.last_overflow = field.overflow;
         let (l1_w, l1_d) = session.gradient_l1_norms(design, &field, None);
         session.lambda1 = if l1_d > 1e-12 { l1_w / l1_d } else { 1.0 };
@@ -187,7 +184,7 @@ impl GpSession {
         movable: Vec<CellId>,
     ) -> Self {
         let grid = model.grid();
-        let base_gamma = cfg.gamma_factor * 0.5 * (grid.bin_w() + grid.bin_h());
+        let base_gamma = GAMMA_FACTOR * 0.5 * (grid.bin_w() + grid.bin_h());
         let first_step = grid.bin_w().min(grid.bin_h());
         let init: Vec<Point> = movable.iter().map(|&c| design.pos(c)).collect();
         GpSession {
@@ -329,7 +326,7 @@ impl GpSession {
             design,
             extras.inflation,
             extras.extra_density,
-            self.cfg.target_density,
+            TARGET_DENSITY,
         );
         let (l1_w, l1_d) = self.gradient_l1_norms(design, &field, extras.inflation);
         let it = Some(self.steps_done as usize);
@@ -394,7 +391,6 @@ impl GpSession {
         let bounds = design.die().clamp_box();
         let gamma = self.wa_gamma();
         let wa = WaModel::new(gamma);
-        let target = self.cfg.target_density;
         let health = self.cfg.health;
         let stage = self.stage;
         let iteration = Some(self.steps_done as usize);
@@ -432,8 +428,12 @@ impl GpSession {
                     }
                     design.set_pos(id, p);
                 }
-                let field: DensityField =
-                    model.compute(design, extras.inflation, extras.extra_density, target);
+                let field: DensityField = model.compute(
+                    design,
+                    extras.inflation,
+                    extras.extra_density,
+                    TARGET_DENSITY,
+                );
                 overflow = field.overflow;
 
                 full_grad.iter_mut().for_each(|p| *p = Point::default());

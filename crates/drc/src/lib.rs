@@ -18,6 +18,8 @@
 //!
 //! The proxy preserves the paper's *relative* claims (who wins, by what
 //! rough factor); absolute counts are not comparable to Innovus numbers.
+//! Its weights, the grid refinement and the evaluation router's effort
+//! are constants: they define Table I's columns, and no run records them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

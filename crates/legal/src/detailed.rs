@@ -6,18 +6,14 @@ use crate::segments::{build_segments, Segment};
 use rdp_db::{CellId, Design, NetId, Point};
 use rdp_obs::Collector;
 
-/// Configuration for [`detailed_place`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetailedConfig {
-    /// Number of improvement passes.
-    pub passes: usize,
-}
+/// Number of improvement passes.
+const PASSES: usize = 2;
 
-impl Default for DetailedConfig {
-    fn default() -> Self {
-        DetailedConfig { passes: 2 }
-    }
-}
+/// Settings of [`detailed_place`]: none, the pass count is a constant.
+/// The type stays only because the flow benchmark (`flowbench/`) passes
+/// `DetailedConfig::default()`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct DetailedConfig {}
 
 /// Runs detailed placement on an already-legal design; returns the HPWL
 /// improvement (positive = better). Legality is preserved.
@@ -27,8 +23,8 @@ pub fn detailed_place(design: &mut Design, cfg: &DetailedConfig) -> f64 {
 
 /// [`detailed_place`] with a `"detailed_place"` span recorded on `obs`;
 /// the HPWL improvement is recorded as the `detailed_hpwl_gain` gauge.
-pub fn detailed_place_obs(design: &mut Design, cfg: &DetailedConfig, obs: &Collector) -> f64 {
-    detailed_impl(design, cfg, None, obs)
+pub fn detailed_place_obs(design: &mut Design, _cfg: &DetailedConfig, obs: &Collector) -> f64 {
+    detailed_impl(design, None, obs)
 }
 
 /// Detailed placement that moves cells by their **virtual widths** (see
@@ -50,20 +46,15 @@ pub fn detailed_place_virtual(
 /// `obs`; the HPWL improvement is recorded as `detailed_hpwl_gain`.
 pub fn detailed_place_virtual_obs(
     design: &mut Design,
-    cfg: &DetailedConfig,
+    _cfg: &DetailedConfig,
     virtual_widths: &[f64],
     obs: &Collector,
 ) -> f64 {
     assert_eq!(virtual_widths.len(), design.num_cells());
-    detailed_impl(design, cfg, Some(virtual_widths), obs)
+    detailed_impl(design, Some(virtual_widths), obs)
 }
 
-fn detailed_impl(
-    design: &mut Design,
-    cfg: &DetailedConfig,
-    virtual_widths: Option<&[f64]>,
-    obs: &Collector,
-) -> f64 {
+fn detailed_impl(design: &mut Design, virtual_widths: Option<&[f64]>, obs: &Collector) -> f64 {
     let _span = obs.span("detailed_place", "legal");
     let before = design.hpwl();
     let segments = build_segments(design);
@@ -72,7 +63,7 @@ fn detailed_impl(
     let mut per_seg: Vec<Vec<CellId>> = vec![Vec::new(); segments.len()];
     let mut scratch = Scratch::default();
 
-    for _ in 0..cfg.passes.max(1) {
+    for _ in 0..PASSES {
         // Group movable cells by segment.
         per_seg.iter_mut().for_each(Vec::clear);
         for c in design.movable_cells() {
@@ -437,9 +428,13 @@ mod tests {
         }
         b.routing(RoutingSpec::uniform(2, 10.0, 4, 4));
         let mut d = b.build().unwrap();
-        let improved = detailed_place(&mut d, &DetailedConfig { passes: 3 });
-        assert!(improved >= -1e-9);
-        let rep = check_legality(&d);
-        assert!(rep.is_legal(), "{rep:?}");
+        // A second call runs further passes on an already-improved
+        // placement: those must not degrade it either.
+        for _ in 0..2 {
+            let improved = detailed_place(&mut d, &DetailedConfig::default());
+            assert!(improved >= -1e-9);
+            let rep = check_legality(&d);
+            assert!(rep.is_legal(), "{rep:?}");
+        }
     }
 }

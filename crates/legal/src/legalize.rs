@@ -11,18 +11,15 @@ use crate::segments::{build_segments, Segment};
 use rdp_db::{CellId, Design, Point};
 use rdp_obs::Collector;
 
-/// Configuration for [`legalize`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LegalizeConfig {
-    /// Initial row search window (rows above/below the cell's position).
-    pub row_window: usize,
-}
+/// Initial row search window (rows above/below the cell's position); it
+/// doubles until a segment with room is found.
+const ROW_WINDOW: usize = 16;
 
-impl Default for LegalizeConfig {
-    fn default() -> Self {
-        LegalizeConfig { row_window: 16 }
-    }
-}
+/// Settings of [`legalize`]: none, the row search window is a constant.
+/// The type stays only because the flow benchmark (`flowbench/`) passes
+/// `LegalizeConfig::default()`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LegalizeConfig {}
 
 /// Outcome statistics of a legalization run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -55,9 +52,9 @@ pub fn legalize(design: &mut Design, cfg: &LegalizeConfig) -> LegalizeReport {
 
 /// [`legalize`] with a `"legalize"` span recorded on `obs`; the report's
 /// `failed` count is added to the `legalize_failed` counter.
-pub fn legalize_obs(design: &mut Design, cfg: &LegalizeConfig, obs: &Collector) -> LegalizeReport {
+pub fn legalize_obs(design: &mut Design, _cfg: &LegalizeConfig, obs: &Collector) -> LegalizeReport {
     let _span = obs.span("legalize", "legal");
-    let report = legalize_impl(design, cfg, None);
+    let report = legalize_impl(design, None);
     obs.counter_add("legalize_failed", report.failed as u64);
     report
 }
@@ -89,14 +86,14 @@ pub fn legalize_virtual(
 /// report's `failed` count is added to the `legalize_failed` counter.
 pub fn legalize_virtual_obs(
     design: &mut Design,
-    cfg: &LegalizeConfig,
+    _cfg: &LegalizeConfig,
     virtual_widths: &[f64],
     obs: &Collector,
 ) -> LegalizeReport {
     assert_eq!(virtual_widths.len(), design.num_cells());
     let _span = obs.span("legalize", "legal");
     let saved: Vec<Point> = design.positions().to_vec();
-    let mut report = legalize_impl(design, cfg, Some(virtual_widths));
+    let mut report = legalize_impl(design, Some(virtual_widths));
     if report.failed > 0 {
         obs.instant(
             "legalize_virtual_fallback",
@@ -104,17 +101,13 @@ pub fn legalize_virtual_obs(
             format!("{} cells failed with virtual widths", report.failed),
         );
         design.set_positions(&saved);
-        report = legalize_impl(design, cfg, None);
+        report = legalize_impl(design, None);
     }
     obs.counter_add("legalize_failed", report.failed as u64);
     report
 }
 
-fn legalize_impl(
-    design: &mut Design,
-    cfg: &LegalizeConfig,
-    virtual_widths: Option<&[f64]>,
-) -> LegalizeReport {
+fn legalize_impl(design: &mut Design, virtual_widths: Option<&[f64]>) -> LegalizeReport {
     let width_of = |design: &Design, cid: CellId| -> f64 {
         let real = design.cell(cid).w;
         match virtual_widths {
@@ -157,8 +150,8 @@ fn legalize_impl(
         let row_guess = ((g.y - row_h / 2.0) / row_h).round().max(0.0) as usize;
 
         let mut best: Option<(f64, usize, f64)> = None; // (cost, seg idx, left x)
-        let mut window = cfg.row_window;
-        while best.is_none() && window < num_rows * 2 + cfg.row_window {
+        let mut window = ROW_WINDOW;
+        while best.is_none() && window < num_rows * 2 + ROW_WINDOW {
             let lo = row_guess.saturating_sub(window);
             let hi = (row_guess + window).min(num_rows.saturating_sub(1));
             for row in lo..=hi {

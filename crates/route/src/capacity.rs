@@ -1,32 +1,18 @@
 //! Routing capacity modelling: per-G-cell track capacity derived from the
 //! layer stack, reduced by macro blockages and PG rails.
 
-use rdp_db::{Design, Dir, GridSpec, Map2d};
+use rdp_db::{Design, Dir, Map2d};
 
-/// Options controlling capacity derivation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CapacityOptions {
-    /// Number of lowest metal layers fully blocked by a macro (macros are
-    /// routable over their top; ISPD-2015-style macros block M1–M4 of a
-    /// 6-layer stack). Clamped to the stack height.
-    pub macro_blocked_layers: usize,
-    /// Fraction of its own layer's capacity a PG rail consumes in the
-    /// G-cells it covers, scaled by area overlap.
-    pub rail_blockage: f64,
-    /// Minimum capacity left in any G-cell, as a fraction of the unblocked
-    /// capacity (avoids division blow-ups in fully blocked cells).
-    pub min_capacity_fraction: f64,
-}
-
-impl Default for CapacityOptions {
-    fn default() -> Self {
-        CapacityOptions {
-            macro_blocked_layers: 4,
-            rail_blockage: 0.5,
-            min_capacity_fraction: 0.05,
-        }
-    }
-}
+/// Number of lowest metal layers fully blocked by a macro (macros are
+/// routable over their top; ISPD-2015-style macros block M1–M4 of a
+/// 6-layer stack). Clamped to the stack height.
+pub(crate) const MACRO_BLOCKED_LAYERS: usize = 4;
+/// Fraction of its own layer's capacity a PG rail consumes in the G-cells
+/// it covers, scaled by area overlap.
+const RAIL_BLOCKAGE: f64 = 0.5;
+/// Minimum capacity left in any G-cell, as a fraction of the unblocked
+/// capacity (avoids division blow-ups in fully blocked cells).
+const MIN_CAPACITY_FRACTION: f64 = 0.05;
 
 /// Per-direction capacity maps for a design's G-cell grid.
 #[derive(Debug, Clone)]
@@ -39,16 +25,10 @@ pub struct CapacityMaps {
 
 impl CapacityMaps {
     /// Builds capacity maps for `design` on its G-cell grid.
-    pub fn build(design: &Design, opts: &CapacityOptions) -> CapacityMaps {
+    pub fn build(design: &Design) -> CapacityMaps {
         let grid = design.gcell_grid();
-        Self::build_on_grid(design, &grid, opts)
-    }
-
-    /// Builds capacity maps on an arbitrary grid (the evaluation flow uses
-    /// a finer grid than placement).
-    pub fn build_on_grid(design: &Design, grid: &GridSpec, opts: &CapacityOptions) -> CapacityMaps {
         let spec = design.routing();
-        let blocked = opts.macro_blocked_layers.min(spec.num_layers());
+        let blocked = MACRO_BLOCKED_LAYERS.min(spec.num_layers());
 
         let total_h = spec.total_h_capacity();
         let total_v = spec.total_v_capacity();
@@ -120,7 +100,7 @@ impl CapacityMaps {
             for iy in y0..=y1 {
                 for ix in x0..=x1 {
                     let f = grid.bin_rect(ix, iy).overlap_area(&rail.rect) / bin_area;
-                    let cut = layer.capacity * opts.rail_blockage * f;
+                    let cut = layer.capacity * RAIL_BLOCKAGE * f;
                     match layer.dir {
                         Dir::Horizontal => h[(ix, iy)] -= cut,
                         Dir::Vertical => v[(ix, iy)] -= cut,
@@ -130,8 +110,8 @@ impl CapacityMaps {
         }
 
         // Floors.
-        let floor_h = total_h * opts.min_capacity_fraction;
-        let floor_v = total_v * opts.min_capacity_fraction;
+        let floor_h = total_h * MIN_CAPACITY_FRACTION;
+        let floor_v = total_v * MIN_CAPACITY_FRACTION;
         h.map_in_place(|c| *c = c.max(floor_h));
         v.map_in_place(|c| *c = c.max(floor_v));
 
@@ -149,9 +129,15 @@ impl CapacityMaps {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdp_db::{Cell, DesignBuilder, PgRail, Point, Rect, RoutingSpec};
+    use rdp_db::{Cell, DesignBuilder, Obstruction, PgRail, Point, Rect, RoutingSpec};
 
     fn design_with_macro() -> Design {
+        macro_design(&[])
+    }
+
+    /// A 50×50 macro over the lower-left quarter, a rail on M2, and
+    /// routing obstructions over the macro on `obstructed_layers`.
+    fn macro_design(obstructed_layers: &[u8]) -> Design {
         let mut b = DesignBuilder::new("c", Rect::new(0.0, 0.0, 100.0, 100.0));
         let m = b.add_cell(Cell::fixed_macro("m", 50.0, 50.0), Point::new(25.0, 25.0));
         let a = b.add_cell(Cell::std("a", 1.0, 1.0), Point::new(80.0, 80.0));
@@ -161,6 +147,12 @@ mod tests {
             dir: Dir::Horizontal,
             rect: Rect::new(0.0, 70.0, 100.0, 72.0),
         });
+        for &layer in obstructed_layers {
+            b.add_obstruction(Obstruction {
+                layer,
+                rect: Rect::new(0.0, 0.0, 50.0, 50.0),
+            });
+        }
         b.routing(RoutingSpec::uniform(6, 10.0, 10, 10));
         b.build().unwrap()
     }
@@ -168,7 +160,7 @@ mod tests {
     #[test]
     fn open_area_has_full_capacity() {
         let d = design_with_macro();
-        let caps = CapacityMaps::build(&d, &CapacityOptions::default());
+        let caps = CapacityMaps::build(&d);
         // G-cell (9, 0) is far from macro and rails.
         assert_eq!(caps.h[(9, 0)], 30.0);
         assert_eq!(caps.v[(9, 0)], 30.0);
@@ -178,7 +170,7 @@ mod tests {
     #[test]
     fn macro_blocks_lower_layers() {
         let d = design_with_macro();
-        let caps = CapacityMaps::build(&d, &CapacityOptions::default());
+        let caps = CapacityMaps::build(&d);
         // G-cell (1,1) fully inside the macro: 4 of 6 layers blocked.
         // H layers are M1, M3, M5 → blocked M1, M3 = 20 of 30.
         assert!((caps.h[(1, 1)] - 10.0).abs() < 1e-9);
@@ -189,7 +181,7 @@ mod tests {
     #[test]
     fn rail_reduces_its_layer_share() {
         let d = design_with_macro();
-        let caps = CapacityMaps::build(&d, &CapacityOptions::default());
+        let caps = CapacityMaps::build(&d);
         // Rail on M2 (vertical in the uniform stack) covers y∈[70,72]:
         // overlap fraction in G-cell row 7 = (100·2)/(10·10·10 cells) → per
         // cell 2·10/100 = 0.2 → cut = 10 · 0.5 · 0.2 = 1.0.
@@ -199,16 +191,14 @@ mod tests {
 
     #[test]
     fn capacity_never_below_floor() {
-        let d = design_with_macro();
-        let opts = CapacityOptions {
-            macro_blocked_layers: 6,
-            ..Default::default()
-        };
-        let caps = CapacityMaps::build(&d, &opts);
+        // The macro blocks M1–M4; obstructions on M5 and M6 take the two
+        // layers it leaves open, so the G-cells under it have nothing left.
+        let caps = CapacityMaps::build(&macro_design(&[4, 5]));
         for (_, _, &c) in caps.h.iter_coords() {
             assert!(c >= 30.0 * 0.05 - 1e-12);
         }
         // Fully-blocked interior cell pinned at the floor.
         assert!((caps.h[(1, 1)] - 1.5).abs() < 1e-9);
+        assert!((caps.v[(1, 1)] - 1.5).abs() < 1e-9);
     }
 }

@@ -12,7 +12,7 @@
 
 use rdp_db::{Design, Dir, GridSpec, Map2d};
 
-use crate::capacity::CapacityOptions;
+use crate::capacity::MACRO_BLOCKED_LAYERS;
 use crate::maps::RouteMaps;
 
 /// Per-layer demand/capacity maps.
@@ -69,8 +69,7 @@ pub fn assign_layers(design: &Design, maps: &RouteMaps, grid: &GridSpec) -> Laye
     // Per-layer capacity maps: start from the layer's nominal capacity and
     // apply the same macro/rail blockage model as CapacityMaps, but per
     // layer rather than direction-summed.
-    let opts = CapacityOptions::default();
-    let blocked = opts.macro_blocked_layers.min(n);
+    let blocked = MACRO_BLOCKED_LAYERS.min(n);
     let mut capacity: Vec<Map2d<f64>> = spec
         .layers
         .iter()

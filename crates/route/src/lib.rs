@@ -14,6 +14,11 @@
 //!   feeds the paper's congestion Poisson equation,
 //! * [`rudy_map`] — the classic RUDY bounding-box estimator as a baseline.
 //!
+//! The cost and capacity model (via weight, logistic congestion cost, pin
+//! vias, macro and rail blockage, capacity floor) is fixed; a
+//! [`RouterConfig`] sets only the effort: passes, Z-shape candidates and
+//! maze rip-ups.
+//!
 //! ```
 //! use rdp_db::{Cell, DesignBuilder, Point, Rect, RoutingSpec};
 //! use rdp_route::GlobalRouter;
@@ -44,7 +49,7 @@ mod router;
 pub mod rsmt;
 mod rudy;
 
-pub use capacity::{CapacityMaps, CapacityOptions};
+pub use capacity::CapacityMaps;
 pub use layers::{assign_layers, LayerAssignment};
 pub use maps::RouteMaps;
 pub use maze::{astar, MazePath, MazeStep};

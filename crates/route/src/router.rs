@@ -8,7 +8,7 @@
 //! committed to the maps. A configurable number of rip-up-and-reroute
 //! passes refines the solution against the accumulated demand.
 
-use crate::capacity::{CapacityMaps, CapacityOptions};
+use crate::capacity::CapacityMaps;
 use crate::maps::RouteMaps;
 use crate::maze::MazeStep;
 use crate::rsmt;
@@ -16,52 +16,47 @@ use rdp_db::{Design, GridSpec, Map2d, NetId};
 use rdp_obs::Collector;
 use rdp_par::{chunk_len, fast_exp, Pool};
 
-/// Configuration for [`GlobalRouter`].
+/// Demand units consumed by one via in a G-cell.
+const VIA_WEIGHT: f64 = 0.5;
+/// Cost charged per bend (via) when comparing candidates.
+const VIA_COST: f64 = 1.0;
+/// Logistic congestion-cost amplitude.
+const COST_AMPLITUDE: f64 = 12.0;
+/// Logistic congestion-cost sharpness.
+const COST_SHARPNESS: f64 = 6.0;
+/// Vias added per pin for the connection from the pin layer up into the
+/// routing layers.
+const PIN_VIA: f64 = 0.5;
+/// Upper bound on the number of segments whose candidate paths are
+/// evaluated concurrently. Batches only group segments whose effect
+/// regions are pairwise disjoint, so any value (including 1, which forces
+/// fully serial routing) produces bit-identical results.
+const PARALLEL_BATCH: usize = 64;
+
+/// Effort settings of [`GlobalRouter`]. The cost and capacity model is
+/// fixed; these three settings are what the in-loop congestion
+/// estimator, the evaluation router and the generator's calibration
+/// route differ in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouterConfig {
-    /// Demand units consumed by one via in a G-cell.
-    pub via_weight: f64,
-    /// Cost charged per bend (via) when comparing candidates.
-    pub via_cost: f64,
     /// Number of interior bend positions sampled per Z-shape family.
     pub z_candidates: usize,
-    /// Logistic congestion-cost amplitude.
-    pub cost_amplitude: f64,
-    /// Logistic congestion-cost sharpness.
-    pub cost_sharpness: f64,
     /// Routing passes; passes beyond the first rip up and reroute every
     /// net against the then-current demand.
     pub passes: usize,
-    /// Vias added per pin for the connection from the pin layer up into
-    /// the routing layers.
-    pub pin_via: f64,
     /// Maximum number of overflow-crossing segments ripped up and
     /// re-routed with the A* maze router after the pattern passes
     /// (0 disables the maze phase; the evaluation flow enables it to let
     /// congested placements pay real detours).
     pub maze_rip_up: usize,
-    /// Upper bound on the number of segments whose candidate paths are
-    /// evaluated concurrently. Batches only group segments whose effect
-    /// regions are pairwise disjoint, so any value (including 1, which
-    /// forces fully serial routing) produces bit-identical results.
-    pub parallel_batch: usize,
-    /// Capacity derivation options.
-    pub capacity: CapacityOptions,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            via_weight: 0.5,
-            via_cost: 1.0,
             z_candidates: 4,
-            cost_amplitude: 12.0,
-            cost_sharpness: 6.0,
             passes: 2,
-            pin_via: 0.5,
             maze_rip_up: 0,
-            parallel_batch: 64,
-            capacity: CapacityOptions::default(),
         }
     }
 }
@@ -347,47 +342,31 @@ impl GlobalRouter {
     }
 
     /// Routes the design on its G-cell grid.
-    pub fn route(&self, design: &Design) -> RouteResult {
-        let grid = design.gcell_grid();
-        self.route_on_grid(design, &grid)
-    }
-
-    /// [`route`](GlobalRouter::route) with observability: the decomposition,
-    /// per-pass rip-up batches, and the maze phase are recorded as spans,
-    /// plus batch/maze counters. Results are identical to [`route`].
-    pub fn route_obs(&self, design: &Design, obs: &Collector) -> RouteResult {
-        let grid = design.gcell_grid();
-        self.route_on_grid_obs(design, &grid, obs)
-    }
-
-    /// Routes the design on an arbitrary grid (used by the evaluation flow
-    /// at finer granularity).
     ///
     /// Net decomposition and candidate-path evaluation run on the global
     /// [`Pool`]; demand commits stay sequential in net order, and parallel
     /// batches only group segments with disjoint effect regions, so the
     /// result is bit-identical to a fully serial route for any thread
     /// count.
-    pub fn route_on_grid(&self, design: &Design, grid: &GridSpec) -> RouteResult {
-        self.route_on_grid_obs(design, grid, &Collector::disabled())
+    pub fn route(&self, design: &Design) -> RouteResult {
+        self.route_obs(design, &Collector::disabled())
     }
 
-    /// [`route_on_grid`](GlobalRouter::route_on_grid) with observability.
-    pub fn route_on_grid_obs(
-        &self,
-        design: &Design,
-        grid: &GridSpec,
-        obs: &Collector,
-    ) -> RouteResult {
+    /// [`route`](GlobalRouter::route) with observability: the decomposition,
+    /// per-pass rip-up batches, and the maze phase are recorded as spans,
+    /// plus batch/maze counters. Results are identical to
+    /// [`route`](GlobalRouter::route).
+    pub fn route_obs(&self, design: &Design, obs: &Collector) -> RouteResult {
+        let grid = design.gcell_grid();
         let pool = Pool::global();
-        let caps = CapacityMaps::build_on_grid(design, grid, &self.cfg.capacity);
-        let mut maps = RouteMaps::new(caps, self.cfg.via_weight);
-        let decomp = self.decompose(design, grid, pool, obs);
+        let caps = CapacityMaps::build(design);
+        let mut maps = RouteMaps::new(caps, VIA_WEIGHT);
+        let decomp = self.decompose(design, &grid, pool, obs);
 
         // Commit pin vias once in net order, independent of pass structure.
         for d in &decomp {
             for &pb in &d.pin_bins {
-                maps.via_demand[pb] += self.cfg.pin_via;
+                maps.via_demand[pb] += PIN_VIA;
             }
         }
 
@@ -395,7 +374,7 @@ impl GlobalRouter {
         let tasks = build_tasks(&cells);
         let mut committed: Vec<Vec<SegRoute>> = vec![Vec::new(); decomp.len()];
         self.route_tasks(&mut maps, &tasks, &mut committed, pool, obs);
-        let maze_rerouted = self.maze_phase(&mut maps, grid, &cells, &mut committed, obs);
+        let maze_rerouted = self.maze_phase(&mut maps, &grid, &cells, &mut committed, obs);
         obs.counter_add("route_maze_rerouted", maze_rerouted as u64);
         summarize(maps, &decomp, &committed, maze_rerouted)
     }
@@ -417,7 +396,7 @@ impl GlobalRouter {
         let pin_bins: Vec<_> = pins.iter().map(|p| grid.bin_of(*p)).collect();
         NetDecomp {
             cells,
-            pin_vias: self.cfg.pin_via * pins.len() as f64,
+            pin_vias: PIN_VIA * pins.len() as f64,
             pin_bins,
             net_len,
         }
@@ -457,7 +436,7 @@ impl GlobalRouter {
         pool: Pool,
         obs: &Collector,
     ) {
-        let batch_cap = self.cfg.parallel_batch.max(1);
+        let batch_cap = PARALLEL_BATCH;
         let mut rects: Vec<BinRect> = Vec::new();
         let mut paths: Vec<Path> = Vec::new();
         for pass in 0..self.cfg.passes.max(1) {
@@ -590,7 +569,7 @@ impl GlobalRouter {
                 let cost = |ix: usize, iy: usize, horizontal: bool| {
                     self.cell_cost(frozen, ix, iy, horizontal)
                 };
-                crate::maze::astar(frozen, a, b, &cost, self.cfg.via_cost)
+                crate::maze::astar(frozen, a, b, &cost, VIA_COST)
             };
             match found {
                 Some(mp) => {
@@ -624,7 +603,7 @@ impl GlobalRouter {
             (maps.v_demand[(ix, iy)], maps.caps.v[(ix, iy)])
         };
         let u = (dem + 1.0 + maps.via_weight * maps.via_demand[(ix, iy)]) / cap;
-        1.0 + self.cfg.cost_amplitude / (1.0 + fast_exp(-self.cfg.cost_sharpness * (u - 1.0)))
+        1.0 + COST_AMPLITUDE / (1.0 + fast_exp(-COST_SHARPNESS * (u - 1.0)))
     }
 
     /// Cost of one monotone run. Horizontal runs read contiguous row
@@ -639,9 +618,7 @@ impl GlobalRouter {
             let w = maps.via_weight;
             for i in run.from..=run.to {
                 let u = (h[i] + 1.0 + w * via[i]) / ch[i];
-                acc += 1.0
-                    + self.cfg.cost_amplitude
-                        / (1.0 + fast_exp(-self.cfg.cost_sharpness * (u - 1.0)));
+                acc += 1.0 + COST_AMPLITUDE / (1.0 + fast_exp(-COST_SHARPNESS * (u - 1.0)));
             }
         } else {
             for i in run.from..=run.to {
@@ -656,7 +633,7 @@ impl GlobalRouter {
         for r in path.runs() {
             acc += self.run_cost(maps, r);
         }
-        acc + self.cfg.via_cost * path.bends as f64
+        acc + VIA_COST * path.bends as f64
     }
 
     /// Enumerates straight / L / Z candidates and returns the cheapest.
@@ -800,9 +777,8 @@ mod tests {
         // vertical segment has only the straight candidate, use a diagonal
         // segment whose L candidates differ in congestion.
         let d = two_pin_design(Point::new(5.0, 5.0), Point::new(75.0, 75.0));
-        let grid = d.gcell_grid();
-        let caps = CapacityMaps::build_on_grid(&d, &grid, &CapacityOptions::default());
-        let mut maps = RouteMaps::new(caps, 0.5);
+        let caps = CapacityMaps::build(&d);
+        let mut maps = RouteMaps::new(caps, VIA_WEIGHT);
         // Make column x=0 (the V leg of the VH L-shape) very expensive.
         for iy in 0..8 {
             maps.v_demand[(0, iy)] = 500.0;

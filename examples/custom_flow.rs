@@ -6,10 +6,8 @@
 //! cargo run --release --example custom_flow
 //! ```
 
-use rdp::core::{
-    run_flow, DpaMode, InflationPolicy, NetMoveConfig, PlacerConfig, RoutabilityConfig,
-};
-use rdp::route::{GlobalRouter, RouterConfig};
+use rdp::core::{run_flow, DpaMode, InflationPolicy, RoutabilityConfig};
+use rdp::route::GlobalRouter;
 
 fn main() {
     let mut design = rdp::gen::generate(
@@ -26,25 +24,11 @@ fn main() {
         },
     );
 
-    // A custom configuration: gentler inflation, more Z-candidates in the
-    // congestion estimator, a stricter stop rule.
+    // A custom configuration: gentler inflation and a longer, more
+    // patient routability loop with shorter placement bursts.
     let cfg = RoutabilityConfig {
-        gp: PlacerConfig {
-            target_density: 0.85,
-            stop_overflow: 0.06,
-            ..PlacerConfig::default()
-        },
-        router: RouterConfig {
-            z_candidates: 8,
-            passes: 2,
-            ..RouterConfig::default()
-        },
         inflation: InflationPolicy::Momentum { alpha: 0.3 },
         enable_dc: true,
-        netmove: NetMoveConfig {
-            multi_pin_threshold: 0.5,
-            ..NetMoveConfig::default()
-        },
         dpa: Some(DpaMode::Dynamic),
         max_route_iters: 8,
         gp_iters_per_route: 20,

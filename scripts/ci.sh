@@ -22,6 +22,15 @@ cargo fmt --check
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
+# Every example must still run to completion: they are the documented
+# entry points for downstream code, and nothing else executes them.
+# Each takes under a second in release.
+for example in examples/*.rs; do
+    name="$(basename "${example}" .rs)"
+    echo "==> example ${name}"
+    cargo run -q --release --offline --example "${name}" > /dev/null
+done
+
 # The parallelism contract (crates/par) promises bit-identical results
 # for any worker count, so the whole test pass runs twice: once serial,
 # once on 4 workers. A divergence fails the determinism suite.

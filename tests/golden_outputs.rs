@@ -7,17 +7,28 @@
 //! obstructions and the routing environment) and the exact positions
 //! after global placement, legalization and detailed placement, with and
 //! without virtual widths, and the density penalty the GP step checks.
+//! The router, the evaluator and the routability presets are pinned the
+//! same way: the routed demand and capacity maps, every field of the
+//! evaluation report but its timing, the positions and per-iteration log
+//! of the fast XplaceRoute and Ours flows, and PG-rail selection. A
+//! mistyped model constant moves one of these hashes long before it moves
+//! a table number.
 //! Update a golden only for an intentional change of the output, and say
 //! so in the change log.
 
-use rdp::core::{run_flow, DensityModel, PlacerConfig, PlacerPreset, RoutabilityConfig};
-use rdp::db::{CellKind, Design, Dir};
+use rdp::core::{
+    run_flow, select_rails, DensityModel, PgDensity, PlacerConfig, PlacerPreset, RoutabilityConfig,
+};
+use rdp::db::{CellKind, Design, Dir, Map2d};
+use rdp::drc::{evaluate, EvalConfig, EvalReport};
 use rdp::gen::{generate_named, scenario_by_name, scenario_matrix, Scale};
 use rdp::legal::{
     detailed_place, detailed_place_virtual, legalize, legalize_virtual, DetailedConfig,
     LegalizeConfig,
 };
+use rdp::obs::Collector;
 use rdp::parse::{read_lefdef, write_lefdef, LefDefFiles};
+use rdp::route::GlobalRouter;
 
 /// FNV-1a over a stream of fields.
 struct Fnv(u64);
@@ -341,4 +352,191 @@ fn density_penalty_matches_golden_bits() {
             );
         }
     }
+}
+
+fn map_hash(h: &mut Fnv, m: &Map2d<f64>) {
+    h.u64(m.nx() as u64);
+    h.u64(m.ny() as u64);
+    for &v in m.as_slice() {
+        h.f64(v);
+    }
+}
+
+/// Every field of an evaluation report except its wall-clock time.
+fn eval_hash(h: &mut Fnv, e: &EvalReport) {
+    for v in [
+        e.drwl,
+        e.drvias,
+        e.drvs,
+        e.drv_overflow,
+        e.drv_pin_access,
+        e.drv_rail,
+        e.track_shorts,
+    ] {
+        h.f64(v);
+    }
+    h.u64(e.overflowed_gcells as u64);
+}
+
+/// A small-scale scenario class, or a suite design by name.
+fn named_design(name: &str) -> Design {
+    scenario_by_name(name)
+        .map(|s| s.build(Scale::Small))
+        .or_else(|| generate_named(name))
+        .expect("design")
+}
+
+/// Compares every `(label, hash)` against its golden and names each one
+/// that drifted, so one run shows the whole picture.
+fn assert_goldens(what: &str, got: &[(String, u64)], golden: &[(&str, u64)]) {
+    assert_eq!(got.len(), golden.len(), "{what}: one golden per case");
+    let drifted: Vec<String> = got
+        .iter()
+        .zip(golden)
+        .filter(|((_, g), (_, w))| g != w)
+        .map(|((label, g), (_, w))| format!("{label}: {g:#018x} (golden {w:#018x})"))
+        .collect();
+    for ((label, _), (want_label, _)) in got.iter().zip(golden) {
+        assert_eq!(label, want_label, "{what}: case order");
+    }
+    assert!(
+        drifted.is_empty(),
+        "{what} drifted:\n{}",
+        drifted.join("\n")
+    );
+}
+
+/// The default router on every generated scenario class: demand,
+/// capacity and congestion maps, wirelength and vias.
+#[test]
+fn global_route_maps_match_golden_hashes() {
+    const GOLDEN: [(&str, u64); 8] = [
+        ("baseline", 0xae507ed2f541fabc),
+        ("macro_obstructed", 0xf3e9608fff0c9854),
+        ("fpga_sites", 0x28684f33d250299f),
+        ("high_rent", 0x7af4b8c5450d1b9c),
+        ("near_full_util", 0xda30bf4bab7b41f7),
+        ("pin_hotspots", 0x6191842e55e24918),
+        ("single_row_core", 0xbc1f074f582eafa9),
+        ("obstruction_maze", 0xbc34d02c02cc9fb5),
+    ];
+    let got: Vec<(String, u64)> = scenario_matrix()
+        .iter()
+        .filter(|s| s.params(Scale::Small).is_some())
+        .map(|s| {
+            let d = s.build(Scale::Small);
+            let r = GlobalRouter::default().route(&d);
+            let mut h = Fnv::new();
+            for m in [
+                &r.maps.h_demand,
+                &r.maps.v_demand,
+                &r.maps.via_demand,
+                &r.maps.caps.h,
+                &r.maps.caps.v,
+                &r.congestion,
+            ] {
+                map_hash(&mut h, m);
+            }
+            h.f64(r.wirelength);
+            h.f64(r.vias);
+            (s.name.to_string(), h.0)
+        })
+        .collect();
+    assert_goldens("routed maps", &got, &GOLDEN);
+}
+
+/// The evaluation router and DRV proxy after a short, legalized Xplace
+/// flow.
+#[test]
+fn evaluation_reports_match_golden_hashes() {
+    const GOLDEN: [(&str, u64); 3] = [
+        ("baseline", 0x30a1fac017878e27),
+        ("macro_obstructed", 0x463aeba9e85e99db),
+        ("pci_bridge32_a", 0xad36aac0632a505a),
+    ];
+    let got: Vec<(String, u64)> = GOLDEN
+        .iter()
+        .map(|&(name, _)| {
+            let mut d = named_design(name);
+            let cfg = RoutabilityConfig {
+                gp: PlacerConfig {
+                    max_iters: 60,
+                    ..PlacerConfig::default()
+                },
+                ..RoutabilityConfig::preset(PlacerPreset::Xplace)
+            };
+            let flow = run_flow(&mut d, &cfg).expect("global placement");
+            rdp::legalize_after_flow(&mut d, &flow, &Collector::disabled());
+            let mut h = Fnv::new();
+            eval_hash(&mut h, &evaluate(&d, &EvalConfig::default()));
+            (name.to_string(), h.0)
+        })
+        .collect();
+    assert_goldens("evaluation reports", &got, &GOLDEN);
+}
+
+/// The whole pipeline under the fast XplaceRoute and Ours presets:
+/// positions, the routability log and the evaluation report.
+#[test]
+fn routability_presets_match_golden_hashes() {
+    const GOLDEN: [(&str, u64); 4] = [
+        ("baseline/xplace-route", 0x9595cc85b024c224),
+        ("baseline/ours", 0x8d345db1e59183cc),
+        ("macro_obstructed/xplace-route", 0x8919618fb9aef3b0),
+        ("macro_obstructed/ours", 0x971c41d865084e3c),
+    ];
+    let mut got = Vec::new();
+    for name in ["baseline", "macro_obstructed"] {
+        for (label, preset) in [
+            ("xplace-route", PlacerPreset::XplaceRoute),
+            ("ours", PlacerPreset::Ours),
+        ] {
+            let mut d = named_design(name);
+            let cfg = RoutabilityConfig::preset_fast(preset);
+            let r =
+                rdp::place_and_evaluate(&mut d, &cfg, &EvalConfig::default()).expect("pipeline");
+            let mut h = Fnv(positions_hash(&d));
+            h.u64(r.flow.gp_iterations as u64);
+            h.u64(r.flow.route_iterations as u64);
+            h.u64(r.flow.log.len() as u64);
+            for l in &r.flow.log {
+                h.u64(l.iter as u64);
+                for v in [l.overflow, l.max_congestion, l.c_penalty, l.lambda2, l.hpwl] {
+                    h.f64(v);
+                }
+                h.u64(l.virtual_cells as u64);
+            }
+            eval_hash(&mut h, &r.eval);
+            got.push((format!("{name}/{label}"), h.0));
+        }
+    }
+    assert_goldens("routability pipelines", &got, &GOLDEN);
+}
+
+/// PG-rail selection (Fig. 4) and the static DPA density it induces.
+#[test]
+fn pg_rail_selection_matches_golden_hashes() {
+    const GOLDEN: [(&str, u64); 2] = [
+        ("rails", 0x4f1e137031b85af6),
+        ("density", 0x2d4994bdc80a31fa),
+    ];
+    let d = generate_named("matrix_mult_a").expect("suite design");
+    let mut rails = Fnv::new();
+    let selected = select_rails(&d);
+    rails.u64(selected.len() as u64);
+    for r in &selected {
+        rails.u64(r.layer as u64);
+        rails.u64(matches!(r.dir, Dir::Vertical) as u64);
+        for v in [r.rect.lo.x, r.rect.lo.y, r.rect.hi.x, r.rect.hi.y] {
+            rails.f64(v);
+        }
+    }
+    let mut density = Fnv::new();
+    let pg = PgDensity::new(&d, &d.gcell_grid());
+    map_hash(&mut density, &pg.density_map(None));
+    let got = vec![
+        ("rails".to_string(), rails.0),
+        ("density".to_string(), density.0),
+    ];
+    assert_goldens("PG-rail selection", &got, &GOLDEN);
 }
