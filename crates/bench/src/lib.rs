@@ -139,7 +139,6 @@ mod tests {
                 drv_rail: 0.0,
                 route_seconds: 1.0,
                 overflowed_gcells: 0,
-                track_shorts: 0.0,
             },
         }
     }

@@ -655,17 +655,19 @@ impl Guard {
                         Err(e) => e.to_string(),
                         Ok(r) => format!("density overflow blew up to {:.3e}", r.overflow),
                     };
-                    // `Diverged` names the step in the wirelength phase and
-                    // the routability iteration in a burst; the two phases
-                    // also label the step differently in their messages.
-                    let (iteration, traced, noted) = match burst {
-                        Burst::Wirelength { .. } => (k, "wirelength GP step", "step"),
-                        Burst::Routability { t, .. } => (t, "GP step", "GP step"),
+                    // The two phases label the burst step differently in
+                    // their rollback messages.
+                    let (routability, traced, noted) = match burst {
+                        Burst::Wirelength { .. } => (false, "wirelength GP step", "step"),
+                        Burst::Routability { .. } => (true, "GP step", "GP step"),
                     };
                     if self.rollbacks >= self.health.max_rollbacks {
+                        // The failed step's session count: the counter the
+                        // sentinel in `detail` prints.
                         return Err(RdpError::Diverged {
                             stage,
-                            iteration,
+                            route_iter: routability.then_some(route_iter),
+                            gp_step: good.steps_done as usize,
                             rollbacks: self.rollbacks,
                             detail,
                         });

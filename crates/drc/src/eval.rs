@@ -63,9 +63,6 @@ pub struct EvalReport {
     pub route_seconds: f64,
     /// Fine G-cells with overflow.
     pub overflowed_gcells: usize,
-    /// Discrete track shorts from the per-layer analysis (informational;
-    /// not part of the DRV proxy sum).
-    pub track_shorts: f64,
 }
 
 /// Routes the (legalized) placement on a refined grid and computes the
@@ -128,9 +125,6 @@ pub fn evaluate(design: &Design, _cfg: &EvalConfig) -> EvalReport {
         }
     }
 
-    // Per-layer discrete track accounting (diagnostic).
-    let track_shorts = crate::tracks::track_analysis(&eval_design, &route, &grid).shorts;
-
     // Detour model: overflow forces the detailed router off the monotone
     // pattern, costing wirelength and layer jogs.
     let overflow = route.maps.total_overflow();
@@ -147,7 +141,6 @@ pub fn evaluate(design: &Design, _cfg: &EvalConfig) -> EvalReport {
         drv_rail,
         route_seconds,
         overflowed_gcells,
-        track_shorts,
     }
 }
 

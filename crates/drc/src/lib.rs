@@ -26,8 +26,6 @@
 
 mod eval;
 mod hotspots;
-mod tracks;
 
 pub use eval::{evaluate, EvalConfig, EvalReport};
 pub use hotspots::{classify, hotspots, overflow_centroid, Hotspot};
-pub use tracks::{track_analysis, TrackReport};

@@ -73,9 +73,13 @@ pub enum RdpError {
         value: f64,
     },
     /// The optimizer kept diverging after exhausting the rollback budget.
+    /// `route_iter` is the routability iteration (`None` in the
+    /// wirelength phase) and `gp_step` the GP session's step count, the
+    /// counter the health sentinels print.
     Diverged {
         stage: Stage,
-        iteration: usize,
+        route_iter: Option<usize>,
+        gp_step: usize,
         rollbacks: usize,
         detail: String,
     },
@@ -192,13 +196,20 @@ impl fmt::Display for RdpError {
             }
             RdpError::Diverged {
                 stage,
-                iteration,
+                route_iter,
+                gp_step,
                 rollbacks,
                 detail,
-            } => write!(
-                f,
-                "[{stage}] diverged at iteration {iteration} after {rollbacks} rollback(s): {detail}"
-            ),
+            } => {
+                write!(f, "[{stage}] diverged at ")?;
+                if let Some(t) = route_iter {
+                    write!(f, "routability iteration {t}, ")?;
+                }
+                write!(
+                    f,
+                    "GP step {gp_step} after {rollbacks} rollback(s): {detail}"
+                )
+            }
             RdpError::Checkpoint { detail } => write!(f, "checkpoint error: {detail}"),
             RdpError::Config { detail } => write!(f, "config error: {detail}"),
             RdpError::Deadline {

@@ -120,25 +120,6 @@ impl DropStats {
     }
 }
 
-/// An incremental read from [`Collector::since`]: the events pushed after a
-/// sequence cursor, plus the cursor bounds needed to continue the read.
-///
-/// Events are numbered `1..=high_seq` in push order (the numbering never
-/// changes as the ring wraps). A poller keeps the last `high_seq` it saw and
-/// passes it back as `seq`; `first_seq > seq + 1` means the ring evicted
-/// events in the gap — the poller fell behind and lost `first_seq - seq - 1`
-/// events, but the stream stays consistent from `first_seq` on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventsSince {
-    /// Sequence number of `events[0]` (meaningless when `events` is empty).
-    pub first_seq: u64,
-    /// The events after the cursor, oldest-first.
-    pub events: Vec<Event>,
-    /// Sequence number of the newest event ever pushed; pass this back as
-    /// the next cursor.
-    pub high_seq: u64,
-}
-
 #[derive(Debug)]
 struct State {
     events: Ring<Event>,
@@ -366,10 +347,9 @@ impl Collector {
     /// the exporters; returns `None` when disabled.
     ///
     /// This clones the **entire** event ring (up to the ring capacity) per
-    /// call. That is the right trade for one-shot exporters at end of run,
-    /// but a poller reading a long-lived collector repeatedly should use
-    /// [`Collector::since`] (incremental, copies only new events) or
-    /// [`Collector::with_metrics`] (aggregates only, no ring copy at all).
+    /// call: the right trade for one-shot exporters at end of run. A
+    /// reader that needs only the aggregates should use
+    /// [`Collector::with_metrics`] (no ring copy at all).
     pub fn with_snapshot<R>(&self, f: impl FnOnce(&[Event], &Registry, u64) -> R) -> Option<R> {
         let inner = self.0.as_ref()?;
         let state = inner.state.lock().unwrap();
@@ -378,33 +358,10 @@ impl Collector {
         Some(f(&events, &state.metrics, dropped))
     }
 
-    /// Incremental event read: clone only the events pushed after sequence
-    /// cursor `seq` (see [`EventsSince`] for the numbering and gap
-    /// detection). `since(0)` reads everything still retained. Returns
-    /// `None` when disabled.
-    ///
-    /// Unlike [`Collector::with_snapshot`] the cost is proportional to the
-    /// *new* events since the last poll, not the ring size, so a `watch`
-    /// poller hitting a long-lived collector every few milliseconds stays
-    /// cheap.
-    pub fn since(&self, seq: u64) -> Option<EventsSince> {
-        let inner = self.0.as_ref()?;
-        let state = inner.state.lock().unwrap();
-        let events: Vec<Event> = state.events.iter_since(seq).cloned().collect();
-        let high_seq = state.events.pushed();
-        let first_seq = high_seq - events.len() as u64 + 1;
-        Some(EventsSince {
-            first_seq,
-            events,
-            high_seq,
-        })
-    }
-
     /// Run `f` over the metrics registry alone — counters, gauges,
     /// histograms, series — without cloning the event ring. Returns `None`
-    /// when disabled. This is the cheap read for live telemetry (`stats`
-    /// snapshots, series tails); recording calls on other threads block
-    /// only for the duration of `f`.
+    /// when disabled; recording calls on other threads block only for the
+    /// duration of `f`.
     pub fn with_metrics<R>(&self, f: impl FnOnce(&Registry) -> R) -> Option<R> {
         let inner = self.0.as_ref()?;
         let state = inner.state.lock().unwrap();
@@ -567,31 +524,6 @@ mod tests {
             }
         })
         .unwrap();
-    }
-
-    #[test]
-    fn since_reads_incrementally_and_flags_gaps() {
-        let c = Collector::with_capacity(4);
-        assert!(Collector::disabled().since(0).is_none());
-        c.instant("a", NO_ITER, "");
-        c.instant("b", NO_ITER, "");
-        let first = c.since(0).unwrap();
-        assert_eq!(first.events.len(), 2);
-        assert_eq!((first.first_seq, first.high_seq), (1, 2));
-        // Nothing new: empty delta, cursor unchanged.
-        let idle = c.since(first.high_seq).unwrap();
-        assert!(idle.events.is_empty());
-        assert_eq!(idle.high_seq, 2);
-        // Overflow the ring: events 1..=3 evicted, 4..=7 retained.
-        for _ in 0..5 {
-            c.instant("c", NO_ITER, "");
-        }
-        let delta = c.since(first.high_seq).unwrap();
-        assert_eq!(delta.high_seq, 7);
-        assert_eq!(delta.events.len(), 4);
-        // Cursor was 2, but the oldest survivor is 4: a one-event gap.
-        assert_eq!(delta.first_seq, 4);
-        assert!(delta.first_seq > first.high_seq + 1);
     }
 
     #[test]

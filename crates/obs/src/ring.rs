@@ -62,24 +62,6 @@ impl<T> Ring<T> {
         let (tail, front) = self.buf.split_at(self.head);
         front.iter().chain(tail.iter())
     }
-
-    /// Total elements ever pushed (`dropped + len`). Elements are
-    /// implicitly numbered `1..=pushed()` in push order, which gives
-    /// callers a stable cursor: an element's sequence number never
-    /// changes, even as the ring wraps.
-    pub fn pushed(&self) -> u64 {
-        self.dropped + self.buf.len() as u64
-    }
-
-    /// Iterate, oldest-to-newest, over the elements with sequence number
-    /// greater than `seq` (see [`Ring::pushed`] for the numbering). When
-    /// `seq` predates the oldest retained element the iterator simply
-    /// starts at the oldest — the gap is detectable by the caller as
-    /// `dropped() > seq`.
-    pub fn iter_since(&self, seq: u64) -> impl Iterator<Item = &T> {
-        let skip = seq.saturating_sub(self.dropped).min(self.buf.len() as u64) as usize;
-        self.iter().skip(skip)
-    }
 }
 
 #[cfg(test)]
@@ -111,25 +93,6 @@ mod tests {
         assert_eq!(r.dropped(), 0);
         let got: Vec<&str> = r.iter().copied().collect();
         assert_eq!(got, vec!["a", "b"]);
-    }
-
-    #[test]
-    fn iter_since_resumes_at_a_cursor() {
-        let mut r = Ring::new(3);
-        assert_eq!(r.pushed(), 0);
-        for i in 1..=5 {
-            r.push(i);
-        }
-        // Elements 1..=5 pushed; 1 and 2 evicted, so the ring holds 3..=5.
-        assert_eq!(r.pushed(), 5);
-        assert_eq!(r.iter_since(0).copied().collect::<Vec<_>>(), vec![3, 4, 5]);
-        assert_eq!(r.iter_since(3).copied().collect::<Vec<_>>(), vec![4, 5]);
-        assert_eq!(r.iter_since(4).copied().collect::<Vec<_>>(), vec![5]);
-        assert_eq!(r.iter_since(5).count(), 0);
-        // A cursor past the end yields nothing rather than wrapping.
-        assert_eq!(r.iter_since(100).count(), 0);
-        // A cursor inside the evicted prefix starts at the oldest survivor.
-        assert_eq!(r.iter_since(1).copied().collect::<Vec<_>>(), vec![3, 4, 5]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! LEF/DEF-lite writer and reader.
 //!
-//! A compact subset of the LEF/DEF pair that industry flows (and the ISPD
-//! 2015 benchmarks) use, sufficient to carry everything the routability
-//! flow needs. Deliberate simplifications, documented here:
+//! A dialect of the LEF/DEF pair, sufficient to carry everything the
+//! routability flow needs. The reader reads this writer's output; it is
+//! not a reader for standard LEF/DEF, and the ISPD 2015 benchmarks do not
+//! load. Deliberate simplifications, documented here:
 //!
 //! * LEF `MACRO`s carry `CLASS`, `SIZE`, and optional `OBS` routing
 //!   blockage geometry; one macro is emitted per distinct (class, w, h)
@@ -22,6 +23,15 @@
 //!
 //! Distances are DEF database units at `UNITS DISTANCE MICRONS 1000`, so
 //! geometry round-trips to 1/1000 µm.
+//!
+//! What the reader cannot read: LEF `PIN`/`PORT` geometry and DEF nets
+//! that name LEF pins (`( comp pin )`), nets split over several lines,
+//! `ROW`s in any orientation but `N` or with another `DO … BY … STEP`
+//! shape, `PINS`, and `SPECIALNETS` wiring other than one
+//! `- PG M<k> H|V RECT …` rectangle per line. A `ROW` or rail line it
+//! cannot read is a typed error with its line number, and so is a DEF
+//! without `END DESIGN` (a truncated file); a DEF without `GCELLGRID`
+//! gets a 16×16 grid.
 
 use std::collections::HashMap;
 
@@ -411,6 +421,7 @@ pub fn read_lefdef_obs(
     let mut tracks: Vec<(&str, f64)> = Vec::new(); // layer name, step (µm)
     let mut blockages: Vec<(&str, Rect, usize)> = Vec::new(); // layer name, rect, line
     let mut section = "";
+    let mut ended = false;
 
     for (ln, line) in files.def.lines().enumerate() {
         toks.clear();
@@ -440,6 +451,13 @@ pub fn read_lefdef_obs(
                     x1: x0 + sites as f64 * site_w,
                     site_w,
                 });
+            }
+            ["ROW", ..] => {
+                return Err(ParseDesignError::new(
+                    "def",
+                    Some(ln + 1),
+                    "unsupported ROW form (expected `ROW name site x y N DO n BY 1 STEP w 0 ;`)",
+                ))
             }
             ["GCELLGRID", a, b, ";"] => {
                 gx = a
@@ -487,6 +505,7 @@ pub fn read_lefdef_obs(
             ["NETS", ..] if section != "nets" && !line.starts_with('-') => section = "nets",
             ["BLOCKAGES", ..] => section = "blockages",
             ["SPECIALNETS", ..] => section = "specialnets",
+            ["END", "DESIGN"] => ended = true,
             ["END", ..] => section = "",
             _ if line.starts_with('-') => match section {
                 "components" => {
@@ -568,32 +587,44 @@ pub fn read_lefdef_obs(
                 }
                 "specialnets" => {
                     // - PG M<k> <dir> RECT ( a b ) ( c d ) ;
-                    if toks.len() >= 13 {
-                        let layer: u8 = toks[2]
-                            .trim_start_matches('M')
-                            .parse::<u8>()
-                            .ok()
-                            .and_then(|m| m.checked_sub(1))
-                            .ok_or_else(|| {
-                                ParseDesignError::new("def", Some(ln + 1), "bad rail layer")
-                            })?;
-                        let dir = match toks[3] {
-                            "H" => Dir::Horizontal,
-                            _ => Dir::Vertical,
-                        };
-                        rails.push(PgRail {
-                            layer,
-                            dir,
-                            rect: rect(
-                                "def",
-                                ln,
-                                from_dbu(int("def", ln, toks[6])?),
-                                from_dbu(int("def", ln, toks[7])?),
-                                from_dbu(int("def", ln, toks[10])?),
-                                from_dbu(int("def", ln, toks[11])?),
-                            )?,
-                        });
+                    if toks.len() < 13 {
+                        return Err(ParseDesignError::new(
+                            "def",
+                            Some(ln + 1),
+                            "short rail line",
+                        ));
                     }
+                    let layer: u8 = toks[2]
+                        .trim_start_matches('M')
+                        .parse::<u8>()
+                        .ok()
+                        .and_then(|m| m.checked_sub(1))
+                        .ok_or_else(|| {
+                            ParseDesignError::new("def", Some(ln + 1), "bad rail layer")
+                        })?;
+                    let dir = match toks[3] {
+                        "H" => Dir::Horizontal,
+                        "V" => Dir::Vertical,
+                        other => {
+                            return Err(ParseDesignError::new(
+                                "def",
+                                Some(ln + 1),
+                                format!("bad rail dir `{other}`"),
+                            ))
+                        }
+                    };
+                    rails.push(PgRail {
+                        layer,
+                        dir,
+                        rect: rect(
+                            "def",
+                            ln,
+                            from_dbu(int("def", ln, toks[6])?),
+                            from_dbu(int("def", ln, toks[7])?),
+                            from_dbu(int("def", ln, toks[10])?),
+                            from_dbu(int("def", ln, toks[11])?),
+                        )?,
+                    });
                 }
                 _ => {}
             },
@@ -602,6 +633,14 @@ pub fn read_lefdef_obs(
     }
 
     let die = die.ok_or_else(|| ParseDesignError::new("def", None, "missing DIEAREA"))?;
+    // A DEF cut short anywhere would otherwise load as a smaller design.
+    if !ended {
+        return Err(ParseDesignError::new(
+            "def",
+            None,
+            "missing END DESIGN (truncated file?)",
+        ));
+    }
 
     // Row height = pitch between consecutive rows (or a default).
     let height = if rows.len() >= 2 {

@@ -1,4 +1,4 @@
-//! Parse error type shared by the Bookshelf and DEF readers.
+//! Parse error type of the LEF/DEF reader.
 
 use std::error::Error;
 use std::fmt;

@@ -1,26 +1,25 @@
-//! # rdp-parse — design file formats
+//! # rdp-parse — the LEF/DEF-lite design format
 //!
-//! Readers and writers so real benchmark data can flow in and out of the
-//! `rdp` stack:
+//! [`write_lefdef`] / [`read_lefdef`] carry a design to and from a
+//! documented subset of the LEF/DEF pair. `read(write(design))` preserves
+//! the netlist, the geometry to 1/1000 µm, the floorplan and the routing
+//! environment.
 //!
-//! * [`write_bookshelf`] / [`read_bookshelf`] — the GSRC Bookshelf
-//!   placement format (.nodes/.nets/.pl/.scl) with two lite extensions
-//!   (.route for the routing grid, .pg for power rails),
-//! * [`write_lefdef`] / [`read_lefdef`] — a documented LEF/DEF subset,
-//! * [`save_bookshelf`] / [`load_bookshelf`] — filesystem convenience
-//!   wrappers.
-//!
-//! Both formats round-trip: `read(write(design))` preserves the netlist,
-//! geometry (to 1/1000 µm for DEF), floorplan, and routing environment.
+//! The reader reads what the writer emits and nothing more: pins as
+//! `( comp dx dy )` offsets on one net line, `N` rows only, and the
+//! nonstandard `GCELLGRID a b ;` / `LAYERCAP` statements. It cannot load a
+//! standard DEF (named LEF pins, multi-line nets, rows in other
+//! orientations), so the ISPD 2015 benchmarks do not load; a construct it
+//! does not know is a typed [`ParseDesignError`] with its line number.
 //!
 //! ```
 //! use rdp_gen::{generate, GenParams};
-//! use rdp_parse::{read_bookshelf, write_bookshelf};
+//! use rdp_parse::{read_lefdef, write_lefdef};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let design = generate("demo", &GenParams { num_cells: 50, ..GenParams::default() });
-//! let files = write_bookshelf(&design);
-//! let back = read_bookshelf("demo", &files)?;
+//! let files = write_lefdef(&design);
+//! let back = read_lefdef(&files)?;
 //! assert_eq!(back.num_nets(), design.num_nets());
 //! # Ok(())
 //! # }
@@ -29,13 +28,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bookshelf;
 mod deflite;
 mod error;
 
-pub use bookshelf::{
-    load_bookshelf, load_bookshelf_obs, read_bookshelf, read_bookshelf_obs, save_bookshelf,
-    write_bookshelf, BookshelfFiles,
-};
 pub use deflite::{read_lefdef, read_lefdef_obs, write_lefdef, LefDefFiles};
 pub use error::ParseDesignError;

@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 
 mod capacity;
-mod layers;
 mod maps;
 mod maze;
 mod router;
@@ -50,7 +49,6 @@ pub mod rsmt;
 mod rudy;
 
 pub use capacity::CapacityMaps;
-pub use layers::{assign_layers, LayerAssignment};
 pub use maps::RouteMaps;
 pub use maze::{astar, MazePath, MazeStep};
 pub use router::{GlobalRouter, RouteResult, RouterConfig};

@@ -15,19 +15,7 @@ use rdp_guard::RdpError;
 use rdp_obs::json::{self, Value};
 
 use crate::job::{JobSpec, JobState};
-use crate::protocol::{error_from_response, read_frame, write_frame, FrameLimits, WatchParams};
-use crate::telemetry::{validate_stats_json, StatsSummary};
-
-/// What `ping` reports about the peer: liveness plus identity. `rdp top`
-/// refuses to render against a peer whose `protocol_version` differs
-/// from this build's [`crate::protocol::PROTOCOL_VERSION`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PingInfo {
-    /// The server's crate version string (absent on pre-telemetry peers).
-    pub server_version: Option<String>,
-    /// The server's wire protocol version (absent on pre-telemetry peers).
-    pub protocol_version: Option<u64>,
-}
+use crate::protocol::{error_from_response, read_frame, write_frame, FrameLimits};
 
 /// One job's status as reported by the server.
 #[derive(Debug, Clone, PartialEq)]
@@ -158,8 +146,8 @@ impl Client {
     }
 
     /// Like [`Client::roundtrip_waiting`], but also hands back the exact
-    /// response text — for callers that re-validate or persist the raw
-    /// payload (e.g. `stats --json`).
+    /// response text — for callers that print or persist the raw payload
+    /// (`rdp stats ADDR`).
     fn roundtrip_text(
         &self,
         payload: &str,
@@ -202,62 +190,10 @@ impl Client {
         self.roundtrip("{\"cmd\":\"ping\"}").map(|_| ())
     }
 
-    /// Liveness probe that also reports the peer's identity (version
-    /// fields are `None` on pre-telemetry servers).
-    pub fn ping_info(&self) -> Result<PingInfo, RdpError> {
-        let v = self.roundtrip("{\"cmd\":\"ping\"}")?;
-        Ok(PingInfo {
-            server_version: v
-                .get("server_version")
-                .and_then(Value::as_str)
-                .map(str::to_string),
-            protocol_version: v
-                .get("protocol_version")
-                .and_then(Value::as_f64)
-                .filter(|n| n.fract() == 0.0 && *n >= 0.0)
-                .map(|n| n as u64),
-        })
-    }
-
-    /// Fetches the server's lifetime telemetry snapshot, schema-checked
-    /// with [`validate_stats_json`] before it is handed back. Returns
-    /// the exact response text (for `--json` passthrough or writing to
-    /// a file) alongside the validated summary.
-    pub fn stats(&self) -> Result<(String, StatsSummary), RdpError> {
-        let (text, _) = self.roundtrip_text("{\"cmd\":\"stats\"}", 0)?;
-        let summary = validate_stats_json(&text)
-            .map_err(|e| RdpError::protocol(format!("stats response failed validation: {e}")))?;
-        Ok((text, summary))
-    }
-
-    /// One watch poll. With `id` set the server reports that job's
-    /// events past `seq` and series points past `after_step`; without,
-    /// it reports fleet activity past `seq`. The server holds the
-    /// request up to `wait_ms`; no news inside its cap answers a typed
-    /// `Busy { retry_after_ms }`.
-    pub fn watch(&self, p: &WatchParams) -> Result<Value, RdpError> {
-        let mut payload = String::from("{\"cmd\":\"watch\"");
-        if let Some(id) = p.id {
-            payload.push_str(&format!(",\"id\":{id}"));
-        }
-        payload.push_str(&format!(",\"seq\":{}", p.seq));
-        if let Some(step) = p.after_step {
-            payload.push_str(&format!(",\"after_step\":{step}"));
-        }
-        if !p.series.is_empty() {
-            payload.push_str(",\"series\":[");
-            for (i, name) in p.series.iter().enumerate() {
-                if i > 0 {
-                    payload.push(',');
-                }
-                payload.push('"');
-                payload.push_str(&json::escape(name));
-                payload.push('"');
-            }
-            payload.push(']');
-        }
-        payload.push_str(&format!(",\"wait_ms\":{}}}", p.wait_ms));
-        self.roundtrip_waiting(&payload, p.wait_ms)
+    /// Fetches the server's lifetime job counters: the exact response
+    /// text and its parsed form, `{"ok":true,"service":{"counters":{…}}}`.
+    pub fn stats(&self) -> Result<(String, Value), RdpError> {
+        self.roundtrip_text("{\"cmd\":\"stats\"}", 0)
     }
 
     /// Submits a job; returns its id.
@@ -388,7 +324,7 @@ impl Client {
 
     /// Asks the server to drain and exit; returns how many still-live
     /// (queued/running) jobs the drain left durable for the next start
-    /// (`0` when a pre-telemetry server omits the count).
+    /// (`0` when the server omits the count).
     pub fn shutdown(&self) -> Result<u64, RdpError> {
         let v = self.roundtrip("{\"cmd\":\"shutdown\"}")?;
         Ok(v.get("drained_jobs")

@@ -81,8 +81,8 @@ impl std::fmt::Display for JobState {
 /// [`flow_config`] turns it into the flow configuration everywhere.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
-    /// Input spec: a suite design name, `bookshelf:DIR:BASE`, or
-    /// `lefdef:LEF:DEF` (see [`crate::worker::resolve_input`]).
+    /// Input spec: a suite design name or `lefdef:LEF:DEF` (see
+    /// [`crate::worker::resolve_input`]).
     pub input: String,
     /// Preset name, as [`PlacerPreset`]'s `FromStr` reads it.
     pub preset: String,
@@ -607,7 +607,8 @@ mod tests {
         assert!(!retryable(&err));
         assert!(retryable(&RdpError::Diverged {
             stage: Stage::Routability,
-            iteration: 3,
+            route_iter: Some(3),
+            gp_step: 140,
             rollbacks: 8,
             detail: "overflow blew up".into(),
         }));

@@ -33,22 +33,24 @@
 //! - **Graceful drain**: shutdown stops accepting, interrupts running
 //!   jobs at their next checkpoint (requeueing them with the checkpoint
 //!   persisted), and exits with the whole queue durable on disk.
+//!
+//! `stats` answers the nine lifetime job counters ([`counters`]), seeded
+//! from the store at startup so they stay monotonic across restarts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod counters;
 pub mod job;
 pub mod protocol;
 pub mod server;
 pub mod store;
-pub mod telemetry;
 pub mod worker;
 
-pub use client::{Client, JobStatus, PingInfo};
+pub use client::{Client, JobStatus};
 pub use job::{flow_config, retryable, JobRecord, JobResult, JobSpec, JobState};
-pub use protocol::{error_parts, FrameLimits, Request, WatchParams, PROTOCOL_VERSION};
+pub use protocol::{error_parts, FrameLimits, Request, PROTOCOL_VERSION};
 pub use server::{ServeConfig, Server};
 pub use store::{RecoveryReport, Store};
-pub use telemetry::{validate_stats_json, ServiceMetrics, StatsSummary, STATS_VERSION};
 pub use worker::resolve_input;

@@ -23,22 +23,16 @@ use rdp_obs::json::{self, Value};
 use crate::job::JobSpec;
 
 /// Wire protocol version. Bumped whenever a request/response shape changes
-/// incompatibly; `ping` reports it so clients (notably `rdp top`, which
-/// parses streaming responses) can refuse a mismatched peer with a typed
-/// error instead of a JSON parse failure.
-pub const PROTOCOL_VERSION: u64 = 5;
+/// incompatibly; `ping` reports it so a client can refuse a mismatched
+/// peer. Version 6 dropped `watch` and cut `stats` to the job counters.
+pub const PROTOCOL_VERSION: u64 = 6;
+
+/// The server's own version string, reported by `ping`.
+pub const SERVER_VERSION: &str = env!("CARGO_PKG_VERSION");
 
 /// Default cap on a single frame's payload (1 MiB holds the positions of
 /// well over 30k cells; larger results stream in run-dir artifacts).
 pub const MAX_FRAME_DEFAULT: usize = 1 << 20;
-
-/// Bounds on a `watch` request's series-name filter: at most
-/// [`WATCH_MAX_SERIES`] names of at most [`WATCH_MAX_NAME_BYTES`] bytes
-/// each. An oversized filter is a typed `Protocol` error at parse time —
-/// the request never reaches a handler.
-pub const WATCH_MAX_SERIES: usize = 16;
-/// Per-name byte cap for `watch` series filters.
-pub const WATCH_MAX_NAME_BYTES: usize = 64;
 
 /// Default per-frame I/O deadline.
 pub const IO_TIMEOUT_DEFAULT_MS: u64 = 5_000;
@@ -195,33 +189,10 @@ pub enum Request {
     /// holds the request open (bounded by its own cap) while the job is
     /// still queued/running, 0 answers immediately.
     Result(u64, bool, u64),
-    /// One-shot service telemetry snapshot (fleet counters, per-op latency
-    /// histograms, gauges, per-job live state).
+    /// The service's lifetime job counters.
     Stats,
-    /// Bounded long-poll for telemetry deltas on one job (`id: Some`) or
-    /// the whole fleet (`id: None`); see [`WatchParams`].
-    Watch(WatchParams),
     /// Graceful drain: stop accepting, checkpoint running jobs, exit.
     Shutdown,
-}
-
-/// Parameters of a `watch` long-poll.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct WatchParams {
-    /// Job to watch, or `None` for fleet-level activity.
-    pub id: Option<u64>,
-    /// Event-sequence cursor: only trace events with sequence number
-    /// greater than this are returned (job watch); for a fleet watch this
-    /// is the activity cursor from the previous response.
-    pub seq: u64,
-    /// Series cursor: only series points with `step > after_step` are
-    /// returned.
-    pub after_step: Option<u64>,
-    /// Restrict returned series to these names (empty = canonical set).
-    pub series: Vec<String>,
-    /// Long-poll budget in ms; the server holds the request open (bounded
-    /// by its own cap) until there is news. 0 answers immediately.
-    pub wait_ms: u64,
 }
 
 fn need_id(v: &Value, cmd: &str) -> Result<u64, RdpError> {
@@ -266,58 +237,13 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, RdpError> {
             Ok(Request::Result(need_id(&v, "result")?, positions, wait_ms))
         }
         "stats" => Ok(Request::Stats),
-        "watch" => {
-            let id = match v.get("id") {
-                Some(_) => Some(need_id(&v, "watch")?),
-                None => None,
-            };
-            let take_u64 = |key: &str| {
-                v.get(key)
-                    .and_then(Value::as_f64)
-                    .filter(|w| *w >= 0.0 && w.is_finite())
-                    .map(|w| w as u64)
-            };
-            let mut series = Vec::new();
-            if let Some(list) = v.get("series") {
-                let items = match list {
-                    Value::Arr(items) => items,
-                    _ => return Err(RdpError::protocol("`watch` `series` must be an array")),
-                };
-                if items.len() > WATCH_MAX_SERIES {
-                    return Err(RdpError::protocol(format!(
-                        "oversized watch filter: {} series names exceed the cap of {WATCH_MAX_SERIES}",
-                        items.len()
-                    )));
-                }
-                for item in items {
-                    let name = item.as_str().ok_or_else(|| {
-                        RdpError::protocol("`watch` `series` entries must be strings")
-                    })?;
-                    if name.len() > WATCH_MAX_NAME_BYTES {
-                        return Err(RdpError::protocol(format!(
-                            "oversized watch filter: series name of {} bytes exceeds the \
-                             {WATCH_MAX_NAME_BYTES}-byte cap",
-                            name.len()
-                        )));
-                    }
-                    series.push(name.to_string());
-                }
-            }
-            Ok(Request::Watch(WatchParams {
-                id,
-                seq: take_u64("seq").unwrap_or(0),
-                after_step: take_u64("after_step"),
-                series,
-                wait_ms: take_u64("wait_ms").unwrap_or(0),
-            }))
-        }
         "shutdown" => Ok(Request::Shutdown),
         other => Err(RdpError::protocol(format!("unknown command `{other}`"))),
     }
 }
 
 /// Whether an error is a frame-size rejection (either direction). The
-/// server's telemetry counts these separately from other protocol faults:
+/// server counts these separately from other protocol faults:
 /// they indicate a peer pushing past [`FrameLimits::max_frame`], not a
 /// malformed payload.
 pub fn is_frame_limit(e: &RdpError) -> bool {
@@ -474,12 +400,17 @@ mod tests {
             parse_request(b"{\"cmd\":\"result\",\"id\":1,\"wait_ms\":-4}").unwrap(),
             Request::Result(1, false, 0)
         );
+        assert_eq!(
+            parse_request(b"{\"cmd\":\"stats\"}").unwrap(),
+            Request::Stats
+        );
 
         for bad in [
             &b"\xff\xfe"[..],
             b"not json",
             b"{\"cmd\":\"warp\"}",
             b"{\"cmd\":\"stream\",\"id\":1}",
+            b"{\"cmd\":\"watch\",\"id\":1}",
             b"{\"cmd\":\"cancel\"}",
             b"{\"cmd\":\"cancel\",\"id\":-1}",
             b"{\"cmd\":\"cancel\",\"id\":1.5}",
@@ -487,49 +418,6 @@ mod tests {
         ] {
             let err = parse_request(bad).unwrap_err();
             assert!(matches!(err, RdpError::Protocol { .. }), "{bad:?}: {err}");
-        }
-    }
-
-    #[test]
-    fn stats_and_watch_parse_with_filter_caps() {
-        assert_eq!(
-            parse_request(b"{\"cmd\":\"stats\"}").unwrap(),
-            Request::Stats
-        );
-        assert_eq!(
-            parse_request(b"{\"cmd\":\"watch\"}").unwrap(),
-            Request::Watch(WatchParams::default())
-        );
-        assert_eq!(
-            parse_request(
-                b"{\"cmd\":\"watch\",\"id\":3,\"seq\":17,\"after_step\":4,\
-                  \"series\":[\"hpwl\",\"overflow\"],\"wait_ms\":500}"
-            )
-            .unwrap(),
-            Request::Watch(WatchParams {
-                id: Some(3),
-                seq: 17,
-                after_step: Some(4),
-                series: vec!["hpwl".into(), "overflow".into()],
-                wait_ms: 500,
-            })
-        );
-
-        // Oversized filters are typed Protocol errors at parse time.
-        let many: String = (0..WATCH_MAX_SERIES + 1)
-            .map(|i| format!("\"s{i}\""))
-            .collect::<Vec<_>>()
-            .join(",");
-        let long_name = "n".repeat(WATCH_MAX_NAME_BYTES + 1);
-        for bad in [
-            format!("{{\"cmd\":\"watch\",\"series\":[{many}]}}"),
-            format!("{{\"cmd\":\"watch\",\"series\":[\"{long_name}\"]}}"),
-            "{\"cmd\":\"watch\",\"series\":\"hpwl\"}".to_string(),
-            "{\"cmd\":\"watch\",\"series\":[7]}".to_string(),
-            "{\"cmd\":\"watch\",\"id\":-2}".to_string(),
-        ] {
-            let err = parse_request(bad.as_bytes()).unwrap_err();
-            assert!(matches!(err, RdpError::Protocol { .. }), "{bad}: {err}");
         }
     }
 
@@ -574,7 +462,7 @@ mod tests {
             },
             RdpError::internal("worker panicked"),
             RdpError::Parse {
-                context: "bookshelf /missing/x".into(),
+                context: "/missing/x.def".into(),
                 line: None,
                 message: "No such file or directory (os error 2)".into(),
             },

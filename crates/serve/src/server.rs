@@ -22,13 +22,14 @@ use std::time::{Duration, Instant};
 use rdp_guard::RdpError;
 use rdp_obs::json;
 
+use crate::counters::{Counter, Counters};
 use crate::job::{flow_config, JobRecord, JobState};
 use crate::protocol::{
     error_from_parts, error_response, is_frame_limit, parse_request, read_frame_opt, write_frame,
-    FrameLimits, Request, WatchParams, IO_TIMEOUT_DEFAULT_MS, MAX_FRAME_DEFAULT, PROTOCOL_VERSION,
+    FrameLimits, Request, IO_TIMEOUT_DEFAULT_MS, MAX_FRAME_DEFAULT, PROTOCOL_VERSION,
+    SERVER_VERSION,
 };
-use crate::store::{write_atomic, write_run_dir, RecoveryReport, Store};
-use crate::telemetry::{job_live_json, job_watch_json, op_name, ServiceMetrics, SERVER_VERSION};
+use crate::store::{write_atomic, RecoveryReport, Store};
 use crate::worker::{execute_job, Disposition, JobControl};
 
 /// Server configuration (all bounds explicit; every default finite).
@@ -49,8 +50,7 @@ pub struct ServeConfig {
     pub io_timeout_ms: u64,
     /// Suggested client back-off returned with `Busy` rejections.
     pub retry_after_ms: u64,
-    /// Poll interval for the worker condvar, `watch` long-polls, and
-    /// accept-error backoff.
+    /// Poll interval for the worker condvar and accept-error backoff.
     pub poll_ms: u64,
     /// Compute threads per job; 0 splits the global thread budget evenly
     /// across workers (at least 1 each).
@@ -107,8 +107,8 @@ struct Shared {
     shutdown: AtomicBool,
     drain: AtomicBool,
     connections: AtomicUsize,
-    /// Lifetime service telemetry (always enabled; exported on drain).
-    metrics: ServiceMetrics,
+    /// Lifetime job counters, answered by `stats`.
+    counters: Counters,
 }
 
 impl Shared {
@@ -148,8 +148,8 @@ impl Server {
         // Seed lifetime counters from the recovered store so they stay
         // monotonic across restarts (terminal records re-counted exactly
         // once — they never re-run).
-        let metrics = ServiceMetrics::new();
-        metrics.seed_from_records(&records, &recovery);
+        let counters = Counters::default();
+        counters.seed_from_records(&records, &recovery);
         let shared = Arc::new(Shared {
             cfg,
             limits,
@@ -165,7 +165,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             drain: AtomicBool::new(false),
             connections: AtomicUsize::new(0),
-            metrics,
+            counters,
         });
         let mut workers = Vec::with_capacity(workers_n);
         for w in 0..workers_n {
@@ -227,7 +227,6 @@ impl Server {
         while self.shared.connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(self.shared.poll());
         }
-        export_service_session(&self.shared);
         Ok(())
     }
 
@@ -235,35 +234,6 @@ impl Server {
     pub fn shutdown(self) -> Result<(), RdpError> {
         self.request_shutdown();
         self.join()
-    }
-}
-
-/// Exports the lifetime service telemetry into `<dir>/service/` through
-/// the standard run exporters, so `rdp report`/`rdp diff` ingest a
-/// service session exactly like a run directory. Failures degrade to a
-/// stderr warning — a full disk must not turn a clean drain into an
-/// error.
-fn export_service_session(shared: &Shared) {
-    let (queued, running) = {
-        let inner = shared.inner.lock().unwrap();
-        (
-            inner
-                .records
-                .values()
-                .filter(|r| r.state == JobState::Queued)
-                .count(),
-            inner
-                .records
-                .values()
-                .filter(|r| r.state == JobState::Running)
-                .count(),
-        )
-    };
-    let m = &shared.metrics;
-    m.set_gauges(queued, running, shared.connections.load(Ordering::SeqCst));
-    m.instant("drain", format!("drained with {queued} queued jobs"));
-    if let Err(e) = write_run_dir(&shared.cfg.dir.join("service"), m.collector()) {
-        eprintln!("serve: service-session export failed: {e}");
     }
 }
 
@@ -292,7 +262,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
                 }
                 if shared.connections.fetch_add(1, Ordering::SeqCst) >= shared.cfg.max_connections {
                     shared.connections.fetch_sub(1, Ordering::SeqCst);
-                    shared.metrics.incr("slot_rejections");
+                    shared.counters.incr(Counter::SlotRejections);
                     let mut stream = stream;
                     let busy = RdpError::Busy {
                         detail: format!("connection limit {} reached", shared.cfg.max_connections),
@@ -329,23 +299,13 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
             Ok(None) => return,
             Err(e) => {
                 if is_frame_limit(&e) {
-                    shared.metrics.incr("frame_limit_rejections");
+                    shared.counters.incr(Counter::FrameLimitRejections);
                 }
                 let _ = write_frame(&mut stream, &error_response(&e), &shared.limits);
                 return;
             }
         };
-        let parsed = parse_request(&payload);
-        let op = parsed.as_ref().ok().map(op_name);
-        let op_start = Instant::now();
-        let observe = |shared: &Shared| {
-            if let Some(op) = op {
-                shared
-                    .metrics
-                    .observe_op(op, op_start.elapsed().as_secs_f64() * 1e3);
-            }
-        };
-        let response = match parsed {
+        let response = match parse_request(&payload) {
             Ok(Request::Shutdown) => {
                 // Answer *before* initiating the drain: the wake below
                 // lets the accept loop — and with it the whole process —
@@ -366,7 +326,6 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                         .as_bytes(),
                     &shared.limits,
                 );
-                observe(shared);
                 begin_shutdown(shared);
                 return;
             }
@@ -377,7 +336,6 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
             Ok(json) => json.into_bytes(),
             Err(e) => error_response(&e),
         };
-        observe(shared);
         if write_frame(&mut stream, &bytes, &shared.limits).is_err() {
             return;
         }
@@ -446,10 +404,8 @@ fn handle_request(shared: &Arc<Shared>, req: Request) -> Result<String, RdpError
             inner.next_id += 1;
             inner.records.insert(id, rec);
             drop(inner);
-            shared.metrics.incr("submits");
+            shared.counters.incr(Counter::Submits);
             shared.queue_cv.notify_one();
-            // Fleet watchers long-poll on activity; a submit is news.
-            shared.done_cv.notify_all();
             Ok(format!("{{\"ok\":true,\"id\":{id}}}"))
         }
         Request::Status(None) => {
@@ -491,7 +447,7 @@ fn handle_request(shared: &Arc<Shared>, req: Request) -> Result<String, RdpError
                     let rec = rec.clone();
                     shared.store.persist_record(&rec)?;
                     shared.store.remove_checkpoint(id);
-                    shared.metrics.incr("cancellations");
+                    shared.counters.incr(Counter::Cancellations);
                     shared.done_cv.notify_all();
                     Ok(format!(
                         "{{\"ok\":true,\"id\":{id},\"state\":\"cancelled\"}}"
@@ -595,86 +551,8 @@ fn handle_request(shared: &Arc<Shared>, req: Request) -> Result<String, RdpError
                 }
             }
         }
-        Request::Stats => {
-            let (jobs, queued, running) = {
-                let inner = shared.inner.lock().unwrap();
-                let jobs: Vec<String> = inner
-                    .records
-                    .values()
-                    .map(|r| job_live_json(r, inner.controls.get(&r.id), &[]))
-                    .collect();
-                let queued = inner
-                    .records
-                    .values()
-                    .filter(|r| r.state == JobState::Queued)
-                    .count();
-                (jobs, queued, inner.controls.len())
-            };
-            shared
-                .metrics
-                .set_gauges(queued, running, shared.connections.load(Ordering::SeqCst));
-            Ok(shared
-                .metrics
-                .stats_json(shared.drain.load(Ordering::SeqCst), &jobs))
-        }
-        Request::Watch(p) => handle_watch(shared, p),
+        Request::Stats => Ok(shared.counters.stats_json()),
         Request::Shutdown => unreachable!("shutdown handled by the connection loop"),
-    }
-}
-
-/// `watch` long-poll: job mode returns trace/series deltas past the
-/// request's cursors (news = new events, new series points, or a terminal
-/// state); fleet mode returns counter activity past the `seq` cursor.
-/// While there is no news the handler waits on the settle condvar in
-/// poll-interval slices (series updates don't signal it; `poll_ms` bounds
-/// the staleness), capped at [`RESULT_WAIT_CAP_MS`] like `result`.
-/// Timeout or shutdown with no news answers `Busy { retry_after_ms }`.
-fn handle_watch(shared: &Arc<Shared>, p: WatchParams) -> Result<String, RdpError> {
-    let deadline = Instant::now() + Duration::from_millis(p.wait_ms.min(RESULT_WAIT_CAP_MS));
-    let mut inner = shared.inner.lock().unwrap();
-    loop {
-        let (json, has_news) = match p.id {
-            Some(id) => {
-                let rec = inner
-                    .records
-                    .get(&id)
-                    .ok_or_else(|| RdpError::protocol(format!("no such job {id}")))?;
-                let (json, _next, news) = job_watch_json(rec, inner.controls.get(&id), &p);
-                (json, news)
-            }
-            None => {
-                let activity = shared.metrics.activity();
-                let jobs: Vec<String> = inner
-                    .records
-                    .values()
-                    .map(|r| job_live_json(r, inner.controls.get(&r.id), &p.series))
-                    .collect();
-                let json = format!(
-                    "{{\"ok\":true,\"seq\":{activity},\"draining\":{},\"jobs\":[{}]}}",
-                    shared.drain.load(Ordering::SeqCst),
-                    jobs.join(",")
-                );
-                (json, activity > p.seq)
-            }
-        };
-        if has_news || p.wait_ms == 0 {
-            return Ok(json);
-        }
-        let now = Instant::now();
-        if now >= deadline || shared.shutdown.load(Ordering::SeqCst) {
-            return Err(RdpError::Busy {
-                detail: match p.id {
-                    Some(id) => format!("watch: no news on job {id} within the poll window"),
-                    None => "watch: no fleet activity within the poll window".into(),
-                },
-                retry_after_ms: shared.cfg.retry_after_ms,
-            });
-        }
-        // Slice the wait: settles signal the condvar, but series points
-        // and trace events do not, so wake at least every poll interval.
-        let slice = (deadline - now).min(shared.poll());
-        let (g, _timeout) = shared.done_cv.wait_timeout(inner, slice).unwrap();
-        inner = g;
     }
 }
 
@@ -722,38 +600,27 @@ fn claim_next(shared: &Shared) -> Option<(JobRecord, Arc<JobControl>)> {
 }
 
 /// Applies a finished job's outcome to the in-memory map and the store,
-/// and folds the attempt's telemetry into the service counters (settle
-/// disposition, and a one-line warning when the job's trace ring dropped
-/// anything).
-fn settle(shared: &Shared, rec: JobRecord, ctl: &JobControl, outcome: crate::worker::ExecOutcome) {
+/// and counts its settle disposition.
+fn settle(shared: &Shared, rec: JobRecord, outcome: crate::worker::ExecOutcome) {
     let id = rec.id;
     let mut rec = rec;
     rec.consumed_ms = outcome.consumed_ms;
-    let attempt_col = ctl.obs.lock().unwrap().clone();
-    let drops = attempt_col.drop_stats();
-    if drops.any() {
-        eprintln!(
-            "serve: job {id}: trace ring dropped {} events ({} spans, {} instants) \
-             and {} frames during this attempt; the capture is truncated",
-            drops.events, drops.spans, drops.instants, drops.frames
-        );
-    }
     let keep_checkpoint = match outcome.disposition {
         Disposition::Done(result) => {
-            shared.metrics.incr("completions");
+            shared.counters.incr(Counter::Completions);
             rec.state = JobState::Done;
             rec.result = Some(*result);
             rec.set_error(None);
             false
         }
         Disposition::Failed(e) => {
-            shared.metrics.incr("failures");
+            shared.counters.incr(Counter::Failures);
             rec.state = JobState::Failed;
             rec.set_error(Some(&e));
             false
         }
         Disposition::Cancelled(e) => {
-            shared.metrics.incr("cancellations");
+            shared.counters.incr(Counter::Cancellations);
             rec.state = JobState::Cancelled;
             rec.set_error(Some(&e));
             false
@@ -763,7 +630,7 @@ fn settle(shared: &Shared, rec: JobRecord, ctl: &JobControl, outcome: crate::wor
                 "serve: job {id}: attempt {} failed retryably ({e}); requeueing damped",
                 rec.attempt
             );
-            shared.metrics.incr("retries");
+            shared.counters.incr(Counter::Retries);
             rec.state = JobState::Queued;
             rec.attempt += 1;
             rec.set_error(None);
@@ -771,15 +638,12 @@ fn settle(shared: &Shared, rec: JobRecord, ctl: &JobControl, outcome: crate::wor
             false
         }
         Disposition::Requeue => {
-            shared.metrics.incr("requeues");
+            shared.counters.incr(Counter::Requeues);
             rec.state = JobState::Queued;
             // Keep the checkpoint: the next incarnation resumes bitwise.
             true
         }
     };
-    shared
-        .metrics
-        .instant("settle", format!("job {id} -> {}", rec.state.label()));
     if !keep_checkpoint {
         shared.store.remove_checkpoint(id);
     }
@@ -804,7 +668,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         let outcome = rdp_par::with_local_threads(threads, || {
             execute_job(&shared.store, &rec, &ctl, &shared.drain)
         });
-        settle(shared, rec, &ctl, outcome);
+        settle(shared, rec, outcome);
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }

@@ -93,8 +93,8 @@ fn write_atomic_impl(path: &Path, bytes: &[u8], sync: bool) -> Result<(), RdpErr
 /// Writes a run directory for `rdp report` / `rdp diff`: `obs` exported
 /// as `trace.jsonl` and `metrics.json`, each atomically, so a kill
 /// mid-write leaves at worst a `.tmp` leftover that `rdp report` flags as
-/// a partial run. The one run-dir writer: the CLI, a capturing job,
-/// `rdp matrix` and the service-session export all use it.
+/// a partial run. The one run-dir writer: the CLI, a capturing job and
+/// `rdp matrix` all use it.
 pub fn write_run_dir(dir: &Path, obs: &Collector) -> Result<(), RdpError> {
     fs::create_dir_all(dir)
         .map_err(|e| RdpError::checkpoint(format!("create {}: {e}", dir.display())))?;

@@ -10,7 +10,6 @@
 //! worker.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -24,7 +23,7 @@ use crate::job::{flow_config, retryable, JobRecord, JobResult, JobSpec, JobState
 use crate::store::{write_run_dir, Store};
 
 /// Live progress of a running job, updated at each checkpoint boundary
-/// and read by `status` and `stats` responses.
+/// and read by `status` responses.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Progress {
     /// Next routability iteration the flow will execute.
@@ -42,11 +41,6 @@ pub struct JobControl {
     pub cancel: AtomicBool,
     /// Latest checkpoint-boundary progress.
     pub progress: Mutex<Progress>,
-    /// The running attempt's in-flight collector (disabled unless the
-    /// spec asked for capture). `stats`/`watch` read convergence series
-    /// and drop accounting from it — read-side snapshots only, so an
-    /// observed job stays bitwise identical to an unobserved one.
-    pub obs: Mutex<Collector>,
 }
 
 /// Why [`execute_job`] stopped.
@@ -76,23 +70,10 @@ pub struct ExecOutcome {
     pub consumed_ms: u64,
 }
 
-/// Resolves an input spec to a design: a suite name,
-/// `bookshelf:DIR:BASE`, or `lefdef:LEF:DEF`. The one input resolver:
-/// the CLI's commands and the worker both load through it, timing
-/// generation or parsing on `obs`.
+/// Resolves an input spec to a design: a suite name or
+/// `lefdef:LEF:DEF`. The one input resolver: the CLI's commands and the
+/// worker both load through it, timing generation or parsing on `obs`.
 pub fn resolve_input(spec: &str, obs: &Collector) -> Result<Design, RdpError> {
-    if let Some(rem) = spec.strip_prefix("bookshelf:") {
-        let (dir, base) = rem.split_once(':').ok_or_else(|| RdpError::Config {
-            detail: "bookshelf input must be bookshelf:DIR:BASE".into(),
-        })?;
-        return rdp_parse::load_bookshelf_obs(Path::new(dir), base, obs).map_err(|e| {
-            RdpError::Parse {
-                context: format!("bookshelf {dir}/{base}"),
-                line: None,
-                message: e.to_string(),
-            }
-        });
-    }
     if let Some(rem) = spec.strip_prefix("lefdef:") {
         let (lef, def) = rem.split_once(':').ok_or_else(|| RdpError::Config {
             detail: "lefdef input must be lefdef:LEF_PATH:DEF_PATH".into(),
@@ -111,7 +92,7 @@ pub fn resolve_input(spec: &str, obs: &Collector) -> Result<Design, RdpError> {
         return rdp_parse::read_lefdef_obs(&files, obs).map_err(RdpError::from);
     }
     rdp_gen::generate_named_obs(spec, obs).ok_or_else(|| RdpError::Config {
-        detail: format!("`{spec}` is not a suite design or bookshelf:/lefdef: input"),
+        detail: format!("`{spec}` is not a suite design or lefdef: input"),
     })
 }
 
@@ -188,9 +169,6 @@ fn run_attempt(
     } else {
         Collector::disabled()
     };
-    // Publish the attempt's collector so `stats`/`watch` can read live
-    // series while the flow runs (a clone shares the same Arc'd state).
-    *ctl.obs.lock().unwrap() = obs.clone();
     let mut design = match resolve_input(&spec.input, &obs) {
         Ok(d) => d,
         Err(e) => return Disposition::Failed(e),
@@ -271,6 +249,14 @@ fn run_attempt(
             obs: obs.clone(),
         },
     );
+    let drops = obs.drop_stats();
+    if drops.any() {
+        eprintln!(
+            "serve: job {id}: trace ring dropped {} events ({} spans, {} instants) \
+             and {} frames during this attempt; the capture is truncated",
+            drops.events, drops.spans, drops.instants, drops.frames
+        );
+    }
 
     match run {
         Ok(report) => {

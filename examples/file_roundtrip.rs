@@ -1,12 +1,12 @@
-//! Writes a generated design to Bookshelf-lite and LEF/DEF-lite, reads
-//! both back, and verifies the round trip — the on-ramp for loading real
-//! benchmark data into the flow.
+//! Writes a generated design to LEF/DEF-lite, reads it back through the
+//! input resolver the CLI and the service use (`lefdef:LEF:DEF`), and
+//! places the parsed design.
 //!
 //! ```sh
 //! cargo run --release --example file_roundtrip
 //! ```
 
-use rdp::parse::{load_bookshelf, read_lefdef, save_bookshelf, write_lefdef};
+use rdp::parse::write_lefdef;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = rdp::gen::generate(
@@ -23,33 +23,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{}", rdp::db::DesignStats::of(&design));
 
-    // Bookshelf-lite to disk and back.
-    let dir = std::env::temp_dir().join("rdp_roundtrip");
-    save_bookshelf(&design, &dir, "roundtrip")?;
-    println!("\nwrote Bookshelf bundle to {}", dir.display());
-    let from_bookshelf = load_bookshelf(&dir, "roundtrip")?;
-    assert_eq!(from_bookshelf.num_cells(), design.num_cells());
-    assert!((from_bookshelf.hpwl() - design.hpwl()).abs() < 1e-6);
-    println!(
-        "bookshelf round trip ✓ (HPWL {:.1} um preserved)",
-        design.hpwl()
-    );
-
-    // LEF/DEF-lite in memory.
-    let lefdef = write_lefdef(&design);
-    let from_def = read_lefdef(&lefdef)?;
-    assert_eq!(from_def.num_nets(), design.num_nets());
-    let rel = (from_def.hpwl() - design.hpwl()).abs() / design.hpwl();
+    // LEF/DEF-lite to a per-process directory and back.
+    let dir = std::env::temp_dir().join(format!("rdp_roundtrip_{}", std::process::id()));
+    std::fs::create_dir_all(&dir)?;
+    let files = write_lefdef(&design);
+    let (lef, def) = (dir.join("roundtrip.lef"), dir.join("roundtrip.def"));
+    std::fs::write(&lef, &files.lef)?;
+    std::fs::write(&def, &files.def)?;
+    let input = format!("lefdef:{}:{}", lef.display(), def.display());
+    let parsed = rdp::serve::resolve_input(&input, &rdp::obs::Collector::disabled());
+    std::fs::remove_dir_all(&dir)?;
+    let parsed = parsed?;
+    assert_eq!(parsed.num_cells(), design.num_cells());
+    assert_eq!(parsed.num_nets(), design.num_nets());
+    let rel = (parsed.hpwl() - design.hpwl()).abs() / design.hpwl();
     assert!(rel < 1e-3, "HPWL drift {rel}");
     println!(
-        "lef/def round trip ✓ ({} LEF bytes, {} DEF bytes, HPWL drift {:.2e})",
-        lefdef.lef.len(),
-        lefdef.def.len(),
+        "\nlef/def round trip ✓ ({} LEF bytes, {} DEF bytes, HPWL drift {:.2e})",
+        files.lef.len(),
+        files.def.len(),
         rel
     );
 
     // A parsed design drops straight into the placer.
-    let mut placed = from_def;
+    let mut placed = parsed;
     let report = rdp::core::run_flow(
         &mut placed,
         &rdp::RoutabilityConfig::preset(rdp::PlacerPreset::Xplace),

@@ -11,6 +11,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Any rustc warning fails the gate: a deletion most often leaves an unused
+# import, constant or helper behind. Exported once, so every cargo step
+# below (and the scripts it calls) shares one build configuration.
+export RUSTFLAGS="-D warnings"
+
 scope=""
 if [[ "${1:-}" == "--workspace" ]]; then
     scope="--workspace"

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end crash-recovery smoke for `rdp serve`:
 #
-#   1. generate a 5k-cell Bookshelf design,
+#   1. generate a 5k-cell LEF/DEF design,
 #   2. start a server, submit three identical captured jobs, and check
 #      that a submit with an unknown preset is refused and queues nothing,
 #   3. kill -9 the server the moment job 1 settles (job 2 is typically
@@ -12,12 +12,9 @@
 #   6. `rdp diff` job 1's captured run-dir against a direct
 #      `rdp place --run-dir` with the same flags — QoR must match at
 #      zero tolerance, and
-#   7. scrape `rdp stats` mid-run and after the kill -9 restart: every
-#      scrape is schema-validated by the client, and the lifetime
-#      counters stay monotonic across the restart (terminal jobs are
-#      re-counted exactly once, never doubled). `rdp top --iters 1`
-#      renders a frame, and after the drain `rdp report` ingests the
-#      exported service session.
+#   7. scrape `rdp stats` mid-run and after the kill -9 restart: the
+#      lifetime job counters stay monotonic across the restart (terminal
+#      jobs are re-counted exactly once, never doubled).
 #
 # Exits non-zero on any violation. Wall-clock is a few seconds; ci.sh
 # runs this after the test passes.
@@ -49,7 +46,7 @@ trap cleanup EXIT
 # The flow knobs are shared verbatim between `rdp submit` and the direct
 # `rdp place` so the run-dir diff compares identical configurations.
 FLOW_FLAGS=(--preset ours --gp-iters 900 --max-route-iters 4 --gp-burst 80)
-INPUT="bookshelf:$WORK/design:fft_1"
+INPUT="lefdef:$WORK/design/fft_1.lef:$WORK/design/fft_1.def"
 
 echo "serve-smoke: generating 5k-cell design"
 "$RDP" generate fft_1 --out "$WORK/design" \
@@ -115,18 +112,12 @@ QUEUED=$("$RDP" status "$ADDR" | grep -c '^job ' || true)
 
 wait_done "$J1" 120
 
-# Every `rdp stats` call is schema-validated client-side before it
-# prints; --json hands through the exact wire bytes for the asserts.
+# `rdp stats ADDR` prints the server's counters as the wire's JSON.
 completions_now() {
-    "$RDP" stats "$ADDR" --json |
+    "$RDP" stats "$ADDR" |
         sed -n 's/.*"completions": *\([0-9][0-9]*\).*/\1/p' | head -n 1
 }
 echo "serve-smoke: scraping stats mid-run"
-"$RDP" stats "$ADDR" --json >"$WORK/stats_mid.json"
-grep -q '"stats_version":1' "$WORK/stats_mid.json" || {
-    echo "serve-smoke: mid-run stats missing stats_version" >&2
-    exit 1
-}
 MID_COMP=$(completions_now)
 [[ "$MID_COMP" == "1" ]] || {
     echo "serve-smoke: expected 1 completion mid-run, got '$MID_COMP'" >&2
@@ -167,26 +158,9 @@ POST_COMP=$(completions_now)
 }
 echo "serve-smoke: completions monotonic across restart ($MID_COMP -> $POST_COMP)"
 
-echo "serve-smoke: rdp top renders one frame"
-"$RDP" top "$ADDR" --iters 1 >"$WORK/top.txt"
-grep -q "protocol v" "$WORK/top.txt" || {
-    echo "serve-smoke: rdp top frame missing the server header" >&2
-    cat "$WORK/top.txt" >&2 || true
-    exit 1
-}
-
 "$RDP" shutdown "$ADDR"
 wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
-
-echo "serve-smoke: report ingests the exported service session"
-"$RDP" report "$WORK/store/service" --out "$WORK/service.html"
-# Op latency histograms are process-lifetime: the final incarnation
-# handled the post-restart stats scrapes, so that op must be in there.
-grep -q "op_stats_ms" "$WORK/service.html" || {
-    echo "serve-smoke: service report missing op latency histograms" >&2
-    exit 1
-}
 
 echo "serve-smoke: direct rdp place with identical flags"
 "$RDP" place "$INPUT" "${FLOW_FLAGS[@]}" --run-dir "$WORK/direct" \
@@ -196,4 +170,4 @@ RUN_DIR="$WORK/store/jobs/$(printf 'job-%010d.run' "$J1")"
 echo "serve-smoke: rdp diff served run-dir vs direct (QoR tol 0)"
 "$RDP" diff "$RUN_DIR" "$WORK/direct" --qor-tol 0 --time-tol 1000000
 
-echo "serve-smoke: PASS (kill -9 recovery bitwise, served == direct, telemetry monotonic)"
+echo "serve-smoke: PASS (kill -9 recovery bitwise, served == direct, counters monotonic)"

@@ -3,18 +3,16 @@
 //! ```text
 //! rdp suite                                   list the 20 benchmark designs
 //! rdp stats    <input>                        design statistics
-//! rdp generate <name> --out DIR [--format F]  write a suite design to disk
+//! rdp generate <name> --out DIR               write a suite design as LEF/DEF
 //! rdp place    <input> [--preset P] [--out DIR]   run the placement flow
 //!              [--checkpoint FILE] [--resume FILE]  resumable runs (same flags)
 //! rdp route    <input>                        route + congestion summary
 //! rdp eval     <input>                        evaluate current placement
 //! rdp flow     <input> [--preset P]           full pipeline + report
-//! rdp convert  <input> --out DIR --format F   convert between formats
 //!
-//! <input> is either a suite design name (e.g. fft_1), a Bookshelf bundle
-//! `bookshelf:DIR:BASE`, or a LEF/DEF pair `lefdef:LEF:DEF`.
+//! <input> is either a suite design name (e.g. fft_1) or a LEF/DEF pair
+//! `lefdef:LEF:DEF`; `--out DIR` writes `DIR/<name>.lef` and `.def`.
 //! Presets: xplace | xplace-route | ours (default ours).
-//! Formats: bookshelf | lefdef.
 //! Every command fails on a `--` flag it does not read.
 //! ```
 
@@ -45,14 +43,12 @@ fn main() -> ExitCode {
         "matrix" => cmd_matrix(f),
         "report" => cmd_report(f),
         "diff" => cmd_diff(f),
-        "convert" => cmd_convert(f),
         "render" => cmd_render(f),
         "serve" => cmd_serve(f),
         "submit" => cmd_submit(f),
         "status" => cmd_status(f),
         "cancel" => cmd_cancel(f),
         "fetch" => cmd_fetch(f),
-        "top" => cmd_top(f),
         "shutdown" => cmd_shutdown(f),
         "help" | "--help" | "-h" => {
             println!("{}", usage());
@@ -74,7 +70,7 @@ fn usage() -> &'static str {
 commands:
   suite                                    list the benchmark suite
   stats    <input>                         print design statistics
-  generate <name> --out DIR [--format F]   write a suite design to disk
+  generate <name> --out DIR                write a suite design as LEF/DEF
            [--cells N] [--seed N] [--util X] [--margin X]
   place    <input> [--preset P] [--out DIR]  global placement flow
            [--gp-iters N] [--max-route-iters N] [--gp-burst N]
@@ -98,7 +94,6 @@ commands:
                                            render a run directory to HTML
   diff     <run-a> <run-b> [--qor-tol X] [--time-tol Y]
                                            QoR/perf deltas; exit 1 on regression
-  convert  <input> --out DIR --format F    convert between formats
   render   <input> --out FILE.svg [--congestion] [--place P]   render to SVG
 service (crash-safe placement-as-a-service):
   serve    --dir DIR [--addr H:P] [--workers N] [--max-queue N]
@@ -115,13 +110,8 @@ service (crash-safe placement-as-a-service):
   status   ADDR [ID]                        one job or the whole queue
   cancel   ADDR ID                          cancel a queued/running job
   fetch    ADDR ID                          result + exact HPWL bit pattern
-  stats    ADDR [--json] [--metrics-out F]  lifetime service telemetry snapshot
-                                            (schema-validated; op latency
-                                            histograms, counters, live jobs)
-  top      ADDR [--interval-ms N] [--iters N]
-                                            live fleet view (refreshes in
-                                            place on a TTY, appends otherwise;
-                                            refuses protocol-version mismatch)
+  stats    ADDR                             the service's lifetime job
+                                            counters (JSON)
   shutdown ADDR                             graceful drain: running jobs are
                                             checkpointed and requeued durable
                                             (prints the drained-job count)
@@ -134,8 +124,9 @@ observability (place and flow):
   --report-out FILE.html    render the validated self-contained HTML report
   --profile                 print the per-stage time table after the run
 every command fails on a `--` flag it does not read, before it starts work.
-inputs:  <suite-name> | bookshelf:DIR:BASE | lefdef:LEF_PATH:DEF_PATH
-presets: xplace | xplace-route (xr) | ours  formats: bookshelf | lefdef"
+inputs:  <suite-name> | lefdef:LEF_PATH:DEF_PATH
+  (--out DIR writes DIR/<name>.lef and DIR/<name>.def)
+presets: xplace | xplace-route (xr) | ours"
 }
 
 /// One command's arguments. A command asks for each flag it reads by
@@ -316,27 +307,15 @@ fn write_obs_outputs(o: &ObsArgs, title: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn save_output(design: &Design, dir: &Path, format: &str) -> Result<(), String> {
-    match format {
-        "bookshelf" => {
-            rdp::parse::save_bookshelf(design, dir, design.name()).map_err(|e| e.to_string())?;
-            println!(
-                "wrote {}/{}.{{nodes,nets,pl,scl,route,pg,aux}}",
-                dir.display(),
-                design.name()
-            );
-        }
-        "lefdef" => {
-            let files = rdp::parse::write_lefdef(design);
-            std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-            let lef = dir.join(format!("{}.lef", design.name()));
-            let def = dir.join(format!("{}.def", design.name()));
-            std::fs::write(&lef, files.lef).map_err(|e| e.to_string())?;
-            std::fs::write(&def, files.def).map_err(|e| e.to_string())?;
-            println!("wrote {} and {}", lef.display(), def.display());
-        }
-        other => return Err(format!("unknown format `{other}`")),
-    }
+/// Writes `design` as `DIR/<name>.lef` and `DIR/<name>.def`.
+fn save_output(design: &Design, dir: &Path) -> Result<(), String> {
+    let files = rdp::parse::write_lefdef(design);
+    std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+    let lef = dir.join(format!("{}.lef", design.name()));
+    let def = dir.join(format!("{}.def", design.name()));
+    std::fs::write(&lef, files.lef).map_err(|e| e.to_string())?;
+    std::fs::write(&def, files.def).map_err(|e| e.to_string())?;
+    println!("wrote {} and {}", lef.display(), def.display());
     Ok(())
 }
 
@@ -361,12 +340,14 @@ fn cmd_suite(f: Flags) -> Result<(), String> {
 
 fn cmd_stats(f: Flags) -> Result<(), String> {
     let spec = f.arg(0).ok_or("stats needs an input or a server ADDR")?;
-    // `rdp stats HOST:PORT` is the service telemetry snapshot; anything
-    // else (suite name, bookshelf:, lefdef:) is design statistics.
-    if looks_like_addr(spec) {
-        return cmd_service_stats(f);
-    }
+    // `rdp stats HOST:PORT` prints the service's counters; anything else
+    // (suite name, lefdef:) is design statistics.
     f.finish()?;
+    if looks_like_addr(spec) {
+        let (text, _) = service_client(&f)?.stats().map_err(|e| e.to_string())?;
+        println!("{text}");
+        return Ok(());
+    }
     let design = resolve_input(spec, &Collector::disabled()).map_err(|e| e.to_string())?;
     println!("{}", DesignStats::of(&design));
     let spec = design.routing();
@@ -384,7 +365,6 @@ fn cmd_stats(f: Flags) -> Result<(), String> {
 fn cmd_generate(mut f: Flags) -> Result<(), String> {
     let name = f.arg(0).ok_or("generate needs a suite design name")?;
     let out = f.path("--out").ok_or("generate needs --out DIR")?;
-    let format = f.value("--format").unwrap_or("bookshelf");
     // Optional overrides so scripts can size a suite design to taste
     // (e.g. the serve smoke gate's 5k-cell variant).
     let cells = f.num::<f64>("--cells")?;
@@ -410,7 +390,7 @@ fn cmd_generate(mut f: Flags) -> Result<(), String> {
         params.congestion_margin = v;
     }
     let design = rdp::gen::generate(name, &params);
-    save_output(&design, &out, format)
+    save_output(&design, &out)
 }
 
 fn cmd_place(mut f: Flags) -> Result<(), String> {
@@ -424,7 +404,6 @@ fn cmd_place(mut f: Flags) -> Result<(), String> {
     let resume_path = f.value("--resume");
     let legalize = f.switch("--legalize");
     let out = f.path("--out");
-    let format = f.value("--format").unwrap_or("bookshelf");
     f.finish()?;
     let cfg = flow_config(&spec, 0).map_err(|e| e.to_string())?;
     let mut design = resolve_input(&spec.input, &obs_args.obs).map_err(|e| e.to_string())?;
@@ -483,7 +462,7 @@ fn cmd_place(mut f: Flags) -> Result<(), String> {
     }
     write_obs_outputs(&obs_args, &format!("rdp place · {}", design.name()))?;
     if let Some(out) = out {
-        save_output(&design, &out, format)?;
+        save_output(&design, &out)?;
     }
     Ok(())
 }
@@ -521,7 +500,6 @@ fn cmd_eval(f: Flags) -> Result<(), String> {
         "  #DRVs   {:>12.0}  (overflow {:.0}, pin access {:.0}, rail {:.0})",
         e.drvs, e.drv_overflow, e.drv_pin_access, e.drv_rail
     );
-    println!("  track shorts {:>7.0}", e.track_shorts);
 
     // Hotspot diagnostics on the G-cell grid.
     let route = rdp::route::GlobalRouter::default().route(&design);
@@ -542,12 +520,6 @@ fn cmd_eval(f: Flags) -> Result<(), String> {
             );
         }
     }
-    let tr = rdp::drc::track_analysis(&design, &route, &grid);
-    println!(
-        "  worst layer: {} (overflow {:.1} tracks)",
-        tr.worst_layer_name(),
-        tr.overflow_per_layer[tr.worst_layer]
-    );
     Ok(())
 }
 
@@ -555,7 +527,6 @@ fn cmd_flow(mut f: Flags) -> Result<(), String> {
     let spec = read_spec(&mut f, 0)?;
     let obs_args = read_obs(&mut f);
     let out = f.path("--out");
-    let format = f.value("--format").unwrap_or("bookshelf");
     f.finish()?;
     let cfg = flow_config(&spec, 0).map_err(|e| e.to_string())?;
     let mut design = resolve_input(&spec.input, &obs_args.obs).map_err(|e| e.to_string())?;
@@ -576,7 +547,7 @@ fn cmd_flow(mut f: Flags) -> Result<(), String> {
     println!("  legal: {}", legality.is_legal());
     write_obs_outputs(&obs_args, &format!("rdp flow · {}", design.name()))?;
     if let Some(out) = out {
-        save_output(&design, &out, format)?;
+        save_output(&design, &out)?;
     }
     Ok(())
 }
@@ -693,15 +664,6 @@ fn cmd_render(mut f: Flags) -> Result<(), String> {
     std::fs::write(out, svg).map_err(|e| e.to_string())?;
     println!("wrote {out}");
     Ok(())
-}
-
-fn cmd_convert(mut f: Flags) -> Result<(), String> {
-    let spec = f.arg(0).ok_or("convert needs an input")?;
-    let out = f.path("--out").ok_or("convert needs --out DIR")?;
-    let format = f.value("--format").ok_or("convert needs --format")?;
-    f.finish()?;
-    let design = resolve_input(spec, &Collector::disabled()).map_err(|e| e.to_string())?;
-    save_output(&design, &out, format)
 }
 
 // ---------------------------------------------------------------------------
@@ -870,213 +832,15 @@ fn cmd_shutdown(f: Flags) -> Result<(), String> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Service telemetry: `rdp stats ADDR` and `rdp top ADDR`.
-// ---------------------------------------------------------------------------
-
-/// `HOST:PORT` vs design input disambiguation for verbs that accept
-/// both (`rdp stats`). Bookshelf/LEF-DEF specs also contain colons, so
-/// require the suffix after the *last* colon to parse as a port.
+/// `HOST:PORT` vs design input disambiguation for `rdp stats`, which
+/// accepts both. A LEF/DEF spec also contains colons, so the suffix after
+/// the *last* colon must parse as a port.
 fn looks_like_addr(s: &str) -> bool {
-    if s.starts_with("bookshelf:") || s.starts_with("lefdef:") {
+    if s.starts_with("lefdef:") {
         return false;
     }
     match s.rsplit_once(':') {
         Some((host, port)) => !host.is_empty() && port.parse::<u16>().is_ok(),
         None => false,
-    }
-}
-
-fn cmd_service_stats(mut f: Flags) -> Result<(), String> {
-    let client = service_client(&f)?;
-    let metrics_out = f.value("--metrics-out");
-    let json = f.switch("--json");
-    f.finish()?;
-    let (text, summary) = client.stats().map_err(|e| e.to_string())?;
-    if let Some(path) = metrics_out {
-        std::fs::write(path, text.as_bytes()).map_err(|e| format!("writing {path}: {e}"))?;
-    }
-    if json {
-        println!("{text}");
-        return Ok(());
-    }
-    let v = rdp::obs::json::parse(&text).map_err(|e| format!("stats response: {e}"))?;
-    print_service_stats(&v, &summary);
-    Ok(())
-}
-
-fn print_service_stats(v: &rdp::obs::json::Value, summary: &rdp::serve::StatsSummary) {
-    use rdp::obs::json::Value;
-    let gu64 = |obj: &Value, key: &str| -> u64 {
-        obj.get(key).and_then(Value::as_f64).unwrap_or(0.0) as u64
-    };
-    let uptime_ms = gu64(v, "uptime_ms");
-    let draining = matches!(v.get("draining"), Some(Value::Bool(true)));
-    println!(
-        "server {} (protocol v{})  uptime {:.1}s{}",
-        v.get("server_version")
-            .and_then(Value::as_str)
-            .unwrap_or("?"),
-        gu64(v, "protocol_version"),
-        uptime_ms as f64 / 1e3,
-        if draining { "  DRAINING" } else { "" }
-    );
-    let service = v.get("service");
-    if let Some(gauges) = service.and_then(|s| s.get("gauges")) {
-        println!(
-            "gauges   queue {}  running {}  connections {}",
-            gu64(gauges, "queue_depth"),
-            gu64(gauges, "running_jobs"),
-            gu64(gauges, "connections"),
-        );
-    }
-    if let Some(counters) = service.and_then(|s| s.get("counters")) {
-        println!(
-            "jobs     submits {}  completions {}  failures {}  cancellations {}  \
-             retries {}  requeues {}  quarantined {}",
-            gu64(counters, "submits"),
-            gu64(counters, "completions"),
-            gu64(counters, "failures"),
-            gu64(counters, "cancellations"),
-            gu64(counters, "retries"),
-            gu64(counters, "requeues"),
-            gu64(counters, "quarantined"),
-        );
-        println!(
-            "rejects  frame-limit {}  slots {}",
-            gu64(counters, "frame_limit_rejections"),
-            gu64(counters, "slot_rejections"),
-        );
-    }
-    if let Some(Value::Obj(hists)) = service.and_then(|s| s.get("histograms")) {
-        for (name, h) in hists.iter().filter(|(n, _)| n.starts_with("op_")) {
-            let count = gu64(h, "count");
-            if count == 0 {
-                continue;
-            }
-            let sum = h.get("sum").and_then(Value::as_f64).unwrap_or(0.0);
-            let max = h.get("max").and_then(Value::as_f64).unwrap_or(0.0);
-            println!(
-                "op       {:<14} {:>6} calls  mean {:>8.3} ms  max {:>8.3} ms",
-                name.trim_start_matches("op_").trim_end_matches("_ms"),
-                count,
-                sum / count as f64,
-                max
-            );
-        }
-    }
-    if let Some(drops) = v.get("drops") {
-        let total = gu64(drops, "events") + gu64(drops, "frames");
-        if total > 0 {
-            println!(
-                "drops    events {} (spans {}, instants {})  frames {}",
-                gu64(drops, "events"),
-                gu64(drops, "spans"),
-                gu64(drops, "instants"),
-                gu64(drops, "frames"),
-            );
-        }
-    }
-    println!(
-        "totals   {} jobs tracked, {} counter increments, {} timed ops",
-        summary.jobs, summary.counter_total, summary.op_observations
-    );
-    if let Some(Value::Arr(jobs)) = v.get("jobs") {
-        for job in jobs {
-            print_live_job_line(job);
-        }
-    }
-}
-
-fn print_live_job_line(job: &rdp::obs::json::Value) {
-    use rdp::obs::json::Value;
-    let mut line = format!(
-        "job {:>4}  {:<10} attempt {}  {} ms",
-        job.get("id").and_then(Value::as_f64).unwrap_or(0.0) as u64,
-        job.get("state").and_then(Value::as_str).unwrap_or("?"),
-        job.get("attempt").and_then(Value::as_f64).unwrap_or(0.0) as u64,
-        job.get("consumed_ms")
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0) as u64,
-    );
-    if let Some(iter) = job.get("route_iter").and_then(Value::as_f64) {
-        line.push_str(&format!("  route-iter {}", iter as u64));
-    }
-    // Prefer the settled result's numbers; fall back to live progress.
-    for (label, keys) in [
-        ("HPWL", ["hpwl", "progress_hpwl"]),
-        ("overflow", ["density_overflow", "progress_overflow"]),
-    ] {
-        if let Some(x) = keys.iter().find_map(|k| job.get(k).and_then(Value::as_f64)) {
-            if label == "HPWL" {
-                line.push_str(&format!("  {label} {x:.0}"));
-            } else {
-                line.push_str(&format!("  {label} {x:.4}"));
-            }
-        }
-    }
-    if let Some(kind) = job.get("kind").and_then(Value::as_str) {
-        line.push_str(&format!("  [{kind}]"));
-    }
-    println!("{line}");
-}
-
-fn cmd_top(mut f: Flags) -> Result<(), String> {
-    use std::io::IsTerminal;
-    let client = service_client(&f)?;
-    let interval_ms: u64 = f.num("--interval-ms")?.unwrap_or(1_000);
-    let tty = std::io::stdout().is_terminal();
-    // On a TTY, refresh forever by default; piped output gets one frame
-    // unless --iters asks for more, so scripts never hang on `rdp top`.
-    let iters: u64 = f.num("--iters")?.unwrap_or(if tty { 0 } else { 1 });
-    f.finish()?;
-    let info = client.ping_info().map_err(|e| e.to_string())?;
-    match info.protocol_version {
-        Some(v) if v == rdp::serve::PROTOCOL_VERSION => {}
-        got => {
-            return Err(format!(
-                "protocol version mismatch: server {} speaks {}, this client speaks v{} — \
-                 refusing to render (use a matching rdp build)",
-                info.server_version
-                    .as_deref()
-                    .unwrap_or("(unknown version)"),
-                got.map(|v| format!("v{v}"))
-                    .unwrap_or_else(|| "an unversioned protocol".into()),
-                rdp::serve::PROTOCOL_VERSION
-            ))
-        }
-    }
-    let mut watch_seq = 0u64;
-    let mut frame = 0u64;
-    loop {
-        let (text, summary) = client.stats().map_err(|e| e.to_string())?;
-        let v = rdp::obs::json::parse(&text).map_err(|e| format!("stats response: {e}"))?;
-        if tty {
-            // Clear and home, then redraw the whole frame in place.
-            print!("\x1b[2J\x1b[H");
-        } else if frame > 0 {
-            println!("---");
-        }
-        print_service_stats(&v, &summary);
-        frame += 1;
-        if iters != 0 && frame >= iters {
-            return Ok(());
-        }
-        // Sleep on the server's fleet watch: wakes early on activity
-        // (submit/settle), times out as a typed Busy when idle.
-        let params = rdp::serve::WatchParams {
-            seq: watch_seq,
-            wait_ms: interval_ms,
-            ..Default::default()
-        };
-        match client.watch(&params) {
-            Ok(delta) => {
-                if let Some(seq) = delta.get("seq").and_then(rdp::obs::json::Value::as_f64) {
-                    watch_seq = seq as u64;
-                }
-            }
-            Err(rdp::core::RdpError::Busy { .. }) => {}
-            Err(e) => return Err(e.to_string()),
-        }
     }
 }

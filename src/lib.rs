@@ -8,13 +8,14 @@
 //! |---|---|
 //! | [`db`] | design database: netlist, floorplan, grids, maps |
 //! | [`gen`] | synthetic ISPD-2015-like benchmark suite |
-//! | [`parse`] | Bookshelf-lite and LEF/DEF-lite readers/writers |
+//! | [`parse`] | LEF/DEF-lite reader/writer (reads its own dialect, not standard LEF/DEF) |
 //! | [`par`] | zero-dependency deterministic scoped thread pool |
 //! | [`poisson`] | FFT/DCT spectral Poisson solver (ePlace numerics) |
 //! | [`route`] | congestion-aware L/Z pattern global router + RUDY |
 //! | [`core`] | the paper: electrostatic GP, net moving (DC), momentum inflation (MCI), pin-accessibility density (DPA) |
 //! | [`legal`] | Tetris + Abacus legalization, detailed placement |
 //! | [`drc`] | fine-grid evaluation routing and the DRV proxy |
+//! | [`serve`] | crash-safe placement service: durable job queue, kill-anywhere recovery, lifetime job counters |
 //!
 //! The most common flow is one call:
 //!

@@ -43,19 +43,12 @@ fn unknown_command_fails_with_usage() {
 }
 
 #[test]
-fn generate_convert_roundtrip_via_cli() {
-    let dir = std::env::temp_dir().join("rdp_cli_test");
+fn generate_lefdef_roundtrip_via_cli() {
+    let dir = std::env::temp_dir().join(format!("rdp_cli_test_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
     let out = rdp()
-        .args([
-            "generate",
-            "pci_bridge32_b",
-            "--out",
-            dir.to_str().unwrap(),
-            "--format",
-            "bookshelf",
-        ])
+        .args(["generate", "pci_bridge32_b", "--out", dir.to_str().unwrap()])
         .output()
         .expect("run generate");
     assert!(
@@ -63,35 +56,22 @@ fn generate_convert_roundtrip_via_cli() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(dir.join("pci_bridge32_b.nodes").exists());
-    assert!(dir.join("pci_bridge32_b.aux").exists());
+    let (lef, def) = (
+        dir.join("pci_bridge32_b.lef"),
+        dir.join("pci_bridge32_b.def"),
+    );
+    assert!(lef.exists() && def.exists());
 
-    // Load the bundle back through the CLI and check stats.
-    let input = format!("bookshelf:{}:pci_bridge32_b", dir.display());
+    // Load the pair back through the CLI and check stats.
+    let input = format!("lefdef:{}:{}", lef.display(), def.display());
     let out = rdp().args(["stats", &input]).output().expect("run stats");
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("pci_bridge32_b"), "{text}");
-
-    // Convert to LEF/DEF.
-    let out = rdp()
-        .args([
-            "convert",
-            &input,
-            "--out",
-            dir.to_str().unwrap(),
-            "--format",
-            "lefdef",
-        ])
-        .output()
-        .expect("run convert");
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(dir.join("pci_bridge32_b.lef").exists());
-    assert!(dir.join("pci_bridge32_b.def").exists());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("pci_bridge32_b"), "{text}");
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -152,6 +132,10 @@ fn unparsed_flags_are_rejected() {
     ]);
     cases.push(vec!["matrix", "--clases", "baseline"]);
     cases.push(vec!["generate", "fft_a", "--out", d, "--cell", "5"]);
+    // One format: `--format` is gone from every command that had it.
+    cases.push(vec!["generate", "fft_a", "--out", d, "--format", "lefdef"]);
+    cases.push(vec!["place", "fft_a", "--out", d, "--format", "lefdef"]);
+    cases.push(vec!["flow", "fft_a", "--out", d, "--format", "lefdef"]);
     for args in cases {
         let bad = args.iter().rev().find(|a| a.starts_with("--")).unwrap();
         let out = rdp().args(&args).output().expect("run");

@@ -1,9 +1,12 @@
-//! Integration tests of the file formats: a design survives a disk round
-//! trip and then behaves identically in the placement flow.
+//! Integration tests of the LEF/DEF format: a design survives a disk
+//! round trip through the input resolver and then behaves like the
+//! original in the placement flow and the router.
 
 use rdp::core::{run_flow, PlacerPreset, RoutabilityConfig};
 use rdp::gen::{generate, GenParams};
-use rdp::parse::{load_bookshelf, read_lefdef, save_bookshelf, write_bookshelf, write_lefdef};
+use rdp::obs::Collector;
+use rdp::parse::{read_lefdef, write_lefdef};
+use rdp::serve::resolve_input;
 
 fn sample(seed: u64) -> rdp::Design {
     generate(
@@ -22,30 +25,36 @@ fn sample(seed: u64) -> rdp::Design {
 }
 
 #[test]
-fn bookshelf_roundtrip_preserves_placement_behavior() {
+fn lefdef_roundtrip_preserves_placement_behavior() {
     let original = sample(11);
-    let files = rdp::parse::write_bookshelf(&original);
-    let mut reparsed = rdp::parse::read_bookshelf("fmt", &files).expect("parse");
+    let mut reparsed = read_lefdef(&write_lefdef(&original)).expect("parse");
 
-    // The parsed design places identically to the original.
+    // The parsed design places like the original: positions differ by
+    // under 1/1000 µm, so the runs agree to the same tolerance.
     let mut orig_copy = original.clone();
     let xplace = RoutabilityConfig::preset(PlacerPreset::Xplace);
     let s1 = run_flow(&mut orig_copy, &xplace).unwrap();
     let s2 = run_flow(&mut reparsed, &xplace).unwrap();
     assert_eq!(s1.gp_iterations, s2.gp_iterations);
-    assert!((s1.hpwl - s2.hpwl).abs() < 1e-6 * s1.hpwl.max(1.0));
+    assert!((s1.hpwl - s2.hpwl).abs() / s1.hpwl < 1e-3);
 }
 
 #[test]
-fn bookshelf_disk_roundtrip() {
+fn lefdef_disk_roundtrip() {
     let original = sample(12);
-    let dir = std::env::temp_dir().join("rdp_it_bookshelf");
-    save_bookshelf(&original, &dir, "fmt").expect("save");
-    let loaded = load_bookshelf(&dir, "fmt").expect("load");
+    let dir = std::env::temp_dir().join(format!("rdp_it_lefdef_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let files = write_lefdef(&original);
+    let (lef, def) = (dir.join("fmt.lef"), dir.join("fmt.def"));
+    std::fs::write(&lef, &files.lef).expect("write LEF");
+    std::fs::write(&def, &files.def).expect("write DEF");
+    let input = format!("lefdef:{}:{}", lef.display(), def.display());
+    let loaded = resolve_input(&input, &Collector::disabled());
+    std::fs::remove_dir_all(&dir).ok();
+    let loaded = loaded.expect("load");
     assert_eq!(loaded.num_cells(), original.num_cells());
     assert_eq!(loaded.num_nets(), original.num_nets());
-    assert!((loaded.hpwl() - original.hpwl()).abs() < 1e-6);
-    std::fs::remove_dir_all(&dir).ok();
+    assert!((loaded.hpwl() - original.hpwl()).abs() / original.hpwl() < 1e-3);
 }
 
 #[test]
@@ -72,13 +81,4 @@ fn lefdef_roundtrip_preserves_routing_environment() {
     let ra = rdp::route::GlobalRouter::default().route(&original);
     let rb = rdp::route::GlobalRouter::default().route(&parsed);
     assert!((ra.wirelength - rb.wirelength).abs() / ra.wirelength < 1e-3);
-}
-
-#[test]
-fn formats_cross_agree() {
-    let original = sample(14);
-    let via_bookshelf = rdp::parse::read_bookshelf("fmt", &write_bookshelf(&original)).unwrap();
-    let via_def = read_lefdef(&write_lefdef(&original)).unwrap();
-    assert_eq!(via_bookshelf.num_pins(), via_def.num_pins());
-    assert!((via_bookshelf.hpwl() - via_def.hpwl()).abs() / original.hpwl() < 1e-3);
 }

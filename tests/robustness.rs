@@ -117,35 +117,19 @@ fn run_plan(plan: &FaultPlan) -> Result<(), String> {
         | FaultKind::NonFiniteNumber { .. }
         | FaultKind::DropLinesContaining { .. }
         | FaultKind::TruncateLines { .. } => {
-            let original = small_design(11);
-            let err = match plan.name {
-                "corrupt-bookshelf-number" | "nan-bookshelf-number" => {
-                    let mut files = rdp::parse::write_bookshelf(&original);
-                    files.nodes = plan.kind.mutate_text(&files.nodes);
-                    rdp::parse::read_bookshelf("robust", &files)
-                        .map(|_| ())
-                        .map_err(|e| e)
-                }
-                "truncated-bookshelf-nets" | "dropped-net-degrees" => {
-                    let mut files = rdp::parse::write_bookshelf(&original);
-                    files.nets = plan.kind.mutate_text(&files.nets);
-                    rdp::parse::read_bookshelf("robust", &files)
-                        .map(|_| ())
-                        .map_err(|e| e)
-                }
-                "corrupt-def-number" => {
-                    let mut files = rdp::parse::write_lefdef(&original);
-                    files.def = plan.kind.mutate_text(&files.def);
-                    rdp::parse::read_lefdef(&files).map(|_| ()).map_err(|e| e)
-                }
-                "truncated-lef" => {
-                    let mut files = rdp::parse::write_lefdef(&original);
-                    files.lef = plan.kind.mutate_text(&files.lef);
-                    rdp::parse::read_lefdef(&files).map(|_| ()).map_err(|e| e)
-                }
+            let mut files = rdp::parse::write_lefdef(&small_design(11));
+            match plan.name {
+                "corrupt-def-diearea-number"
+                | "nan-def-number"
+                | "truncated-def"
+                | "dropped-def-component-headers"
+                | "corrupt-def-number" => files.def = plan.kind.mutate_text(&files.def),
+                "truncated-lef" => files.lef = plan.kind.mutate_text(&files.lef),
                 other => return Err(format!("unmapped parse scenario `{other}`")),
-            };
-            let e = err.err().ok_or("parser accepted a faulted file")?;
+            }
+            let e = rdp::parse::read_lefdef(&files)
+                .err()
+                .ok_or("parser accepted a faulted file")?;
             if matches!(
                 plan.kind,
                 FaultKind::CorruptNumber { .. } | FaultKind::NonFiniteNumber { .. }
@@ -288,24 +272,24 @@ fn plans() -> Vec<FaultPlan> {
     use FaultExpectation::*;
     vec![
         FaultPlan::new(
-            "corrupt-bookshelf-number",
-            FaultKind::CorruptNumber { occurrence: 6 },
+            "corrupt-def-diearea-number",
+            FaultKind::CorruptNumber { occurrence: 4 },
             TypedError,
         ),
         FaultPlan::new(
-            "nan-bookshelf-number",
+            "nan-def-number",
             FaultKind::NonFiniteNumber { occurrence: 6 },
             TypedError,
         ),
         FaultPlan::new(
-            "truncated-bookshelf-nets",
-            FaultKind::TruncateLines { keep: 4 },
+            "truncated-def",
+            FaultKind::TruncateLines { keep: 200 },
             TypedError,
         ),
         FaultPlan::new(
-            "dropped-net-degrees",
+            "dropped-def-component-headers",
             FaultKind::DropLinesContaining {
-                needle: "NetDegree",
+                needle: "COMPONENTS",
             },
             TypedError,
         ),
@@ -503,12 +487,15 @@ fn rollback_transcript(route_iter: usize, gp_iter: usize, max_rollbacks: usize) 
         Err(
             e @ RdpError::Diverged {
                 stage,
-                iteration,
+                route_iter,
+                gp_step,
                 rollbacks,
                 detail,
             },
         ) => {
-            out += &format!("diverged {stage:?} {iteration} {rollbacks} {detail}\nerror {e}\n");
+            out += &format!(
+                "diverged {stage:?} {route_iter:?} {gp_step} {rollbacks} {detail}\nerror {e}\n"
+            );
         }
         Err(e) => panic!("expected a report or a Diverged error, got {e}"),
     }
@@ -549,12 +536,12 @@ warning Routability 2 GP step 3 rolled back ([routability] non-finite or oversiz
 rollback 2 GP step 3: [routability] non-finite or oversized reference positions at iteration 100 (index 0, value NaN)
 NaN at (0, 5), rollback budget 0
 positions 0x9523ac81825ef7ab
-diverged WirelengthGp 5 0 [wirelength-gp] non-finite or oversized reference positions at iteration 5 (index 0, value NaN)
-error [wirelength-gp] diverged at iteration 5 after 0 rollback(s): [wirelength-gp] non-finite or oversized reference positions at iteration 5 (index 0, value NaN)
+diverged WirelengthGp None 5 0 [wirelength-gp] non-finite or oversized reference positions at iteration 5 (index 0, value NaN)
+error [wirelength-gp] diverged at GP step 5 after 0 rollback(s): [wirelength-gp] non-finite or oversized reference positions at iteration 5 (index 0, value NaN)
 NaN at (2, 3), rollback budget 0
 positions 0x92ddb5fe3d319fe6
-diverged Routability 2 0 [routability] non-finite or oversized reference positions at iteration 100 (index 0, value NaN)
-error [routability] diverged at iteration 2 after 0 rollback(s): [routability] non-finite or oversized reference positions at iteration 100 (index 0, value NaN)
+diverged Routability Some(2) 100 0 [routability] non-finite or oversized reference positions at iteration 100 (index 0, value NaN)
+error [routability] diverged at routability iteration 2, GP step 100 after 0 rollback(s): [routability] non-finite or oversized reference positions at iteration 100 (index 0, value NaN)
 ";
     let budget = fast_cfg().gp.health.max_rollbacks;
     let got: String = [(0, 5, budget), (2, 3, budget), (0, 5, 0), (2, 3, 0)]
