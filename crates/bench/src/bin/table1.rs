@@ -98,6 +98,7 @@ fn main() {
     );
     if obs.is_enabled() {
         println!("\nstage profile (all designs × presets aggregated):");
-        print!("{}", rdp_obs::stage_table(&obs));
+        let model = rdp_report::RunModel::from_collector(&obs).expect("trace reads back");
+        print!("{}", model.stage_table());
     }
 }

@@ -232,28 +232,6 @@ pub struct FlowReport {
     pub resumed_from: Option<usize>,
 }
 
-impl FlowReport {
-    /// Serializes the per-iteration log as CSV (header + one row per
-    /// routability iteration) for external plotting.
-    pub fn log_csv(&self) -> String {
-        let mut out =
-            String::from("iter,overflow,max_congestion,c_penalty,lambda2,virtual_cells,hpwl\n");
-        for l in &self.log {
-            out.push_str(&format!(
-                "{},{:.4},{:.4},{:.6},{:.6},{},{:.1}\n",
-                l.iter,
-                l.overflow,
-                l.max_congestion,
-                l.c_penalty,
-                l.lambda2,
-                l.virtual_cells,
-                l.hpwl
-            ));
-        }
-        out
-    }
-}
-
 impl std::fmt::Display for FlowReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
@@ -1281,23 +1259,6 @@ mod tests {
         let ratios = r.inflation_ratios.expect("monotone inflation ran");
         assert_eq!(ratios.len(), d.num_cells());
         assert!(ratios.iter().all(|&x| x >= 0.9 && x <= 2.0));
-    }
-
-    #[test]
-    fn log_csv_has_one_row_per_iteration() {
-        let mut d = congested_design(9);
-        let mut cfg = RoutabilityConfig::preset(PlacerPreset::Ours);
-        cfg.gp.max_iters = 60;
-        cfg.max_route_iters = 3;
-        cfg.gp_iters_per_route = 4;
-        let r = run_flow(&mut d, &cfg).unwrap();
-        let csv = r.log_csv();
-        assert_eq!(csv.lines().count(), r.route_iterations + 1);
-        assert!(csv.starts_with("iter,overflow"));
-        // Every row parses back to the right column count.
-        for line in csv.lines().skip(1) {
-            assert_eq!(line.split(',').count(), 7, "{line}");
-        }
     }
 
     #[test]

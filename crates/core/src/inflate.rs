@@ -102,11 +102,6 @@ impl InflationState {
         &self.effective
     }
 
-    /// Raw policy ratios before the area budget (the `r_i^t` of Eq. (11)).
-    pub fn raw_ratios(&self) -> &[f64] {
-        &self.r
-    }
-
     /// Inflation iterations performed.
     pub fn iteration(&self) -> usize {
         self.t

@@ -9,7 +9,7 @@
 //! with no extras until the density overflow target is reached.
 
 use rdp_db::{CellId, Design, Map2d, Point};
-use rdp_guard::{HealthPolicy, RdpError, Stage};
+use rdp_guard::{HealthPolicy, RdpError, Stage, GAMMA_BOOST_ON_ROLLBACK, LAMBDA_DAMP_ON_ROLLBACK};
 use rdp_obs::Collector;
 
 use crate::density::{DensityField, DensityModel};
@@ -259,10 +259,10 @@ impl GpSession {
     }
 
     /// Re-tunes the model after a divergence rollback: boosts γ (smoother
-    /// WA, tamer gradients) and damps λ₁ per the health policy.
+    /// WA, tamer gradients) and damps λ₁.
     pub fn retune_after_rollback(&mut self) {
-        self.gamma_boost *= self.cfg.health.gamma_boost_on_rollback;
-        self.lambda1 *= self.cfg.health.lambda_damp_on_rollback;
+        self.gamma_boost *= GAMMA_BOOST_ON_ROLLBACK;
+        self.lambda1 *= LAMBDA_DAMP_ON_ROLLBACK;
     }
 
     /// Labels subsequent health errors with `stage` (the flow switches to

@@ -172,7 +172,7 @@ impl<T> Map2d<T> {
 const LANES: usize = 4;
 
 impl Map2d<f64> {
-    /// Sum of all elements (fixed-width lane reduction; see [`LANES`]).
+    /// Sum of all elements (fixed-width reduction over `LANES` = 4 lanes).
     pub fn sum(&self) -> f64 {
         let mut acc = [0.0f64; LANES];
         let mut chunks = self.data.chunks_exact(LANES);
@@ -239,11 +239,6 @@ impl Map2d<f64> {
         for v in &mut self.data {
             *v *= s;
         }
-    }
-
-    /// Count of elements strictly greater than `threshold`.
-    pub fn count_above(&self, threshold: f64) -> usize {
-        self.data.iter().filter(|&&v| v > threshold).count()
     }
 
     /// Renders a coarse ASCII heat map (darker character = larger value),
@@ -322,7 +317,6 @@ mod tests {
         assert_eq!(m.max(), 4.0);
         assert_eq!(m.min(), 1.0);
         assert_eq!(m.mean(), 2.5);
-        assert_eq!(m.count_above(2.5), 2);
     }
 
     #[test]

@@ -10,39 +10,39 @@
 use crate::error::{RdpError, Stage};
 use rdp_db::{Map2d, Point};
 
+/// Magnitude ceiling for monitored quantities (gradients, fields,
+/// positions). Values with |v| above it trip the sentinel even when
+/// finite — by then the step is numerically meaningless anyway.
+const MAX_MAGNITUDE: f64 = 1e18;
+
+/// Overflow blow-up factor: a step whose density overflow exceeds
+/// `DIVERGENCE_FACTOR * (last_good + 1)` is treated as divergence.
+/// Deliberately loose so healthy runs are never touched.
+const DIVERGENCE_FACTOR: f64 = 50.0;
+
+/// Multiplier applied to the γ boost on each divergence rollback
+/// (smoothing the WA model to damp the gradient that diverged).
+pub const GAMMA_BOOST_ON_ROLLBACK: f64 = 1.5;
+
+/// Multiplier applied to λ (density weight) on each divergence rollback.
+pub const LAMBDA_DAMP_ON_ROLLBACK: f64 = 0.5;
+
 /// Policy knobs for the health monitor and divergence rollback.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthPolicy {
     /// Master switch. When false every check is a no-op, for apples-to-
     /// apples benchmarking of the sentinel overhead.
     pub enabled: bool,
-    /// Magnitude ceiling for monitored quantities (gradients, fields,
-    /// positions). Values with |v| above this trip the sentinel even when
-    /// finite — by then the step is numerically meaningless anyway.
-    pub max_magnitude: f64,
-    /// Overflow blow-up factor: a step whose density overflow exceeds
-    /// `divergence_factor * (last_good + 1)` is treated as divergence.
-    /// Deliberately loose so healthy runs are never touched.
-    pub divergence_factor: f64,
     /// How many rollback + re-tune attempts before giving up with
     /// [`RdpError::Diverged`].
     pub max_rollbacks: usize,
-    /// Multiplier applied to the γ boost on each rollback (smoothing the
-    /// WA model to damp the gradient that diverged).
-    pub gamma_boost_on_rollback: f64,
-    /// Multiplier applied to λ (density weight) on each rollback.
-    pub lambda_damp_on_rollback: f64,
 }
 
 impl Default for HealthPolicy {
     fn default() -> Self {
         HealthPolicy {
             enabled: true,
-            max_magnitude: 1e18,
-            divergence_factor: 50.0,
             max_rollbacks: 3,
-            gamma_boost_on_rollback: 1.5,
-            lambda_damp_on_rollback: 0.5,
         }
     }
 }
@@ -67,9 +67,8 @@ impl HealthPolicy {
         if !self.enabled {
             return Ok(());
         }
-        let ceiling = self.max_magnitude;
         for (i, &v) in values.iter().enumerate() {
-            if !(v.abs() <= ceiling) {
+            if !(v.abs() <= MAX_MAGNITUDE) {
                 return Err(RdpError::non_finite(stage, quantity, iteration, i, v));
             }
         }
@@ -109,11 +108,10 @@ impl HealthPolicy {
         if !self.enabled {
             return Ok(());
         }
-        let ceiling = self.max_magnitude;
-        if !(p.x.abs() <= ceiling) {
+        if !(p.x.abs() <= MAX_MAGNITUDE) {
             return Err(RdpError::non_finite(stage, quantity, iteration, index, p.x));
         }
-        if !(p.y.abs() <= ceiling) {
+        if !(p.y.abs() <= MAX_MAGNITUDE) {
             return Err(RdpError::non_finite(stage, quantity, iteration, index, p.y));
         }
         Ok(())
@@ -138,7 +136,7 @@ impl HealthPolicy {
         iteration: Option<usize>,
         value: f64,
     ) -> Result<(), RdpError> {
-        if self.enabled && !(value.abs() <= self.max_magnitude) {
+        if self.enabled && !(value.abs() <= MAX_MAGNITUDE) {
             return Err(RdpError::non_finite(stage, quantity, iteration, 0, value));
         }
         Ok(())
@@ -153,7 +151,7 @@ impl HealthPolicy {
         if !value.is_finite() {
             return true;
         }
-        value > self.divergence_factor * (baseline.abs() + 1.0)
+        value > DIVERGENCE_FACTOR * (baseline.abs() + 1.0)
     }
 }
 

@@ -25,7 +25,7 @@ mod health;
 mod snapshot;
 
 pub use error::{RdpError, Stage};
-pub use health::HealthPolicy;
+pub use health::{HealthPolicy, GAMMA_BOOST_ON_ROLLBACK, LAMBDA_DAMP_ON_ROLLBACK};
 pub use snapshot::{fnv1a64, SnapshotReader, SnapshotWriter, SNAPSHOT_MAGIC};
 
 use std::fmt;

@@ -80,10 +80,12 @@ pub fn legalize_virtual(
     legalize_virtual_obs(design, cfg, virtual_widths, &Collector::disabled())
 }
 
-/// [`legalize_virtual`] with a `"legalize"` span recorded on `obs`. A
-/// `"legalize_virtual_fallback"` instant is emitted when the virtual
-/// widths do not fit and the plain pass is used instead. The returned
-/// report's `failed` count is added to the `legalize_failed` counter.
+/// [`legalize_virtual`] with a `"legalize"` span recorded on `obs`. The
+/// cells the virtual-width pass could not place are added to the
+/// `legalize_virtual_failed` counter; when there are any, a
+/// `"legalize_virtual_fallback"` instant is emitted and the plain pass is
+/// used instead. The returned report's `failed` count is added to the
+/// `legalize_failed` counter.
 pub fn legalize_virtual_obs(
     design: &mut Design,
     _cfg: &LegalizeConfig,
@@ -94,6 +96,7 @@ pub fn legalize_virtual_obs(
     let _span = obs.span("legalize", "legal");
     let saved: Vec<Point> = design.positions().to_vec();
     let mut report = legalize_impl(design, Some(virtual_widths));
+    obs.counter_add("legalize_virtual_failed", report.failed as u64);
     if report.failed > 0 {
         obs.instant(
             "legalize_virtual_fallback",

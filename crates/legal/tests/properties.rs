@@ -111,22 +111,32 @@ fn relegalization_is_cheap() {
 }
 
 /// The virtual-width path adds the `failed` count of the report it
-/// returns to `legalize_failed`: when the virtual widths fit, when it
-/// falls back to the plain pass, and when some cells fit nowhere (ten
+/// returns to `legalize_failed`, and the cells its virtual pass could not
+/// place to `legalize_virtual_failed`: when the virtual widths fit, when
+/// it falls back to the plain pass, and when some cells fit nowhere (ten
 /// 60 µm rows hold 80 of the 7 µm cells).
 #[test]
 fn legalize_virtual_obs_counts_failed_cells() {
-    // (cells, width, virtual width, failed)
-    for (n, w, virtual_w, failed) in [(20, 2.0, 2.4, 0), (20, 2.0, 40.0, 0), (100, 7.0, 7.0, 20)] {
+    // (cells, width, virtual width, failed, virtual pass failed)
+    for (n, w, virtual_w, failed, virtual_failed) in [
+        (20, 2.0, 2.4, 0, 0),
+        (20, 2.0, 40.0, 0, 10),
+        (100, 7.0, 7.0, 20, 20),
+    ] {
         let mut d = design_with(vec![(30.0, 10.0, w); n]);
         let obs = Collector::enabled();
         let widths = vec![virtual_w; n];
         let report = legalize_virtual_obs(&mut d, &LegalizeConfig::default(), &widths, &obs);
-        let counted = obs.with_metrics(|m| m.counters.get("legalize_failed").copied());
+        let counted = |name: &str| obs.with_metrics(|m| m.counters.get(name).copied());
         assert_eq!(report.failed, failed, "{n} cells of {w} at {virtual_w}");
         assert_eq!(
-            counted,
+            counted("legalize_failed"),
             Some(Some(failed as u64)),
+            "{n} cells of {w} at {virtual_w}"
+        );
+        assert_eq!(
+            counted("legalize_virtual_failed"),
+            Some(Some(virtual_failed)),
             "{n} cells of {w} at {virtual_w}"
         );
     }

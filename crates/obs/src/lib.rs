@@ -1,12 +1,12 @@
 //! # rdp-obs — zero-dependency observability for the placement flow
 //!
-//! Three pieces, mirroring the `rdp-par`/`rdp-guard` style (std-only, no
+//! Four pieces, mirroring the `rdp-par`/`rdp-guard` style (std-only, no
 //! external crates):
 //!
 //! 1. **Spans** ([`Collector::span`]): RAII guards that time a region with
 //!    the monotonic clock and record it into a bounded ring buffer. Guards
-//!    are thread-aware (each OS thread gets a small stable id) so traces
-//!    from `rdp-par` worker pools render as separate tracks.
+//!    are thread-aware (each OS thread gets a small stable id) so spans
+//!    recorded on `rdp-par` worker threads carry their own thread id.
 //! 2. **Metrics** ([`Collector::counter_add`] / [`Collector::gauge_set`] /
 //!    [`Collector::observe`] / [`Collector::series_push`]): counters,
 //!    gauges, fixed log-2-bucket histograms, and per-iteration convergence
@@ -15,10 +15,11 @@
 //!    (routed congestion, bin density) captured once per routability
 //!    iteration under a fixed byte budget — the raw material for the
 //!    per-iteration heatmaps in `rdp-report` HTML reports.
-//! 4. **Exporters** ([`export`]): JSON-lines event log, Chrome
-//!    `trace_event` JSON for chrome://tracing / Perfetto, a metrics JSON
-//!    dump (series, histograms, frames), and a human-readable per-stage
-//!    time table.
+//! 4. **Exporters** ([`export_jsonl`], [`export_metrics_json`]): the
+//!    JSON-lines event log and the metrics JSON document (series,
+//!    histograms, frames) that make up a run directory, `trace.jsonl` and
+//!    `metrics.json`. Their one reader is `rdp_report::RunModel`, which
+//!    also builds the per-stage time table.
 //!
 //! ## Determinism contract
 //!
@@ -44,10 +45,7 @@ mod ring;
 
 pub mod json;
 
-pub use export::{
-    export_chrome_trace, export_jsonl, export_metrics_json, stage_rows, stage_table,
-    validate_chrome_trace, validate_trace_jsonl, StageRow, TraceSummary,
-};
+pub use export::{export_jsonl, export_metrics_json};
 pub use frame::{downsample, Frame, DEFAULT_FRAME_BUDGET, FRAME_MAX_DIM};
 pub use metrics::{Histogram, Registry, HIST_BUCKETS};
 pub use ring::Ring;
@@ -201,8 +199,8 @@ impl Collector {
         inner.start.elapsed().as_nanos() as u64
     }
 
-    /// Time a region until the returned guard drops. `cat` groups spans in
-    /// trace viewers ("gp", "route", "flow", …).
+    /// Time a region until the returned guard drops. `cat` names the
+    /// span's layer ("gp", "route", "flow", …).
     pub fn span(&self, name: &'static str, cat: &'static str) -> SpanGuard {
         self.span_iter(name, cat, NO_ITER)
     }

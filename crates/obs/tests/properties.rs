@@ -1,12 +1,11 @@
 //! Property-style tests for rdp-obs: histogram edge cases, span nesting and
 //! drop order, ring bounding, threaded recording under an rdp-par pool, and
-//! exporter well-formedness.
+//! exporter well-formedness. Exports are read back through
+//! `rdp_report::RunModel`, the one reader of a run directory.
 
-use rdp_obs::{
-    export_chrome_trace, export_jsonl, export_metrics_json, json, stage_rows,
-    validate_chrome_trace, validate_trace_jsonl, Collector, Event, Histogram, NO_ITER,
-};
+use rdp_obs::{export_jsonl, export_metrics_json, json, Collector, Event, Histogram, NO_ITER};
 use rdp_par::Pool;
+use rdp_report::RunModel;
 
 #[test]
 fn histogram_zero_subnormal_inf_edges() {
@@ -131,9 +130,10 @@ fn ring_bounds_memory_and_counts_drops() {
     assert_eq!(col.dropped_events(), 12);
 
     // Exports stay valid after wrap-around, and the meta line reports drops.
-    let summary = validate_trace_jsonl(&export_jsonl(&col)).unwrap();
-    assert_eq!(summary.spans, 8);
-    assert_eq!(summary.dropped, 12);
+    let model = RunModel::from_strings(Some(&export_jsonl(&col)), "{}").unwrap();
+    assert_eq!(model.spans.len(), 8);
+    assert_eq!(model.dropped_events, 12);
+    assert_eq!(model.dropped_spans, 12);
     // The surviving events are the newest iterations.
     col.with_snapshot(|events, _, _| {
         let iters: Vec<i64> = events
@@ -157,15 +157,13 @@ fn exporters_survive_hostile_strings() {
         "quote \" backslash \\ newline \n tab \t unicode λ₁",
     );
     let jsonl = export_jsonl(&col);
-    let summary = validate_trace_jsonl(&jsonl).unwrap();
-    assert_eq!(summary.guard_warnings, 1);
-    validate_chrome_trace(&export_chrome_trace(&col)).unwrap();
+    let model = RunModel::from_strings(Some(&jsonl), "{}").unwrap();
 
     // The detail string round-trips exactly through escape + parse.
-    let first = jsonl.lines().next().unwrap();
-    let v = json::parse(first).unwrap();
+    assert_eq!(model.instants.len(), 1);
+    assert_eq!(model.instants[0].name, "guard_warning");
     assert_eq!(
-        v.get("detail").unwrap().as_str().unwrap(),
+        model.instants[0].detail,
         "quote \" backslash \\ newline \n tab \t unicode λ₁"
     );
 }
@@ -217,7 +215,7 @@ fn stage_rows_aggregate_across_threads() {
         let _s = col.span("kernel", "test");
         ci
     });
-    let rows = stage_rows(&col);
+    let rows = RunModel::from_collector(&col).unwrap().stage_rows();
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0].name, "kernel");
     assert_eq!(rows[0].calls, 4);

@@ -29,7 +29,9 @@
 //! `ROW`s in any orientation but `N` or with another `DO … BY … STEP`
 //! shape, `PINS`, and `SPECIALNETS` wiring other than one
 //! `- PG M<k> H|V RECT …` rectangle per line. A `ROW` or rail line it
-//! cannot read is a typed error with its line number, and so is a DEF
+//! cannot read is a typed error with its line number, and so is a
+//! `COMPONENTS`/`NETS`/`BLOCKAGES`/`SPECIALNETS` section whose entries do
+//! not number what its header declares (a DEF that lost lines) and a DEF
 //! without `END DESIGN` (a truncated file); a DEF without `GCELLGRID`
 //! gets a 16×16 grid.
 
@@ -420,12 +422,27 @@ pub fn read_lefdef_obs(
     let mut rails: Vec<PgRail> = Vec::new();
     let mut tracks: Vec<(&str, f64)> = Vec::new(); // layer name, step (µm)
     let mut blockages: Vec<(&str, Rect, usize)> = Vec::new(); // layer name, rect, line
-    let mut section = "";
+
+    // The open section: its keyword, the entry count its header declares
+    // and the header's line. `read` counts its `- ` entry lines.
+    let mut section: (&str, usize, usize) = ("", 0, 0);
+    let mut read = 0usize;
+    let close = |(kw, declared, header): (&str, usize, usize), read: usize| {
+        if kw.is_empty() || declared == read {
+            return Ok(());
+        }
+        Err(ParseDesignError::new(
+            "def",
+            Some(header + 1),
+            format!("{kw} declares {declared} entries but {read} follow"),
+        ))
+    };
     let mut ended = false;
 
     for (ln, line) in files.def.lines().enumerate() {
         toks.clear();
         toks.extend(line.split_whitespace());
+        read += usize::from(line.starts_with('-'));
         match toks.as_slice() {
             ["DESIGN", name, ";"] => design_name = name,
             ["DIEAREA", "(", a, b, ")", "(", c, d, ")", ";"] => {
@@ -501,14 +518,28 @@ pub fn read_lefdef_obs(
                 }
                 tracks.push((name, from_dbu(int("def", ln, step)?)));
             }
-            ["COMPONENTS", ..] => section = "components",
-            ["NETS", ..] if section != "nets" && !line.starts_with('-') => section = "nets",
-            ["BLOCKAGES", ..] => section = "blockages",
-            ["SPECIALNETS", ..] => section = "specialnets",
-            ["END", "DESIGN"] => ended = true,
-            ["END", ..] => section = "",
-            _ if line.starts_with('-') => match section {
-                "components" => {
+            [kw @ ("COMPONENTS" | "NETS" | "BLOCKAGES" | "SPECIALNETS"), n, ";"] => {
+                close(section, read)?;
+                let declared = usize::try_from(int("def", ln, n)?).map_err(|_| {
+                    ParseDesignError::new("def", Some(ln + 1), format!("bad {kw} count `{n}`"))
+                })?;
+                section = (kw, declared, ln);
+                read = 0;
+            }
+            ["COMPONENTS" | "NETS" | "BLOCKAGES" | "SPECIALNETS", ..] => {
+                return Err(ParseDesignError::new(
+                    "def",
+                    Some(ln + 1),
+                    format!("malformed section header (expected `{} n ;`)", toks[0]),
+                ))
+            }
+            ["END", rest @ ..] => {
+                close(section, read)?;
+                section = ("", 0, 0);
+                ended |= rest == ["DESIGN"];
+            }
+            _ if line.starts_with('-') => match section.0 {
+                "COMPONENTS" => {
                     // - name Tk + STATE ( x y ) N ;
                     if toks.len() < 10 {
                         return Err(ParseDesignError::new(
@@ -536,7 +567,7 @@ pub fn read_lefdef_obs(
                         fixed,
                     ));
                 }
-                "nets" => {
+                "NETS" => {
                     // - name ( comp dx dy ) ... ;
                     if toks.len() < 2 {
                         return Err(ParseDesignError::new("def", Some(ln + 1), "short net line"));
@@ -559,7 +590,7 @@ pub fn read_lefdef_obs(
                     }
                     nets.push((toks[1], start..net_pins.len()));
                 }
-                "blockages" => {
+                "BLOCKAGES" => {
                     // - LAYER <name> RECT ( a b ) ( c d ) ;
                     match toks.as_slice() {
                         ["-", "LAYER", name, "RECT", "(", a, b, ")", "(", c, d, ")", ";"] => {
@@ -585,7 +616,7 @@ pub fn read_lefdef_obs(
                         }
                     }
                 }
-                "specialnets" => {
+                "SPECIALNETS" => {
                     // - PG M<k> <dir> RECT ( a b ) ( c d ) ;
                     if toks.len() < 13 {
                         return Err(ParseDesignError::new(

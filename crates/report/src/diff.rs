@@ -1,13 +1,16 @@
-//! Run-to-run diff: structured QoR and perf deltas with noise thresholds.
+//! Run-to-run diff: structured QoR deltas with a noise threshold, plus
+//! informational per-stage time deltas.
 //!
-//! All compared quantities are lower-is-better (wirelength, overflow,
-//! rollbacks, wall time), so a *regression* is `b` exceeding `a` by more
-//! than the relative tolerance. Same-seed runs are bitwise deterministic
-//! end to end, so their QoR deltas are exactly zero regardless of the
-//! tolerance; the tolerance exists for cross-seed / cross-machine noise.
+//! All compared QoR quantities are lower-is-better (wirelength, overflow,
+//! rollbacks), so a *regression* is `b` exceeding `a` by more than the
+//! relative tolerance. Same-seed runs are bitwise deterministic end to
+//! end, so their QoR deltas are exactly zero regardless of the tolerance;
+//! the tolerance exists for cross-seed / cross-machine noise. Single-run
+//! stage times are too noisy to gate on, so they never regress;
+//! `scripts/regress.sh` gates speed on median-of-N bench baselines.
 
 use crate::model::RunModel;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// Noise thresholds for [`diff_runs`].
@@ -15,33 +18,25 @@ use std::fmt::Write as _;
 pub struct DiffThresholds {
     /// Relative tolerance on QoR metrics (HPWL, overflow, counters).
     pub qor_rel_tol: f64,
-    /// Relative tolerance on per-stage wall times. Defaults to infinity —
-    /// single-run timings are too noisy to gate on; `scripts/regress.sh`
-    /// gates perf with median-of-N bench baselines instead.
-    pub time_rel_tol: f64,
-    /// Denominator floor so near-zero baselines don't explode the
-    /// relative delta.
-    pub abs_floor: f64,
 }
 
 impl Default for DiffThresholds {
     fn default() -> Self {
-        DiffThresholds {
-            qor_rel_tol: 0.005,
-            time_rel_tol: f64::INFINITY,
-            abs_floor: 1e-9,
-        }
+        DiffThresholds { qor_rel_tol: 0.005 }
     }
 }
+
+/// Denominator floor so near-zero baselines don't explode the relative
+/// delta.
+const ABS_FLOOR: f64 = 1e-9;
 
 /// What a delta is measuring, which decides its tolerance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeltaKind {
     /// Quality of result; gated by `qor_rel_tol`.
     Qor,
-    /// Stage wall time; gated by `time_rel_tol`.
-    Perf,
-    /// Reported but never a regression (histogram shifts, coverage).
+    /// Reported but never a regression (stage times, histogram shifts,
+    /// series lengths).
     Info,
 }
 
@@ -56,7 +51,7 @@ pub struct Delta {
     pub a: f64,
     /// Candidate value.
     pub b: f64,
-    /// `(b - a) / max(|a|, abs_floor)`.
+    /// `(b - a) / max(|a|, 1e-9)`.
     pub rel: f64,
     /// Whether `rel` exceeded the kind's tolerance.
     pub regression: bool,
@@ -113,20 +108,19 @@ impl RunDiff {
     }
 }
 
-/// Signed relative delta `(b − a) / max(|a|, floor)` — the comparison
-/// primitive behind every QoR/perf gate in `rdp diff`.
-fn rel_delta(a: f64, b: f64, floor: f64) -> f64 {
-    (b - a) / a.abs().max(floor)
+/// Signed relative delta `(b − a) / max(|a|, ABS_FLOOR)` — the comparison
+/// primitive behind every row of `rdp diff`.
+fn rel_delta(a: f64, b: f64) -> f64 {
+    (b - a) / a.abs().max(ABS_FLOOR)
 }
 
 /// Diff two ingested runs. `a` is the baseline, `b` the candidate.
 pub fn diff_runs(a: &RunModel, b: &RunModel, thr: &DiffThresholds) -> RunDiff {
     let mut diff = RunDiff::default();
     let mut push = |metric: String, kind: DeltaKind, va: f64, vb: f64| {
-        let rel = rel_delta(va, vb, thr.abs_floor);
+        let rel = rel_delta(va, vb);
         let tol = match kind {
             DeltaKind::Qor => thr.qor_rel_tol,
-            DeltaKind::Perf => thr.time_rel_tol,
             DeltaKind::Info => f64::INFINITY,
         };
         diff.deltas.push(Delta {
@@ -197,16 +191,21 @@ pub fn diff_runs(a: &RunModel, b: &RunModel, thr: &DiffThresholds) -> RunDiff {
     }
 
     // Per-stage wall times from the traces, when both runs carried one.
-    let ta = a.stage_totals();
-    let tb = b.stage_totals();
+    let total_ns = |m: &RunModel| -> BTreeMap<String, u64> {
+        m.stage_rows()
+            .into_iter()
+            .map(|r| (r.name, r.total_ns))
+            .collect()
+    };
+    let (ta, tb) = (total_ns(a), total_ns(b));
     if !ta.is_empty() && !tb.is_empty() {
         let names: BTreeSet<&String> = ta.keys().chain(tb.keys()).collect();
         for name in names {
             match (ta.get(name), tb.get(name)) {
-                (Some((_, na)), Some((_, nb))) => {
+                (Some(na), Some(nb)) => {
                     push(
                         format!("time/{name}/total_ms"),
-                        DeltaKind::Perf,
+                        DeltaKind::Info,
                         *na as f64 / 1e6,
                         *nb as f64 / 1e6,
                     );
@@ -221,8 +220,8 @@ pub fn diff_runs(a: &RunModel, b: &RunModel, thr: &DiffThresholds) -> RunDiff {
 
 /// Keys present in both maps; one-sided keys are recorded as unmatched.
 fn keys(
-    a: &std::collections::BTreeMap<String, f64>,
-    b: &std::collections::BTreeMap<String, f64>,
+    a: &BTreeMap<String, f64>,
+    b: &BTreeMap<String, f64>,
     unmatched: &mut Vec<String>,
     what: &str,
 ) -> Vec<String> {
@@ -286,10 +285,7 @@ mod tests {
     fn tolerance_widens_the_gate() {
         let a = run(100.0);
         let b = run(103.0);
-        let thr = DiffThresholds {
-            qor_rel_tol: 0.05,
-            ..DiffThresholds::default()
-        };
+        let thr = DiffThresholds { qor_rel_tol: 0.05 };
         assert!(!diff_runs(&a, &b, &thr).has_regression());
     }
 
@@ -304,16 +300,18 @@ mod tests {
     }
 
     #[test]
-    fn time_gate_applies_when_configured() {
+    fn stage_time_deltas_are_informational() {
         let mut a = run(100.0);
         let mut b = run(100.0);
         a.spans[0].dur_ns = 1_000_000;
         b.spans[0].dur_ns = 2_000_000;
-        let thr = DiffThresholds {
-            time_rel_tol: 0.5,
-            ..DiffThresholds::default()
-        };
-        let d = diff_runs(&a, &b, &thr);
-        assert!(d.regressions().contains(&"time/route/total_ms"));
+        let d = diff_runs(&a, &b, &DiffThresholds::default());
+        let time = d
+            .deltas
+            .iter()
+            .find(|d| d.metric == "time/route/total_ms")
+            .expect("a stage time row");
+        assert_eq!((time.kind, time.rel), (DeltaKind::Info, 1.0));
+        assert!(!d.has_regression());
     }
 }

@@ -210,26 +210,24 @@ fn render_line_chart(out: &mut String, name: &str, points: &[(u64, f64)]) {
 }
 
 fn render_stages(out: &mut String, model: &RunModel) {
-    let agg = model.stage_totals();
-    if agg.is_empty() {
+    let rows = model.stage_rows();
+    if rows.is_empty() {
         return;
     }
-    let mut rows: Vec<(&String, u64, u64)> = agg.iter().map(|(k, (c, ns))| (k, *c, *ns)).collect();
-    rows.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(b.0)));
-    let max_ns = rows.first().map(|r| r.2).unwrap_or(1).max(1);
+    let max_ns = rows[0].total_ns.max(1);
 
     out.push_str("<h2>Stage time breakdown</h2>\n<table>\n");
     out.push_str("<tr><th>stage</th><th>calls</th><th>total ms</th><th></th></tr>\n");
-    for (name, calls, total_ns) in &rows {
-        let bar_w = (260.0 * *total_ns as f64 / max_ns as f64).max(1.0);
+    for r in &rows {
+        let bar_w = (260.0 * r.total_ns as f64 / max_ns as f64).max(1.0);
         let _ = writeln!(
             out,
             "<tr><td class=\"name\">{}</td><td>{}</td><td>{:.3}</td>\
              <td><svg width=\"264\" height=\"12\"><rect x=\"0\" y=\"1\" width=\"{:.1}\" \
              height=\"10\" fill=\"#74add1\"/></svg></td></tr>",
-            esc(name),
-            calls,
-            *total_ns as f64 / 1e6,
+            esc(&r.name),
+            r.calls,
+            r.total_ns as f64 / 1e6,
             bar_w
         );
     }

@@ -1,5 +1,6 @@
 //! Run ingestion: the obs artifacts (trace JSONL + metrics JSON) parsed
-//! into one [`RunModel`] that the renderer and differ share.
+//! into one [`RunModel`] that the renderer, the differ and the stage
+//! table share. This is the only reader of `trace.jsonl`.
 //!
 //! Ingestion is strict: both inputs were written by `rdp-obs` exporters,
 //! so anything malformed — truncated trace, wrong types, missing meta —
@@ -7,18 +8,19 @@
 //! rather than a panic or a silently-empty model.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::Path;
 
 use rdp_guard::RdpError;
 use rdp_obs::json::{self, Value};
-use rdp_obs::{export_jsonl, export_metrics_json, validate_trace_jsonl, Collector};
+use rdp_obs::{export_jsonl, export_metrics_json, Collector};
 
 /// One completed span from the trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRec {
     /// Stage name ("route", "gp_step", …).
     pub name: String,
-    /// Category the trace viewer groups by.
+    /// Layer the span belongs to ("gp", "route", "flow", …).
     pub cat: String,
     /// Stable per-OS-thread id.
     pub tid: u64,
@@ -56,6 +58,22 @@ pub struct FrameRec {
     pub ny: usize,
     /// Row-major `ny * nx` values.
     pub data: Vec<f64>,
+}
+
+/// One row of the per-stage time table: every span of one name.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StageRow {
+    /// Span name.
+    pub name: String,
+    /// Spans recorded under the name.
+    pub calls: u64,
+    /// Summed duration, nanoseconds.
+    pub total_ns: u64,
+    /// `total_ns / calls`, nanoseconds.
+    pub mean_ns: u64,
+    /// `total_ns` as a percentage of the wall time, the latest span end.
+    /// Spans nest, so the column can sum past 100.
+    pub pct_of_wall: f64,
 }
 
 /// Histogram summary (the sparse buckets are not needed for reporting).
@@ -103,6 +121,10 @@ pub struct RunModel {
     pub frames: Vec<FrameRec>,
     /// Events evicted from the collector's ring buffer.
     pub dropped_events: u64,
+    /// Evicted events that were spans (from the trace's `meta` line).
+    pub dropped_spans: u64,
+    /// Evicted events that were instants (from the trace's `meta` line).
+    pub dropped_instants: u64,
     /// Frames evicted by the frame byte budget.
     pub dropped_frames: u64,
     /// Torn-write leftovers (`*.tmp` siblings) found in the run directory:
@@ -214,16 +236,70 @@ impl RunModel {
         Ok(model)
     }
 
-    /// Total nanoseconds per span name, for the stage breakdown and the
-    /// perf side of a diff.
-    pub fn stage_totals(&self) -> BTreeMap<String, (u64, u64)> {
-        let mut agg: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+    /// Spans summed by name, sorted by total time (descending, then by
+    /// name): the stage breakdown of a report, the time side of a diff and
+    /// the `--profile` table.
+    pub fn stage_rows(&self) -> Vec<StageRow> {
+        let mut agg: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        let mut wall_ns: u64 = 0;
         for s in &self.spans {
-            let e = agg.entry(s.name.clone()).or_insert((0, 0));
+            let e = agg.entry(&s.name).or_default();
             e.0 += 1;
             e.1 += s.dur_ns;
+            wall_ns = wall_ns.max(s.ts_ns + s.dur_ns);
         }
-        agg
+        let mut rows: Vec<StageRow> = agg
+            .into_iter()
+            .map(|(name, (calls, total_ns))| StageRow {
+                name: name.to_string(),
+                calls,
+                total_ns,
+                mean_ns: total_ns / calls.max(1),
+                pct_of_wall: if wall_ns > 0 {
+                    100.0 * total_ns as f64 / wall_ns as f64
+                } else {
+                    0.0
+                },
+            })
+            .collect();
+        rows.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.name.cmp(&b.name)));
+        rows
+    }
+
+    /// [`RunModel::stage_rows`] as the plain-text table `--profile` prints,
+    /// with a warning when dropped spans make the totals incomplete.
+    pub fn stage_table(&self) -> String {
+        let rows = self.stage_rows();
+        let mut out = String::new();
+        if rows.is_empty() {
+            out.push_str("(no spans recorded)\n");
+        } else {
+            let _ = writeln!(
+                out,
+                "{:<24} {:>8} {:>12} {:>12} {:>8}",
+                "stage", "calls", "total_ms", "mean_us", "%wall"
+            );
+            for r in &rows {
+                let _ = writeln!(
+                    out,
+                    "{:<24} {:>8} {:>12.3} {:>12.1} {:>8.1}",
+                    r.name,
+                    r.calls,
+                    r.total_ns as f64 / 1e6,
+                    r.mean_ns as f64 / 1e3,
+                    r.pct_of_wall
+                );
+            }
+        }
+        // The rows sum spans only, so only dropped spans make them incomplete.
+        if self.dropped_spans > 0 {
+            let _ = writeln!(
+                out,
+                "(warning: ring buffer dropped {} events: {} spans, {} instants; {} frames evicted — stage totals above are incomplete)",
+                self.dropped_events, self.dropped_spans, self.dropped_instants, self.dropped_frames
+            );
+        }
+        out
     }
 
     /// Distinct routability iterations seen on `route_iter` spans, in
@@ -240,37 +316,97 @@ impl RunModel {
         iters
     }
 
+    /// Reads the JSONL trace in one pass. Every line is a JSON object of
+    /// a known `type` with its required fields, span timing is
+    /// non-negative, and exactly one `meta` line ends the trace: its
+    /// `events` counts the lines before it and its optional drop
+    /// breakdown adds up to `dropped`.
     fn ingest_trace(&mut self, trace: &str) -> Result<(), RdpError> {
         const CTX: &str = "trace.jsonl";
-        // The obs validator enforces structure (known types, required
-        // fields, exactly one trailing meta line with a consistent event
-        // count); re-parsing below can then take the shape for granted.
-        let summary =
-            validate_trace_jsonl(trace).map_err(|e| perr(CTX, None, format!("invalid: {e}")))?;
-        self.dropped_events = summary.dropped;
+        let mut meta_seen = false;
+        let mut last_line = 0;
         for (idx, line) in trace.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
             let line_no = Some(idx + 1);
-            let v = json::parse(line).map_err(|e| perr(CTX, line_no, e.to_string()))?;
-            match v.get("type").and_then(Value::as_str) {
-                Some("span") => self.spans.push(SpanRec {
-                    name: req_str(&v, "name", CTX, line_no)?,
-                    cat: req_str(&v, "cat", CTX, line_no)?,
-                    tid: req_num(&v, "tid", CTX, line_no)? as u64,
-                    ts_ns: req_num(&v, "ts_ns", CTX, line_no)? as u64,
-                    dur_ns: req_num(&v, "dur_ns", CTX, line_no)? as u64,
-                    iter: opt_iter(&v),
-                }),
-                Some("instant") => self.instants.push(InstantRec {
-                    name: req_str(&v, "name", CTX, line_no)?,
-                    detail: req_str(&v, "detail", CTX, line_no)?,
-                    ts_ns: req_num(&v, "ts_ns", CTX, line_no)? as u64,
-                    iter: opt_iter(&v),
-                }),
-                _ => {} // meta — already consumed by the validator
+            last_line = idx + 1;
+            if meta_seen {
+                return Err(perr(CTX, line_no, "content after meta line"));
             }
+            let v = json::parse(line).map_err(|e| perr(CTX, line_no, e.to_string()))?;
+            match req_str(&v, "type", CTX, line_no)?.as_str() {
+                "span" => {
+                    let name = req_str(&v, "name", CTX, line_no)?;
+                    let cat = req_str(&v, "cat", CTX, line_no)?;
+                    let tid = req_num(&v, "tid", CTX, line_no)?;
+                    let ts = req_num(&v, "ts_ns", CTX, line_no)?;
+                    let dur = req_num(&v, "dur_ns", CTX, line_no)?;
+                    if ts < 0.0 || dur < 0.0 {
+                        return Err(perr(CTX, line_no, "negative span timing"));
+                    }
+                    self.spans.push(SpanRec {
+                        name,
+                        cat,
+                        tid: tid as u64,
+                        ts_ns: ts as u64,
+                        dur_ns: dur as u64,
+                        iter: opt_iter(&v),
+                    });
+                }
+                "instant" => {
+                    let name = req_str(&v, "name", CTX, line_no)?;
+                    let detail = req_str(&v, "detail", CTX, line_no)?;
+                    req_num(&v, "tid", CTX, line_no)?;
+                    let ts = req_num(&v, "ts_ns", CTX, line_no)?;
+                    self.instants.push(InstantRec {
+                        name,
+                        detail,
+                        ts_ns: ts as u64,
+                        iter: opt_iter(&v),
+                    });
+                }
+                "meta" => {
+                    let events = req_num(&v, "events", CTX, line_no)? as u64;
+                    self.dropped_events = req_num(&v, "dropped", CTX, line_no)? as u64;
+                    let opt = |key: &str| v.get(key).and_then(Value::as_f64).map(|n| n as u64);
+                    // The breakdown is optional but must reconcile when present.
+                    if let Some(spans) = opt("dropped_spans") {
+                        self.dropped_spans = spans;
+                        self.dropped_instants = opt("dropped_instants").unwrap_or(0);
+                        self.dropped_frames = opt("dropped_frames").unwrap_or(0);
+                        if spans + self.dropped_instants != self.dropped_events {
+                            return Err(perr(
+                                CTX,
+                                line_no,
+                                format!(
+                                    "drop breakdown {spans} + {} does not equal dropped {}",
+                                    self.dropped_instants, self.dropped_events
+                                ),
+                            ));
+                        }
+                    }
+                    let recorded = (self.spans.len() + self.instants.len()) as u64;
+                    if events != recorded {
+                        return Err(perr(
+                            CTX,
+                            line_no,
+                            format!("meta says {events} events but {recorded} lines precede"),
+                        ));
+                    }
+                    meta_seen = true;
+                }
+                other => {
+                    return Err(perr(
+                        CTX,
+                        line_no,
+                        format!("unknown event type \"{other}\""),
+                    ))
+                }
+            }
+        }
+        if !meta_seen {
+            return Err(perr(CTX, Some(last_line + 1), "missing trailing meta line"));
         }
         Ok(())
     }
@@ -468,16 +604,175 @@ mod tests {
     }
 
     #[test]
-    fn stage_totals_aggregate_by_name() {
-        let c = Collector::enabled();
+    fn stage_rows_aggregate_by_name_and_sort_by_total() {
+        let span = |name: &str, ts_ns, dur_ns| SpanRec {
+            name: name.into(),
+            cat: "t".into(),
+            tid: 0,
+            ts_ns,
+            dur_ns,
+            iter: None,
+        };
+        let m = RunModel {
+            spans: vec![
+                span("route", 0, 30),
+                span("gp_step", 30, 50),
+                span("route", 80, 20),
+            ],
+            ..RunModel::default()
+        };
+        let rows = m.stage_rows();
+        let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["gp_step", "route"]);
+        assert_eq!(
+            (rows[1].calls, rows[1].total_ns, rows[1].mean_ns),
+            (2, 50, 25)
+        );
+        assert_eq!(rows[0].pct_of_wall, 50.0); // wall = latest span end, 100 ns
+        let table = m.stage_table();
+        assert!(table.starts_with("stage "), "{table}");
+        assert!(
+            table.contains("gp_step") && !table.contains("warning"),
+            "{table}"
+        );
+        assert_eq!(RunModel::default().stage_table(), "(no spans recorded)\n");
+    }
+
+    #[test]
+    fn stage_table_warns_only_when_spans_were_dropped() {
+        let c = Collector::with_capacity(2);
         {
-            let _a = c.span("route", "route");
+            let _a = c.span("gp_step", "gp");
         }
+        c.instant("guard_warning", 0, "w1");
+        c.instant("rollback", 1, "r1"); // evicts the span
+        c.instant("note", 2, "n1"); // evicts the first instant
+        let m = RunModel::from_collector(&c).unwrap();
+        assert_eq!(
+            (m.dropped_events, m.dropped_spans, m.dropped_instants),
+            (2, 1, 1)
+        );
+        let table = m.stage_table();
+        assert!(table.contains("warning"), "{table}");
+        assert!(table.contains("1 spans, 1 instants"), "{table}");
+
+        // Frames evicted by the byte budget leave the span totals whole.
+        let c = Collector::with_capacity_and_frame_budget(64, 2 * 900);
         {
-            let _b = c.span("route", "route");
+            let _gp = c.span("gp_step", "gp");
+        }
+        for i in 0..5 {
+            c.frame("congestion", i, 10, 10, &vec![i as f64; 100]);
         }
         let m = RunModel::from_collector(&c).unwrap();
-        let agg = m.stage_totals();
-        assert_eq!(agg["route"].0, 2);
+        assert!(m.dropped_frames > 0 && m.dropped_events == 0, "{m:?}");
+        let table = m.stage_table();
+        assert!(table.contains("gp_step"), "{table}");
+        assert!(!table.contains("incomplete"), "{table}");
+    }
+
+    /// One hostile trace per check the reader makes; each is a typed
+    /// parse error naming the offending line.
+    #[test]
+    fn hostile_traces_are_typed_errors_naming_their_line() {
+        // Trace lines as (key, JSON value) pairs, so a case can drop any
+        // one field.
+        const SPAN: &[(&str, &str)] = &[
+            ("type", "\"span\""),
+            ("name", "\"route\""),
+            ("cat", "\"route\""),
+            ("tid", "0"),
+            ("ts_ns", "5"),
+            ("dur_ns", "7"),
+            ("iter", "null"),
+        ];
+        const INSTANT: &[(&str, &str)] = &[
+            ("type", "\"instant\""),
+            ("name", "\"rollback\""),
+            ("detail", "\"d\""),
+            ("tid", "0"),
+            ("ts_ns", "9"),
+            ("iter", "1"),
+        ];
+        const META: &[(&str, &str)] = &[("type", "\"meta\""), ("events", "0"), ("dropped", "0")];
+        let line = |fields: &[(&str, &str)], skip: &str| {
+            let body: Vec<String> = fields
+                .iter()
+                .filter(|(k, _)| *k != skip)
+                .map(|(k, v)| format!("\"{k}\":{v}"))
+                .collect();
+            format!("{{{}}}", body.join(","))
+        };
+        let (span, instant) = (line(SPAN, ""), line(INSTANT, ""));
+        let meta = |events: usize| format!(r#"{{"type":"meta","events":{events},"dropped":0}}"#);
+        let mut cases: Vec<(String, usize, String)> =
+            vec![
+            (
+                format!("{span}\n{}\n{span}\n", meta(1)),
+                3,
+                "content after meta line".into(),
+            ),
+            (
+                r#"{"type":"counter","name":"x"}"#.into(),
+                1,
+                "unknown event type \"counter\"".into(),
+            ),
+            ("not json\n".into(), 1, "json parse error".into()),
+            (
+                format!("{span}\n{instant}\n"),
+                3,
+                "missing trailing meta line".into(),
+            ),
+            (String::new(), 1, "missing trailing meta line".into()),
+            (
+                format!("{span}\n{}\n", meta(5)),
+                2,
+                "meta says 5 events but 1 lines precede".into(),
+            ),
+            (
+                r#"{"type":"meta","events":0,"dropped":3,"dropped_spans":1,"dropped_instants":1}"#
+                    .into(),
+                1,
+                "drop breakdown 1 + 1 does not equal dropped 3".into(),
+            ),
+            (
+                span.replace("\"ts_ns\":5", "\"ts_ns\":-5"),
+                1,
+                "negative span timing".into(),
+            ),
+            (
+                format!("{instant}\n{}\n", span.replace("\"dur_ns\":7", "\"dur_ns\":-7")),
+                2,
+                "negative span timing".into(),
+            ),
+        ];
+        for (fields, required) in [
+            (SPAN, &["type", "name", "cat", "tid", "ts_ns", "dur_ns"][..]),
+            (INSTANT, &["name", "detail", "tid", "ts_ns"][..]),
+            (META, &["events", "dropped"][..]),
+        ] {
+            for field in required {
+                cases.push((
+                    format!("{}\n{}\n", line(fields, field), meta(1)),
+                    1,
+                    format!("field \"{field}\""),
+                ));
+            }
+        }
+        for (trace, want_line, want) in &cases {
+            let err = RunModel::from_strings(Some(trace), "{}").unwrap_err();
+            match &err {
+                RdpError::Parse {
+                    context,
+                    line: Some(l),
+                    message,
+                } => {
+                    assert_eq!(context, "trace.jsonl", "{trace:?}");
+                    assert_eq!(l, want_line, "{trace:?}: {err}");
+                    assert!(message.contains(want.as_str()), "{trace:?}: {err}");
+                }
+                other => panic!("{trace:?}: not a parse error naming its line: {other:?}"),
+            }
+        }
     }
 }

@@ -125,14 +125,6 @@ impl Client {
         }
     }
 
-    /// A client with explicit frame limits (timeouts, max frame).
-    pub fn with_limits(addr: impl Into<String>, limits: FrameLimits) -> Client {
-        Client {
-            addr: addr.into(),
-            limits,
-        }
-    }
-
     /// One request/response roundtrip on a fresh connection.
     fn roundtrip(&self, payload: &str) -> Result<Value, RdpError> {
         self.roundtrip_waiting(payload, 0)

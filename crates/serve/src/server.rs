@@ -6,10 +6,10 @@
 //! `accept` (zero poll tax while jobs run); shutdown paths unblock it
 //! with a loopback self-connect. Every other wait is bounded:
 //! connection handlers inherit [`FrameLimits`] deadlines, workers wake
-//! from the queue condvar at least every `poll_ms`, `result` long-polls
-//! are capped at [`RESULT_WAIT_CAP_MS`] per request, and live
-//! connections are capped (excess clients get a typed `Busy` and a
-//! clean close).
+//! from the queue condvar at least every `POLL` (25 ms), `result`
+//! long-polls are capped at `RESULT_WAIT_CAP_MS` (10 s) per request,
+//! and live connections are capped (excess clients get a typed `Busy`
+//! and a clean close).
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -50,8 +50,6 @@ pub struct ServeConfig {
     pub io_timeout_ms: u64,
     /// Suggested client back-off returned with `Busy` rejections.
     pub retry_after_ms: u64,
-    /// Poll interval for the worker condvar and accept-error backoff.
-    pub poll_ms: u64,
     /// Compute threads per job; 0 splits the global thread budget evenly
     /// across workers (at least 1 each).
     pub job_threads: usize,
@@ -72,13 +70,15 @@ impl Default for ServeConfig {
             max_frame: MAX_FRAME_DEFAULT,
             io_timeout_ms: IO_TIMEOUT_DEFAULT_MS,
             retry_after_ms: 250,
-            poll_ms: 25,
             job_threads: 0,
             port_file: None,
             max_connections: 64,
         }
     }
 }
+
+/// Poll interval for the worker condvar and accept-error backoff.
+const POLL: Duration = Duration::from_millis(25);
 
 /// Server-side cap on one `result` long-poll (milliseconds). Keeps every
 /// held connection bounded regardless of what the client asked for;
@@ -109,12 +109,6 @@ struct Shared {
     connections: AtomicUsize,
     /// Lifetime job counters, answered by `stats`.
     counters: Counters,
-}
-
-impl Shared {
-    fn poll(&self) -> Duration {
-        Duration::from_millis(self.cfg.poll_ms.max(1))
-    }
 }
 
 /// A running server instance.
@@ -225,7 +219,7 @@ impl Server {
         }
         let deadline = Instant::now() + 2 * self.shared.limits.io_timeout;
         while self.shared.connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(self.shared.poll());
+            std::thread::sleep(POLL);
         }
         Ok(())
     }
@@ -284,7 +278,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
             }
             // Transient accept errors (EMFILE, ECONNABORTED): back off
             // one poll interval instead of spinning.
-            Err(_) => std::thread::sleep(shared.poll()),
+            Err(_) => std::thread::sleep(POLL),
         }
     }
 }
@@ -594,7 +588,7 @@ fn claim_next(shared: &Shared) -> Option<(JobRecord, Arc<JobControl>)> {
             inner.controls.insert(id, Arc::clone(&ctl));
             return Some((snapshot, ctl));
         }
-        let (g, _timeout) = shared.queue_cv.wait_timeout(inner, shared.poll()).unwrap();
+        let (g, _timeout) = shared.queue_cv.wait_timeout(inner, POLL).unwrap();
         inner = g;
     }
 }

@@ -9,7 +9,7 @@
 //! |---|---|---|
 //! | [`rng`] | `rand` | [`Rng`]: SplitMix64-seeded xoshiro256++ with `gen_range` / `gen_bool` / `shuffle` / `normal` |
 //! | [`prop`] | `proptest` | [`prop_check!`](crate::prop_check) harness: generator combinators, shrinking, seed replay |
-//! | [`bench`] | `criterion` | [`BenchHarness`]: warmup + timed samples, median/p95, `BENCH_*.json` output |
+//! | [`mod@bench`] | `criterion` | [`BenchHarness`]: warmup + timed samples, median/p95, `BENCH_*.json` output |
 //!
 //! ## Determinism contract
 //!

@@ -47,12 +47,6 @@ impl PropConfig {
             max_shrink_iters: 1024,
         }
     }
-
-    /// Overrides the base seed (for fixing a suite-wide stream).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 impl Default for PropConfig {

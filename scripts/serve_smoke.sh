@@ -168,6 +168,6 @@ echo "serve-smoke: direct rdp place with identical flags"
 
 RUN_DIR="$WORK/store/jobs/$(printf 'job-%010d.run' "$J1")"
 echo "serve-smoke: rdp diff served run-dir vs direct (QoR tol 0)"
-"$RDP" diff "$RUN_DIR" "$WORK/direct" --qor-tol 0 --time-tol 1000000
+"$RDP" diff "$RUN_DIR" "$WORK/direct" --qor-tol 0
 
 echo "serve-smoke: PASS (kill -9 recovery bitwise, served == direct, counters monotonic)"

@@ -9,6 +9,11 @@
 //! rdp route    <input>                        route + congestion summary
 //! rdp eval     <input>                        evaluate current placement
 //! rdp flow     <input> [--preset P]           full pipeline + report
+//! rdp report   <run-dir>                      HTML report of a traced run
+//!
+//! `place` and `flow` trace a run with `--run-dir DIR` (writes
+//! `DIR/trace.jsonl` and `DIR/metrics.json`) and `--profile` (prints the
+//! per-stage time table).
 //!
 //! <input> is either a suite design name (e.g. fft_1) or a LEF/DEF pair
 //! `lefdef:LEF:DEF`; `--out DIR` writes `DIR/<name>.lef` and `.def`.
@@ -92,8 +97,9 @@ commands:
                                            violations
   report   <run-dir> [--out FILE.html] [--title T]
                                            render a run directory to HTML
-  diff     <run-a> <run-b> [--qor-tol X] [--time-tol Y]
-                                           QoR/perf deltas; exit 1 on regression
+  diff     <run-a> <run-b> [--qor-tol X]
+                                           QoR deltas (exit 1 on regression)
+                                           and per-stage time deltas
   render   <input> --out FILE.svg [--congestion] [--place P]   render to SVG
 service (crash-safe placement-as-a-service):
   serve    --dir DIR [--addr H:P] [--workers N] [--max-queue N]
@@ -116,12 +122,9 @@ service (crash-safe placement-as-a-service):
                                             checkpointed and requeued durable
                                             (prints the drained-job count)
 observability (place and flow):
-  --trace-out FILE.jsonl    span/instant event log (one JSON object per line)
-  --chrome-trace FILE.json  chrome://tracing / Perfetto trace_event file
-  --metrics-out FILE.json   counters, gauges, histograms, series, frames
-  --run-dir DIR             write DIR/trace.jsonl + DIR/metrics.json (for
-                            `rdp report` and `rdp diff`)
-  --report-out FILE.html    render the validated self-contained HTML report
+  --run-dir DIR             write DIR/trace.jsonl (spans, instants) and
+                            DIR/metrics.json (counters, gauges, histograms,
+                            series, frames) for `rdp report` and `rdp diff`
   --profile                 print the per-stage time table after the run
 every command fails on a `--` flag it does not read, before it starts work.
 inputs:  <suite-name> | lefdef:LEF_PATH:DEF_PATH
@@ -219,82 +222,39 @@ fn read_spec(f: &mut Flags, input_at: usize) -> Result<JobSpec, String> {
 }
 
 /// Observability outputs requested on the command line. The collector is
-/// enabled only when at least one output is requested, so plain runs keep
-/// the disabled-path cost (one branch per would-be span).
+/// enabled only when one is requested, so plain runs keep the
+/// disabled-path cost (one branch per would-be span).
 struct ObsArgs {
     obs: Collector,
-    trace_out: Option<PathBuf>,
-    chrome_trace: Option<PathBuf>,
-    metrics_out: Option<PathBuf>,
     run_dir: Option<PathBuf>,
-    report_out: Option<PathBuf>,
     profile: bool,
 }
 
 fn read_obs(f: &mut Flags) -> ObsArgs {
-    let trace_out = f.path("--trace-out");
-    let chrome_trace = f.path("--chrome-trace");
-    let metrics_out = f.path("--metrics-out");
     let run_dir = f.path("--run-dir");
-    let report_out = f.path("--report-out");
     let profile = f.switch("--profile");
-    let obs = if trace_out.is_some()
-        || chrome_trace.is_some()
-        || metrics_out.is_some()
-        || run_dir.is_some()
-        || report_out.is_some()
-        || profile
-    {
+    let obs = if run_dir.is_some() || profile {
         Collector::enabled()
     } else {
         Collector::disabled()
     };
     ObsArgs {
         obs,
-        trace_out,
-        chrome_trace,
-        metrics_out,
         run_dir,
-        report_out,
         profile,
     }
 }
 
-/// Writes the requested exports after the traced run completed. Exporting
+/// Writes the requested outputs after the traced run completed. Exporting
 /// happens strictly post-run, so trace I/O can never perturb the flow.
-fn write_obs_outputs(o: &ObsArgs, title: &str) -> Result<(), String> {
-    if let Some(path) = &o.trace_out {
-        std::fs::write(path, rdp::obs::export_jsonl(&o.obs))
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        println!("wrote event log {}", path.display());
-    }
-    if let Some(path) = &o.chrome_trace {
-        std::fs::write(path, rdp::obs::export_chrome_trace(&o.obs))
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        println!(
-            "wrote Chrome trace {} (open in chrome://tracing or ui.perfetto.dev)",
-            path.display()
-        );
-    }
-    if let Some(path) = &o.metrics_out {
-        std::fs::write(path, rdp::obs::export_metrics_json(&o.obs))
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        println!("wrote metrics {}", path.display());
-    }
+fn write_obs_outputs(o: &ObsArgs) -> Result<(), String> {
     if let Some(dir) = &o.run_dir {
         rdp::serve::store::write_run_dir(dir, &o.obs).map_err(|e| e.to_string())?;
         println!("wrote run directory {}", dir.display());
     }
-    if let Some(path) = &o.report_out {
-        let model = rdp::report::RunModel::from_collector(&o.obs).map_err(|e| e.to_string())?;
-        let html = rdp::report::render_report(&model, title);
-        rdp::report::validate_report(&html, &model)
-            .map_err(|e| format!("generated report failed validation: {e}"))?;
-        std::fs::write(path, html).map_err(|e| format!("{}: {e}", path.display()))?;
-        println!("wrote report {}", path.display());
-    }
     if o.profile {
-        print!("{}", rdp::obs::stage_table(&o.obs));
+        let model = rdp::report::RunModel::from_collector(&o.obs).map_err(|e| e.to_string())?;
+        print!("{}", model.stage_table());
     }
     let drops = o.obs.drop_stats();
     if drops.any() {
@@ -460,7 +420,7 @@ fn cmd_place(mut f: Flags) -> Result<(), String> {
             design.hpwl()
         );
     }
-    write_obs_outputs(&obs_args, &format!("rdp place · {}", design.name()))?;
+    write_obs_outputs(&obs_args)?;
     if let Some(out) = out {
         save_output(&design, &out)?;
     }
@@ -545,7 +505,7 @@ fn cmd_flow(mut f: Flags) -> Result<(), String> {
     );
     let legality = rdp::legal::check_legality(&design);
     println!("  legal: {}", legality.is_legal());
-    write_obs_outputs(&obs_args, &format!("rdp flow · {}", design.name()))?;
+    write_obs_outputs(&obs_args)?;
     if let Some(out) = out {
         save_output(&design, &out)?;
     }
@@ -620,9 +580,6 @@ fn cmd_diff(mut f: Flags) -> Result<(), String> {
     if let Some(tol) = f.num("--qor-tol")? {
         thr.qor_rel_tol = tol;
     }
-    if let Some(tol) = f.num("--time-tol")? {
-        thr.time_rel_tol = tol;
-    }
     f.finish()?;
     let ma = rdp::report::RunModel::load(Path::new(a)).map_err(|e| e.to_string())?;
     let mb = rdp::report::RunModel::load(Path::new(b)).map_err(|e| e.to_string())?;
@@ -654,13 +611,7 @@ fn cmd_render(mut f: Flags) -> Result<(), String> {
             .route(&design)
             .congestion
     });
-    let svg = rdp::render::render_svg(
-        &design,
-        &rdp::render::RenderOptions {
-            congestion,
-            ..Default::default()
-        },
-    );
+    let svg = rdp::render::render_svg(&design, congestion.as_ref());
     std::fs::write(out, svg).map_err(|e| e.to_string())?;
     println!("wrote {out}");
     Ok(())

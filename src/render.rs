@@ -1,50 +1,30 @@
 //! SVG rendering of placements and congestion maps.
 //!
 //! Produces self-contained SVG documents for design inspection: die
-//! outline, rows, macros, standard cells, PG rails, and an optional
+//! outline, macros, standard cells, PG rails, terminals, and an optional
 //! congestion heat overlay. Used by the `rdp render` CLI command and
 //! handy in notebooks/docs.
 
 use rdp_db::{CellKind, Design, Map2d};
 
-/// Rendering options for [`render_svg`].
-#[derive(Debug, Clone)]
-pub struct RenderOptions {
-    /// Output image width in pixels (height follows the die aspect).
-    pub width_px: f64,
-    /// Congestion map (G-cell grid) drawn as a translucent heat overlay.
-    pub congestion: Option<Map2d<f64>>,
-    /// Draw PG rails.
-    pub show_rails: bool,
-    /// Draw placement rows as faint horizontal guides.
-    pub show_rows: bool,
-}
+/// Output image width in pixels (the height follows the die aspect).
+const WIDTH_PX: f64 = 900.0;
 
-impl Default for RenderOptions {
-    fn default() -> Self {
-        RenderOptions {
-            width_px: 900.0,
-            congestion: None,
-            show_rails: true,
-            show_rows: false,
-        }
-    }
-}
-
-/// Renders the design to an SVG string.
+/// Renders the design to an SVG string, with `congestion` (a map on the
+/// design's G-cell grid) drawn as a translucent heat overlay when given.
 ///
 /// ```
 /// use rdp::gen::{generate, GenParams};
-/// use rdp::render::{render_svg, RenderOptions};
+/// use rdp::render::render_svg;
 ///
 /// let design = generate("svg", &GenParams { num_cells: 50, ..GenParams::default() });
-/// let svg = render_svg(&design, &RenderOptions::default());
+/// let svg = render_svg(&design, None);
 /// assert!(svg.starts_with("<svg"));
 /// assert!(svg.contains("</svg>"));
 /// ```
-pub fn render_svg(design: &Design, opts: &RenderOptions) -> String {
+pub fn render_svg(design: &Design, congestion: Option<&Map2d<f64>>) -> String {
     let die = design.die();
-    let scale = opts.width_px / die.width();
+    let scale = WIDTH_PX / die.width();
     let h_px = die.height() * scale;
     // SVG y grows downward; flip so the die's y-up convention is kept.
     let tx = |x: f64| (x - die.lo.x) * scale;
@@ -54,27 +34,15 @@ pub fn render_svg(design: &Design, opts: &RenderOptions) -> String {
     svg.push_str(&format!(
         "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{:.0}\" height=\"{:.0}\" \
          viewBox=\"0 0 {:.0} {:.0}\">\n",
-        opts.width_px, h_px, opts.width_px, h_px
+        WIDTH_PX, h_px, WIDTH_PX, h_px
     ));
     svg.push_str(&format!(
         "<rect x=\"0\" y=\"0\" width=\"{:.1}\" height=\"{:.1}\" fill=\"#fcfcf8\" stroke=\"#333\"/>\n",
-        opts.width_px, h_px
+        WIDTH_PX, h_px
     ));
 
-    if opts.show_rows {
-        for r in design.rows() {
-            svg.push_str(&format!(
-                "<line x1=\"{:.1}\" y1=\"{:.1}\" x2=\"{:.1}\" y2=\"{:.1}\" stroke=\"#eee\" stroke-width=\"0.5\"/>\n",
-                tx(r.x0),
-                ty(r.y),
-                tx(r.x1),
-                ty(r.y)
-            ));
-        }
-    }
-
     // Congestion heat overlay (under the cells).
-    if let Some(cmap) = &opts.congestion {
+    if let Some(cmap) = congestion {
         let grid = design.gcell_grid();
         if cmap.nx() == grid.nx() && cmap.ny() == grid.ny() {
             let hi = cmap.max().max(1e-9);
@@ -118,18 +86,16 @@ pub fn render_svg(design: &Design, opts: &RenderOptions) -> String {
     }
 
     // PG rails.
-    if opts.show_rails {
-        for rail in design.rails() {
-            let r = rail.rect;
-            svg.push_str(&format!(
-                "<rect x=\"{:.2}\" y=\"{:.2}\" width=\"{:.2}\" height=\"{:.2}\" \
-                 fill=\"#8b4bb8\" fill-opacity=\"0.55\"/>\n",
-                tx(r.lo.x),
-                ty(r.hi.y),
-                (r.width() * scale).max(0.8),
-                (r.height() * scale).max(0.8)
-            ));
-        }
+    for rail in design.rails() {
+        let r = rail.rect;
+        svg.push_str(&format!(
+            "<rect x=\"{:.2}\" y=\"{:.2}\" width=\"{:.2}\" height=\"{:.2}\" \
+             fill=\"#8b4bb8\" fill-opacity=\"0.55\"/>\n",
+            tx(r.lo.x),
+            ty(r.hi.y),
+            (r.width() * scale).max(0.8),
+            (r.height() * scale).max(0.8)
+        ));
     }
 
     // Terminals as dots on the boundary.
@@ -173,7 +139,7 @@ mod tests {
     #[test]
     fn svg_contains_all_layers() {
         let d = design();
-        let svg = render_svg(&d, &RenderOptions::default());
+        let svg = render_svg(&d, None);
         assert!(svg.starts_with("<svg"));
         assert!(svg.trim_end().ends_with("</svg>"));
         // macro fill color present
@@ -192,11 +158,7 @@ mod tests {
     fn congestion_overlay_rendered_when_dims_match() {
         let d = design();
         let route = rdp_route::GlobalRouter::default().route(&d);
-        let opts = RenderOptions {
-            congestion: Some(route.congestion.clone()),
-            ..RenderOptions::default()
-        };
-        let svg = render_svg(&d, &opts);
+        let svg = render_svg(&d, Some(&route.congestion));
         // The overlay color appears iff some congestion exists.
         if route.congestion.max() > 0.0 {
             assert!(svg.contains("#e03020"));
@@ -204,22 +166,9 @@ mod tests {
     }
 
     #[test]
-    fn rails_can_be_hidden() {
-        let d = design();
-        let svg = render_svg(
-            &d,
-            &RenderOptions {
-                show_rails: false,
-                ..RenderOptions::default()
-            },
-        );
-        assert!(!svg.contains("#8b4bb8"));
-    }
-
-    #[test]
     fn element_count_scales_with_cells() {
         let d = design();
-        let svg = render_svg(&d, &RenderOptions::default());
+        let svg = render_svg(&d, None);
         let rects = svg.matches("<rect").count();
         // background + 80 std cells + 1 macro + rails
         assert!(rects > 80, "{rects}");

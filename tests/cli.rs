@@ -136,6 +136,19 @@ fn unparsed_flags_are_rejected() {
     cases.push(vec!["generate", "fft_a", "--out", d, "--format", "lefdef"]);
     cases.push(vec!["place", "fft_a", "--out", d, "--format", "lefdef"]);
     cases.push(vec!["flow", "fft_a", "--out", d, "--format", "lefdef"]);
+    // One trace artifact: the run-dir. The single-file trace flags are gone.
+    let file = format!("{d}/trace_file");
+    for cmd in ["place", "flow"] {
+        for flag in [
+            "--trace-out",
+            "--metrics-out",
+            "--report-out",
+            "--chrome-trace",
+        ] {
+            cases.push(vec![cmd, "fft_a", flag, &file]);
+        }
+    }
+    cases.push(vec!["diff", d, d, "--time-tol", "1000000"]);
     for args in cases {
         let bad = args.iter().rev().find(|a| a.starts_with("--")).unwrap();
         let out = rdp().args(&args).output().expect("run");
@@ -199,12 +212,9 @@ fn place_and_submit_read_one_spec() {
 
 #[test]
 fn place_with_trace_flags_writes_valid_artifacts() {
-    let dir = std::env::temp_dir().join("rdp_cli_obs_test");
+    let dir = std::env::temp_dir().join(format!("rdp_cli_obs_test_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let jsonl = dir.join("run.jsonl");
-    let chrome = dir.join("run_chrome.json");
-    let metrics = dir.join("run_metrics.json");
+    let run = dir.join("run");
 
     // Smallest suite design keeps this e2e check fast; --legalize makes
     // the trace cover legalization and detailed placement too.
@@ -213,12 +223,8 @@ fn place_with_trace_flags_writes_valid_artifacts() {
             "place",
             "fft_a",
             "--legalize",
-            "--trace-out",
-            jsonl.to_str().unwrap(),
-            "--chrome-trace",
-            chrome.to_str().unwrap(),
-            "--metrics-out",
-            metrics.to_str().unwrap(),
+            "--run-dir",
+            run.to_str().unwrap(),
             "--profile",
         ])
         .output()
@@ -229,26 +235,18 @@ fn place_with_trace_flags_writes_valid_artifacts() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    // The --profile stage table ends up on stdout with the key stages.
+    // The --profile stage table ends up on stdout with the key stages,
+    // and the run-dir reads back through the one reader of trace.jsonl.
     assert!(text.contains("stage"), "{text}");
-    assert!(text.contains("gp_step"), "{text}");
-    assert!(text.contains("legalize"), "{text}");
-
-    let summary = rdp::obs::validate_trace_jsonl(&std::fs::read_to_string(&jsonl).unwrap())
-        .expect("trace-out is schema-valid JSONL");
-    assert!(summary.spans > 0);
-    assert!(summary.span_names.contains("final_route"));
-    assert!(summary.span_names.contains("legalize"));
-    assert!(summary.span_names.contains("detailed_place"));
-
-    let n = rdp::obs::validate_chrome_trace(&std::fs::read_to_string(&chrome).unwrap())
-        .expect("chrome trace is structurally valid");
-    assert!(n > 0);
-
-    let v = rdp::obs::json::parse(&std::fs::read_to_string(&metrics).unwrap())
-        .expect("metrics file is valid JSON");
-    assert!(v.get("counters").is_some());
-    assert!(v.get("series").is_some());
+    let model = rdp::report::RunModel::load(&run).expect("run-dir reads back");
+    assert!(!model.spans.is_empty());
+    let rows = model.stage_rows();
+    for name in ["final_route", "legalize", "detailed_place", "gp_step"] {
+        assert!(rows.iter().any(|r| r.name == name), "no `{name}` span");
+        assert!(text.contains(name), "--profile has no `{name}` row: {text}");
+    }
+    assert!(!model.counters.is_empty());
+    assert!(!model.series.is_empty());
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -223,7 +223,13 @@ fn read_lefdef_errors_keep_their_messages() {
         .find(|l| l.trim_start().starts_with("SIZE "))
         .expect("a SIZE line")
         .to_string();
-    let def_edits: [(String, String, &str); 10] = [
+    let net1_line = files
+        .def
+        .lines()
+        .find(|l| l.starts_with(&format!("- {n1} (")))
+        .expect("a net line")
+        .to_string();
+    let def_edits: [(String, String, &str); 11] = [
         (
             format!("- {c1} "),
             format!("- {c0} "),
@@ -269,6 +275,11 @@ fn read_lefdef_errors_keep_their_messages() {
             "END DESIGN".into(),
             String::new(),
             "def: missing END DESIGN (truncated file?)",
+        ),
+        (
+            format!("{net1_line}\n"),
+            String::new(),
+            "def line 477: NETS declares 486 entries but 485 follow",
         ),
     ];
     for (from, to, want) in &def_edits {

@@ -4,11 +4,38 @@
 //! layer of the flow, but timestamps never feed computation — so a
 //! traced run must be **bitwise identical** to an untraced one, every
 //! guard warning the report counts must appear in the trace, and the
-//! exported artifacts must pass their own validators.
+//! exported run reads back through `RunModel` (the one reader of
+//! `trace.jsonl`) into an HTML report that passes its validator.
 
-use rdp::core::{run_flow_with, FlowControl, FlowFault, PlacerPreset, RoutabilityConfig};
+use rdp::core::{
+    run_flow_with, FlowCheckpoint, FlowControl, FlowFault, PlacerPreset, RoutabilityConfig,
+};
 use rdp::gen::{generate, GenParams};
-use rdp::obs::{export_jsonl, validate_trace_jsonl, Collector};
+use rdp::obs::Collector;
+use rdp::report::{render_report, validate_report, RunModel};
+
+/// Span names a complete traced flow contains. `checkpoint` is covered
+/// because [`trace_covers_every_flow_stage`] installs an `on_checkpoint`
+/// hook.
+const REQUIRED_SPANS: [&str; 17] = [
+    "wirelength_gp",
+    "gp_step",
+    "wa_grad",
+    "density_grad",
+    "density_field",
+    "poisson_solve",
+    "route_iter",
+    "route",
+    "route_decompose",
+    "route_pass",
+    "congestion_field",
+    "mci_update",
+    "dpa_density",
+    "netmove",
+    "gp_burst",
+    "checkpoint",
+    "final_route",
+];
 
 fn small_design() -> rdp::Design {
     generate(
@@ -28,10 +55,12 @@ fn run(
     design: &mut rdp::Design,
     obs: &Collector,
     fault: Option<FlowFault>,
+    on_checkpoint: Option<&mut dyn FnMut(&FlowCheckpoint)>,
 ) -> rdp::core::FlowReport {
     let ctrl = FlowControl {
         obs: obs.clone(),
         fault,
+        on_checkpoint,
         ..Default::default()
     };
     run_flow_with(design, &RoutabilityConfig::preset(PlacerPreset::Ours), ctrl)
@@ -44,8 +73,8 @@ fn run(
 fn tracing_does_not_change_results_bitwise() {
     let mut plain = small_design();
     let mut traced = small_design();
-    let r_plain = run(&mut plain, &Collector::disabled(), None);
-    let r_traced = run(&mut traced, &Collector::enabled(), None);
+    let r_plain = run(&mut plain, &Collector::disabled(), None, None);
+    let r_traced = run(&mut traced, &Collector::enabled(), None, None);
 
     assert_eq!(r_plain.hpwl.to_bits(), r_traced.hpwl.to_bits());
     assert_eq!(r_plain.gp_iterations, r_traced.gp_iterations);
@@ -67,42 +96,50 @@ fn warning_parity_between_report_and_trace() {
         &mut design,
         &obs,
         Some(FlowFault::NanCongestionGrad { route_iter: 1 }),
+        None,
     );
 
-    let summary = validate_trace_jsonl(&export_jsonl(&obs)).expect("valid JSONL");
+    let model = RunModel::from_collector(&obs).expect("trace reads back");
+    let count = |name: &str| model.instants.iter().filter(|i| i.name == name).count();
     assert!(
         !report.warnings.is_empty(),
         "injected fault must produce at least one warning"
     );
-    assert_eq!(summary.guard_warnings, report.warnings.len() as u64);
-    assert_eq!(summary.rollbacks, report.rollbacks as u64);
+    assert_eq!(count("guard_warning"), report.warnings.len());
+    assert_eq!(count("rollback"), report.rollbacks);
 }
 
-/// A traced flow covers every stage of Fig. 2 with at least one span.
+/// A traced flow covers every stage of Fig. 2 with at least one span, and
+/// its HTML report passes the validator with a congestion frame for every
+/// routability iteration.
 #[test]
 fn trace_covers_every_flow_stage() {
     let mut design = small_design();
     let obs = Collector::enabled();
-    run(&mut design, &obs, None);
+    let mut on_checkpoint = |_: &FlowCheckpoint| {};
+    run(&mut design, &obs, None, Some(&mut on_checkpoint));
 
-    let summary = validate_trace_jsonl(&export_jsonl(&obs)).expect("valid JSONL");
-    for name in [
-        "wirelength_gp",
-        "gp_step",
-        "wa_grad",
-        "density_grad",
-        "density_field",
-        "poisson_solve",
-        "route_iter",
-        "route",
-        "netmove",
-        "gp_burst",
-        "final_route",
-    ] {
+    let model = RunModel::from_collector(&obs).expect("trace reads back");
+    let rows = model.stage_rows();
+    for name in REQUIRED_SPANS {
         assert!(
-            summary.span_names.contains(name),
+            rows.iter().any(|r| r.name == name),
             "missing span `{name}`; got {:?}",
-            summary.span_names
+            rows.iter().map(|r| &r.name).collect::<Vec<_>>()
+        );
+    }
+
+    let html = render_report(&model, "obs integration");
+    validate_report(&html, &model).expect("report passes its validator");
+    let route_iters = model.route_iterations();
+    assert!(!route_iters.is_empty(), "no route_iter spans");
+    for it in route_iters {
+        assert!(
+            model
+                .frames
+                .iter()
+                .any(|f| f.name == "congestion" && f.iter == Some(it)),
+            "no congestion frame for routability iteration {it}"
         );
     }
 }
@@ -112,7 +149,7 @@ fn trace_covers_every_flow_stage() {
 fn convergence_series_match_iteration_count() {
     let mut design = small_design();
     let obs = Collector::enabled();
-    let report = run(&mut design, &obs, None);
+    let report = run(&mut design, &obs, None, None);
 
     let lens = obs
         .with_snapshot(|_events, registry, _dropped| {
