@@ -1,14 +1,14 @@
 //! rdp-testkit benchmarks of the per-iteration cost of each routability
 //! technique (the runtime side of the Table II ablation): inflation
-//! policy updates, the DPA density map, net-moving gradients with and
-//! without Z-candidates, and the λ₂ computation.
+//! policy updates, the DPA density map, the net-moving gradients, and
+//! the λ₂ computation.
 
 use rdp_testkit::BenchHarness;
 use std::hint::black_box;
 
 use rdp_core::{
     congestion_gradients, lambda2, CongestionField, HealthPolicy, InflationPolicy, InflationState,
-    NetMoveConfig, PgDensity,
+    PgDensity,
 };
 use rdp_gen::{generate, GenParams};
 use rdp_route::GlobalRouter;
@@ -65,19 +65,13 @@ fn ablation(c: &mut BenchHarness) {
         b.iter(|| black_box(pg.density_map(Some(&field)).sum()))
     });
 
-    // Net moving: multi-pin threshold ablation (0.7 per the paper vs 0 =
-    // every multi-pin cell in any congestion).
-    for (name, threshold) in [("netmove_thresh_paper", 0.7), ("netmove_thresh_zero", 0.0)] {
-        let cfg = NetMoveConfig {
-            multi_pin_threshold: threshold,
-        };
-        c.bench_function(name, |b| {
-            b.iter(|| black_box(congestion_gradients(&design, &field, &cfg).multi_pin_cells))
-        });
-    }
+    // Net moving (Algorithms 1–2).
+    c.bench_function("netmove_gradients", |b| {
+        b.iter(|| black_box(congestion_gradients(&design, &field).multi_pin_cells))
+    });
 
     // λ₂ (Eq. 10).
-    let grads = congestion_gradients(&design, &field, &NetMoveConfig::default());
+    let grads = congestion_gradients(&design, &field);
     c.bench_function("lambda2_eq10", |b| {
         b.iter(|| black_box(lambda2(&design, &field, &grads)))
     });

@@ -7,13 +7,13 @@ use std::hint::black_box;
 
 use rdp_core::{
     congestion_gradients, run_flow, CongestionField, DensityModel, GpSession, HealthPolicy,
-    NetMoveConfig, PlacerConfig, PlacerPreset, RoutabilityConfig, StepExtras, WaModel, WaScratch,
+    PlacerConfig, PlacerPreset, RoutabilityConfig, StepExtras, WaModel, WaScratch,
 };
 use rdp_db::Point;
 use rdp_gen::{generate, GenParams};
-use rdp_par::Pool;
+use rdp_par::{with_local_threads, Pool};
 use rdp_poisson::{dct2, fft_in_place, Complex, PoissonSolver};
-use rdp_route::{rudy_map, rudy_map_with, GlobalRouter};
+use rdp_route::{rudy_map, GlobalRouter};
 
 fn bench_design() -> rdp_db::Design {
     generate(
@@ -132,20 +132,17 @@ fn kernels(c: &mut BenchHarness) {
     let field = CongestionField::try_from_route(&design, &route, &HealthPolicy::default())
         .expect("finite congestion field");
     c.bench_function("netmove_gradients_2k_cells", |b| {
-        b.iter(|| {
-            black_box(
-                congestion_gradients(&design, &field, &NetMoveConfig::default()).virtual_cells,
-            )
-        })
+        b.iter(|| black_box(congestion_gradients(&design, &field).virtual_cells))
     });
 }
 
 /// Serial (1-thread) vs parallel (4-thread) runs of the ported kernels
-/// on the 20k-cell design. Both variants produce bit-identical results;
-/// the comparison measures wall-clock only.
+/// on the 20k-cell design, each width pinned with `with_local_threads`.
+/// Both variants produce bit-identical results; the comparison measures
+/// wall-clock only.
 fn parallel_kernels(c: &mut BenchHarness) {
     let design = large_design();
-    let pools = [("t1", Pool::serial()), ("t4", Pool::new(4))];
+    let widths = [("t1", 1), ("t4", 4)];
 
     // Dispatch cost alone: one 2-wide region whose two chunks do nothing.
     c.bench_function("pool_region_t2", |b| {
@@ -153,49 +150,56 @@ fn parallel_kernels(c: &mut BenchHarness) {
     });
 
     let wa = WaModel::new(2.0);
-    for (tag, pool) in pools {
+    for (tag, threads) in widths {
         let mut grad = vec![Point::default(); design.num_cells()];
         let mut scratch = WaScratch::new();
-        c.bench_function(&format!("wa_gradient_20k_cells_{tag}"), |b| {
-            b.iter(|| {
-                grad.iter_mut().for_each(|p| *p = Point::default());
-                wa.accumulate_gradient_with(&design, &mut grad, pool, &mut scratch);
-                black_box(grad[0].x)
+        with_local_threads(threads, || {
+            c.bench_function(&format!("wa_gradient_20k_cells_{tag}"), |b| {
+                b.iter(|| {
+                    grad.iter_mut().for_each(|p| *p = Point::default());
+                    wa.accumulate_gradient_with(&design, &mut grad, &mut scratch);
+                    black_box(grad[0].x)
+                })
             })
         });
     }
 
     let model = DensityModel::new(&design);
-    for (tag, pool) in pools {
-        c.bench_function(&format!("density_field_20k_cells_{tag}"), |b| {
-            b.iter(|| black_box(model.compute_with(&design, None, None, 0.9, pool)))
+    for (tag, threads) in widths {
+        with_local_threads(threads, || {
+            c.bench_function(&format!("density_field_20k_cells_{tag}"), |b| {
+                b.iter(|| black_box(model.compute(&design, None, None, 0.9)))
+            })
         });
     }
 
     let solver = PoissonSolver::new(256, 256, 100.0, 100.0);
     let rho: Vec<f64> = (0..256 * 256).map(|i| ((i * 31) % 17) as f64).collect();
-    for (tag, pool) in pools {
-        c.bench_function(&format!("poisson_solve_256x256_{tag}"), |b| {
-            b.iter(|| black_box(solver.solve_with(black_box(&rho), pool).psi[0]))
+    for (tag, threads) in widths {
+        with_local_threads(threads, || {
+            c.bench_function(&format!("poisson_solve_256x256_{tag}"), |b| {
+                b.iter(|| black_box(solver.solve(black_box(&rho)).psi[0]))
+            })
         });
     }
 
     let grid = design.gcell_grid();
-    for (tag, pool) in pools {
-        c.bench_function(&format!("rudy_20k_cells_{tag}"), |b| {
-            b.iter(|| black_box(rudy_map_with(&design, &grid, pool).sum()))
+    for (tag, threads) in widths {
+        with_local_threads(threads, || {
+            c.bench_function(&format!("rudy_20k_cells_{tag}"), |b| {
+                b.iter(|| black_box(rudy_map(&design, &grid).sum()))
+            })
         });
     }
 
-    // The router reads the global pool internally.
     let router = GlobalRouter::default();
-    for (tag, threads) in [("t1", 1), ("t4", 4)] {
-        rdp_par::set_global_threads(threads);
-        c.bench_function(&format!("route_20k_cells_{tag}"), |b| {
-            b.iter(|| black_box(router.route(&design).wirelength))
+    for (tag, threads) in widths {
+        with_local_threads(threads, || {
+            c.bench_function(&format!("route_20k_cells_{tag}"), |b| {
+                b.iter(|| black_box(router.route(&design).wirelength))
+            })
         });
     }
-    rdp_par::set_global_threads(1);
 
     // Scalar pre-vectorization WA reference (libm exp, single
     // accumulator): the `wa_gradient_20k_cells_t1` / `_scalar_ref` pair
@@ -242,30 +246,28 @@ fn parallel_kernels(c: &mut BenchHarness) {
 /// proven at 20k).
 fn huge_kernels(c: &mut BenchHarness) {
     let design = huge_design();
-    rdp_par::set_global_threads(4);
-    let pool = Pool::new(4);
+    with_local_threads(4, || {
+        let wa = WaModel::new(2.0);
+        let mut grad = vec![Point::default(); design.num_cells()];
+        let mut scratch = WaScratch::new();
+        c.bench_function("wa_gradient_200k_cells_t4", |b| {
+            b.iter(|| {
+                grad.iter_mut().for_each(|p| *p = Point::default());
+                wa.accumulate_gradient_with(&design, &mut grad, &mut scratch);
+                black_box(grad[0].x)
+            })
+        });
 
-    let wa = WaModel::new(2.0);
-    let mut grad = vec![Point::default(); design.num_cells()];
-    let mut scratch = WaScratch::new();
-    c.bench_function("wa_gradient_200k_cells_t4", |b| {
-        b.iter(|| {
-            grad.iter_mut().for_each(|p| *p = Point::default());
-            wa.accumulate_gradient_with(&design, &mut grad, pool, &mut scratch);
-            black_box(grad[0].x)
-        })
-    });
+        let model = DensityModel::new(&design);
+        c.bench_function("density_field_200k_cells_t4", |b| {
+            b.iter(|| black_box(model.compute(&design, None, None, 0.9)))
+        });
 
-    let model = DensityModel::new(&design);
-    c.bench_function("density_field_200k_cells_t4", |b| {
-        b.iter(|| black_box(model.compute_with(&design, None, None, 0.9, pool)))
+        let grid = design.gcell_grid();
+        c.bench_function("rudy_200k_cells_t4", |b| {
+            b.iter(|| black_box(rudy_map(&design, &grid).sum()))
+        });
     });
-
-    let grid = design.gcell_grid();
-    c.bench_function("rudy_200k_cells_t4", |b| {
-        b.iter(|| black_box(rudy_map_with(&design, &grid, pool).sum()))
-    });
-    rdp_par::set_global_threads(1);
 }
 
 /// The single-thread pass around the GP kernels on the suite's
@@ -319,6 +321,6 @@ fn main() {
     kernels(&mut harness);
     parallel_kernels(&mut harness);
     huge_kernels(&mut harness);
-    superblue14_stages(&mut harness);
+    with_local_threads(1, || superblue14_stages(&mut harness));
     harness.finish();
 }

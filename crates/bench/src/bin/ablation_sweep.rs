@@ -14,6 +14,7 @@
 use rdp_bench::{prepare_design, run_pipeline};
 use rdp_core::{DcSource, DpaMode, InflationPolicy, PlacerPreset, RoutabilityConfig};
 use rdp_drc::EvalConfig;
+use rdp_obs::Collector;
 
 fn designs_from_args() -> Vec<String> {
     let args: Vec<String> = std::env::args().collect();
@@ -49,7 +50,7 @@ fn main() {
         let mut total_drwl = 0.0;
         for (_, base) in &bases {
             let mut d = base.clone();
-            let row = run_pipeline(&mut d, cfg, &eval_cfg);
+            let row = run_pipeline(&mut d, cfg, &eval_cfg, &Collector::disabled());
             total_drvs += row.eval.drvs;
             total_drwl += row.eval.drwl;
         }

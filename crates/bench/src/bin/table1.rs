@@ -8,7 +8,7 @@
 //! cargo run --release -p rdp-bench --bin table1 -- --profile   # + stage time table
 //! ```
 
-use rdp_bench::{mean_ratio_by, mean_ratios, prepare_design, run_pipeline_obs, RowResult};
+use rdp_bench::{mean_ratio_by, mean_ratios, prepare_design, run_pipeline, RowResult};
 use rdp_core::{PlacerPreset, RoutabilityConfig};
 use rdp_drc::EvalConfig;
 
@@ -64,8 +64,7 @@ fn main() {
         let mut cells = String::new();
         for (pi, (_, preset)) in PRESETS.iter().enumerate() {
             let mut d = base.clone();
-            let row =
-                run_pipeline_obs(&mut d, &RoutabilityConfig::preset(*preset), &eval_cfg, &obs);
+            let row = run_pipeline(&mut d, &RoutabilityConfig::preset(*preset), &eval_cfg, &obs);
             cells.push_str(&format!(
                 " | {:>10.0} {:>8.0} {:>7.0} {:>6.2} {:>6.2}",
                 row.eval.drwl, row.eval.drvias, row.eval.drvs, row.pt, row.eval.route_seconds

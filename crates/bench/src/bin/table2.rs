@@ -12,6 +12,7 @@
 use rdp_bench::{mean_ratios, prepare_design, run_pipeline, RowResult};
 use rdp_core::{DpaMode, InflationPolicy, PlacerPreset, RoutabilityConfig};
 use rdp_drc::EvalConfig;
+use rdp_obs::Collector;
 
 fn ablation_config(mci: bool, dc: bool, dpa: bool) -> RoutabilityConfig {
     if !mci && !dc && !dpa {
@@ -61,7 +62,12 @@ fn main() {
         eprintln!("[{name}] prepared");
         for (ri, (_, (mci, dc, dpa))) in rows_cfg.iter().enumerate() {
             let mut d = base.clone();
-            let row = run_pipeline(&mut d, &ablation_config(*mci, *dc, *dpa), &eval_cfg);
+            let row = run_pipeline(
+                &mut d,
+                &ablation_config(*mci, *dc, *dpa),
+                &eval_cfg,
+                &Collector::disabled(),
+            );
             eprintln!(
                 "[{name}] {}: drvs {:.0}, drwl {:.0}",
                 rows_cfg[ri].0, row.eval.drvs, row.eval.drwl

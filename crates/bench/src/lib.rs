@@ -56,20 +56,12 @@ pub struct RowResult {
 }
 
 /// Runs the complete pipeline (place → legalize → detailed place →
-/// evaluate) for one design under one flow configuration.
+/// evaluate) for one design under one flow configuration, with every
+/// stage traced on `obs`. It runs [`rdp::place_and_evaluate_obs`], the
+/// pipeline `rdp flow` runs, so the published tables come from the code
+/// users run. Results are bitwise identical with tracing on or off; the
+/// collector only records.
 pub fn run_pipeline(
-    design: &mut Design,
-    cfg: &RoutabilityConfig,
-    eval_cfg: &EvalConfig,
-) -> RowResult {
-    run_pipeline_obs(design, cfg, eval_cfg, &rdp_obs::Collector::disabled())
-}
-
-/// [`run_pipeline`] with every stage traced on `obs`. Both run
-/// [`rdp::place_and_evaluate_obs`], the pipeline `rdp flow` runs, so the
-/// published tables come from the code users run. Results are bitwise
-/// identical with tracing on or off; the collector only records.
-pub fn run_pipeline_obs(
     design: &mut Design,
     cfg: &RoutabilityConfig,
     eval_cfg: &EvalConfig,

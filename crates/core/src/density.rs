@@ -90,28 +90,16 @@ impl DensityModel {
     /// * `extra_density` — optional additive density map (the DPA term
     ///   `D^PG` of Eq. (14)).
     /// * `target` — target utilization for the overflow metric.
+    ///
+    /// Cells are binned on [`Pool::global`] into per-chunk density maps
+    /// (fixed chunking over the cell array) that are merged in chunk
+    /// order, so the entire field is bit-identical for any thread count.
     pub fn compute(
         &self,
         design: &Design,
         inflation: Option<&[f64]>,
         extra_density: Option<&Map2d<f64>>,
         target: f64,
-    ) -> DensityField {
-        self.compute_with(design, inflation, extra_density, target, Pool::global())
-    }
-
-    /// [`compute`](DensityModel::compute) on an explicit pool.
-    ///
-    /// Cells are binned into per-chunk density maps (fixed chunking over
-    /// the cell array) that are merged in chunk order, so the entire field
-    /// is bit-identical for any thread count.
-    pub fn compute_with(
-        &self,
-        design: &Design,
-        inflation: Option<&[f64]>,
-        extra_density: Option<&Map2d<f64>>,
-        target: f64,
-        pool: Pool,
     ) -> DensityField {
         let _span = self.obs.span("density_field", "gp");
         let (nx, ny) = (self.grid.nx(), self.grid.ny());
@@ -132,7 +120,7 @@ impl DensityModel {
         // its callers rely on the exclusive-boundary index itself).
         let cells = design.cells();
         let positions = design.positions();
-        let parts = pool.map_chunks(n, chunk, |_ci, range| {
+        let parts = Pool::global().map_chunks(n, chunk, |_ci, range| {
             let mut local = Map2d::new(nx, ny);
             // Per-column overlap widths of the current cell rect, already
             // divided by the bin area. The overlap fraction factors as
@@ -183,7 +171,7 @@ impl DensityModel {
 
         let sol = {
             let _poisson = self.obs.span("poisson_solve", "gp");
-            self.solver.solve_with(density.as_slice(), pool)
+            self.solver.solve(density.as_slice())
         };
         let psi = Map2d::from_vec(nx, ny, sol.psi);
         let ex = Map2d::from_vec(nx, ny, sol.ex);
@@ -222,6 +210,11 @@ impl DensityModel {
     /// density penalty `D = ½ Σ Aᵢ ψ(xᵢ)` over the movable cells, sampled
     /// in the same pass.
     ///
+    /// Each cell's entry is updated exactly once from a disjoint chunk of
+    /// the gradient buffer on [`Pool::global`], and the penalty is summed
+    /// per `cell_chunk` chunk in cell order, then over the chunks in
+    /// chunk order, so both are bit-identical for any thread count.
+    ///
     /// # Panics
     ///
     /// Panics if `grad.len() != design.num_cells()`.
@@ -232,27 +225,6 @@ impl DensityModel {
         inflation: Option<&[f64]>,
         lambda: f64,
         grad: &mut [Point],
-    ) -> f64 {
-        self.accumulate_gradient_with(design, field, inflation, lambda, grad, Pool::global())
-    }
-
-    /// [`accumulate_gradient`](DensityModel::accumulate_gradient) on an
-    /// explicit pool. Each cell's entry is updated exactly once from a
-    /// disjoint chunk of the gradient buffer, and the penalty is summed
-    /// per `cell_chunk` chunk in cell order, then over the chunks in
-    /// chunk order, so both are bit-identical for any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad.len() != design.num_cells()`.
-    pub fn accumulate_gradient_with(
-        &self,
-        design: &Design,
-        field: &DensityField,
-        inflation: Option<&[f64]>,
-        lambda: f64,
-        grad: &mut [Point],
-        pool: Pool,
     ) -> f64 {
         assert_eq!(
             grad.len(),
@@ -265,7 +237,7 @@ impl DensityModel {
         // One job per chunk: its window of the gradient and its penalty
         // partial.
         let mut jobs: Vec<(&mut [Point], f64)> = grad.chunks_mut(chunk).map(|w| (w, 0.0)).collect();
-        pool.for_chunks_mut(
+        Pool::global().for_chunks_mut(
             &mut jobs,
             1,
             || (),

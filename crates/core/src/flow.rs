@@ -39,7 +39,7 @@ use rdp_route::GlobalRouter;
 use crate::congestion::CongestionField;
 use crate::dpa::PgDensity;
 use crate::inflate::{InflationPolicy, InflationSnapshot, InflationState};
-use crate::netmove::{congestion_gradients, lambda2, NetMoveConfig};
+use crate::netmove::{congestion_gradients, lambda2};
 use crate::placer::{
     GpSession, GpSnapshot, PlacerConfig, StepExtras, STOP_OVERFLOW, TARGET_DENSITY,
 };
@@ -968,7 +968,7 @@ pub fn run_flow_with(
         // feeding NaN into the optimizer.
         let (cgrad, l2, c_penalty, virtual_cells) = if cfg.enable_dc {
             let _nm_span = obs.span_iter("netmove", "flow", t as i64);
-            let mut g = congestion_gradients(design, &field, &NetMoveConfig::default());
+            let mut g = congestion_gradients(design, &field);
             if guard.take_fault(FlowFault::NanCongestionGrad { route_iter: t }) {
                 if let Some(p) = g.grad.first_mut() {
                     p.x = f64::NAN;

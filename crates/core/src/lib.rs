@@ -65,8 +65,7 @@ pub use flow::{
 pub use inflate::{InflationPolicy, InflationSnapshot, InflationState};
 pub use nesterov::NesterovSolver;
 pub use netmove::{
-    congestion_gradients, lambda2, two_pin_gradient, CongestionGradients, NetMoveConfig,
-    VirtualCellInfo,
+    congestion_gradients, lambda2, two_pin_gradient, CongestionGradients, VirtualCellInfo,
 };
 pub use placer::{GpSession, GpSnapshot, PlacerConfig, StepExtras, StepReport};
 pub use rdp_guard::{HealthPolicy, RdpError, Stage, Warning};

@@ -27,21 +27,9 @@ use crate::congestion::CongestionField;
 /// of the G-cell extent, guarding the `L/(2·d_iv)` lever arm.
 const MIN_DISTANCE_FRACTION: f64 = 0.25;
 
-/// Tuning knob of the net-moving gradient computation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetMoveConfig {
-    /// Congestion threshold above which a multi-pin cell receives the raw
-    /// field gradient (0.7 in the paper, Algorithm 2 line 11).
-    pub multi_pin_threshold: f64,
-}
-
-impl Default for NetMoveConfig {
-    fn default() -> Self {
-        NetMoveConfig {
-            multi_pin_threshold: 0.7,
-        }
-    }
-}
+/// Congestion above which a multi-pin cell receives the raw field
+/// gradient (Algorithm 2, line 11).
+const MULTI_PIN_THRESHOLD: f64 = 0.7;
 
 /// Output of the congestion-gradient update (Algorithm 2 over all nets).
 #[derive(Debug, Clone)]
@@ -58,11 +46,7 @@ pub struct CongestionGradients {
 }
 
 /// Computes `CGrad` for every cell by traversing all nets (Algorithm 2).
-pub fn congestion_gradients(
-    design: &Design,
-    field: &CongestionField,
-    cfg: &NetMoveConfig,
-) -> CongestionGradients {
+pub fn congestion_gradients(design: &Design, field: &CongestionField) -> CongestionGradients {
     let mut grad = vec![Point::default(); design.num_cells()];
     let mut penalty = 0.0;
     let mut virtual_cells = 0usize;
@@ -113,7 +97,7 @@ pub fn congestion_gradients(
             }
             let n_pins = design.pins_of_cell(cid).len() as f64;
             let pos = design.pos(cid);
-            if n_pins > n_bar && field.congestion_at(pos) > cfg.multi_pin_threshold {
+            if n_pins > n_bar && field.congestion_at(pos) > MULTI_PIN_THRESHOLD {
                 let e = field.field_at(pos);
                 grad[cid.index()].x -= cell.area() * e.x;
                 grad[cid.index()].y -= cell.area() * e.y;
@@ -397,7 +381,7 @@ mod tests {
     fn gradients_accumulate_and_penalty_positive_in_congested_design() {
         let d = stripe_design();
         let f = field_of(&d);
-        let out = congestion_gradients(&d, &f, &NetMoveConfig::default());
+        let out = congestion_gradients(&d, &f);
         assert!(out.virtual_cells > 0);
         let total: f64 = out.grad.iter().map(|g| g.norm()).sum();
         assert!(total > 0.0);
@@ -409,7 +393,7 @@ mod tests {
     fn lambda2_scales_with_congested_fraction() {
         let d = stripe_design();
         let f = field_of(&d);
-        let out = congestion_gradients(&d, &f, &NetMoveConfig::default());
+        let out = congestion_gradients(&d, &f);
         let l2 = lambda2(&d, &f, &out);
         assert!(l2 > 0.0, "lambda2 {l2}");
         assert!(l2.is_finite());
@@ -420,7 +404,7 @@ mod tests {
     fn lambda2_matches_hand_computation() {
         let d = stripe_design();
         let f = field_of(&d);
-        let out = congestion_gradients(&d, &f, &NetMoveConfig::default());
+        let out = congestion_gradients(&d, &f);
         let l2 = lambda2(&d, &f, &out);
 
         let n = d.num_cells();
@@ -475,44 +459,35 @@ mod tests {
         let d = b.build().unwrap();
         let f = field_of(&d);
         assert!(
-            f.congestion_at(d.pos(hub_hot)) > 0.7,
+            f.congestion_at(d.pos(hub_hot)) > MULTI_PIN_THRESHOLD,
             "test premise: hub_hot sits in heavy congestion ({})",
             f.congestion_at(d.pos(hub_hot))
         );
-        assert!(f.congestion_at(d.pos(hub_cold)) < 0.7);
+        assert!(f.congestion_at(d.pos(hub_cold)) < MULTI_PIN_THRESHOLD);
 
-        let paper = congestion_gradients(&d, &f, &NetMoveConfig::default());
+        let paper = congestion_gradients(&d, &f);
         // The hot hub qualifies (pins > n̄ AND C > 0.7); the cold hub has
         // the pins but not the congestion, so it receives no multi-pin
         // field gradient. (Stripe endpoint cells with hub nets may also
         // qualify — both conditions, so that is correct behavior.)
         assert!(paper.multi_pin_cells >= 1);
         assert!(paper.grad[hub_hot.index()].norm() > 0.0);
-        // hub_cold gets no multi-pin term; any gradient it has comes from
-        // the two-pin virtual-cell path of its own nets. Check via a
-        // zero-threshold run: selection count grows once C > 0 suffices.
-        let loose = congestion_gradients(
-            &d,
-            &f,
-            &NetMoveConfig {
-                multi_pin_threshold: 0.0,
-            },
-        );
-        assert!(loose.multi_pin_cells >= paper.multi_pin_cells);
-        // The quiet corner has C = 0 exactly, so even a zero threshold
-        // (which requires C > 0) never selects hub_cold: its gradient is
-        // identical across threshold settings.
-        assert_eq!(loose.grad[hub_cold.index()], paper.grad[hub_cold.index()]);
-
-        // With an impossible threshold nothing is selected.
-        let strict = congestion_gradients(
-            &d,
-            &f,
-            &NetMoveConfig {
-                multi_pin_threshold: f64::INFINITY,
-            },
-        );
-        assert_eq!(strict.multi_pin_cells, 0);
+        // hub_cold gets no multi-pin term: its gradient is exactly what
+        // the two-pin virtual-cell path of its own nets gives it, summed
+        // in net order as `congestion_gradients` does (unit-area cells,
+        // so the virtual cell's area is 1).
+        let mut two_pin_only = Point::default();
+        for ni in 0..d.num_nets() {
+            if let Some(v) = two_pin_gradient(&d, &f, NetId::from_index(ni), 1.0) {
+                for (cell, g) in [(v.cell1, v.g1), (v.cell2, v.g2)] {
+                    if cell == hub_cold {
+                        two_pin_only.x += g.x;
+                        two_pin_only.y += g.y;
+                    }
+                }
+            }
+        }
+        assert_eq!(paper.grad[hub_cold.index()], two_pin_only);
     }
 
     #[test]
@@ -528,7 +503,7 @@ mod tests {
         );
         let route = GlobalRouter::default().route(&g);
         let cf = CongestionField::try_from_route(&g, &route, &HealthPolicy::default()).unwrap();
-        let cg = congestion_gradients(&g, &cf, &NetMoveConfig::default());
+        let cg = congestion_gradients(&g, &cf);
         for (i, _) in g.cells().iter().enumerate().filter(|(_, c)| c.fixed) {
             assert_eq!(cg.grad[i], Point::default());
         }

@@ -15,7 +15,6 @@ use rdp_obs::Collector;
 use crate::density::{DensityField, DensityModel};
 use crate::nesterov::NesterovSolver;
 use crate::wirelength::{WaModel, WaScratch};
-use rdp_par::Pool;
 
 /// Target bin utilization for the overflow metric and stop criterion.
 pub(crate) const TARGET_DENSITY: f64 = 0.9;
@@ -357,7 +356,6 @@ impl GpSession {
         WaModel::new(self.wa_gamma()).accumulate_gradient_with(
             design,
             &mut gw,
-            Pool::global(),
             &mut self.wa_scratch,
         );
         let mut gd = vec![Point::default(); design.num_cells()];
@@ -399,7 +397,6 @@ impl GpSession {
         let mut density_penalty = 0.0;
         let mut health_err: Option<RdpError> = None;
         let lambda1 = self.lambda1;
-        let pool = Pool::global();
         let obs = self.obs.clone();
         let _step_span = obs.span("gp_step", "gp");
         let GpSession {
@@ -439,7 +436,7 @@ impl GpSession {
                 full_grad.iter_mut().for_each(|p| *p = Point::default());
                 {
                     let _wa_span = obs.span("wa_grad", "gp");
-                    wa.accumulate_gradient_with(design, full_grad, pool, wa_scratch);
+                    wa.accumulate_gradient_with(design, full_grad, wa_scratch);
                 }
                 {
                     let _dg_span = obs.span("density_grad", "gp");

@@ -173,23 +173,19 @@ impl WaModel {
         (wx + wy) * design.net(net).weight
     }
 
-    /// Total smooth wirelength Σₑ WAₑ on the global pool.
-    pub fn wirelength(&self, design: &Design) -> f64 {
-        self.wirelength_with(design, Pool::global())
-    }
-
-    /// Total smooth wirelength on an explicit pool. Per-net values are
-    /// summed within fixed chunks and the partial sums are folded in
+    /// Total smooth wirelength Σₑ WAₑ on [`Pool::global`]. Per-net values
+    /// are summed within fixed chunks and the partial sums are folded in
     /// chunk order, so the result is bit-identical for any thread count.
-    pub fn wirelength_with(&self, design: &Design, pool: Pool) -> f64 {
+    pub fn wirelength(&self, design: &Design) -> f64 {
         let n = design.num_nets();
-        pool.map_chunks_scratch(n, net_chunk(n), Vec::new, |coords, _ci, range| {
-            range
-                .map(|ni| self.net_wirelength_scratch(design, NetId::from_index(ni), coords))
-                .sum::<f64>()
-        })
-        .into_iter()
-        .sum()
+        Pool::global()
+            .map_chunks_scratch(n, net_chunk(n), Vec::new, |coords, _ci, range| {
+                range
+                    .map(|ni| self.net_wirelength_scratch(design, NetId::from_index(ni), coords))
+                    .sum::<f64>()
+            })
+            .into_iter()
+            .sum()
     }
 
     /// Accumulates ∂WA/∂(cell position) into `grad` (one entry per cell,
@@ -200,18 +196,19 @@ impl WaModel {
     /// Panics if `grad.len() != design.num_cells()`.
     pub fn accumulate_gradient(&self, design: &Design, grad: &mut [Point]) {
         let mut scratch = WaScratch::new();
-        self.accumulate_gradient_with(design, grad, Pool::global(), &mut scratch);
+        self.accumulate_gradient_with(design, grad, &mut scratch);
     }
 
-    /// [`accumulate_gradient`](WaModel::accumulate_gradient) on an
-    /// explicit pool with reusable scratch.
+    /// [`accumulate_gradient`](WaModel::accumulate_gradient) with
+    /// reusable scratch.
     ///
-    /// The fan-out phase computes every pin's contribution in parallel
-    /// (pins of one net are contiguous, so net chunks map to disjoint
-    /// windows of the pin buffer); a sequential scatter then folds the
-    /// contributions into `grad` in pin order. Because each pin value is
-    /// computed independently and the scatter order is fixed, the result
-    /// is bit-identical to the serial evaluation for any thread count.
+    /// The fan-out phase computes every pin's contribution on
+    /// [`Pool::global`] (pins of one net are contiguous, so net chunks
+    /// map to disjoint windows of the pin buffer); a sequential scatter
+    /// then folds the contributions into `grad` in pin order. Because
+    /// each pin value is computed independently and the scatter order is
+    /// fixed, the result is bit-identical to the serial evaluation for
+    /// any thread count.
     ///
     /// Each chunk gathers its pins' coordinates from the flat netlist
     /// view, then runs every net through a kernel picked by degree: the
@@ -223,7 +220,6 @@ impl WaModel {
         &self,
         design: &Design,
         grad: &mut [Point],
-        pool: Pool,
         scratch: &mut WaScratch,
     ) {
         assert_eq!(grad.len(), design.num_cells(), "gradient buffer size");
@@ -233,7 +229,7 @@ impl WaModel {
         let chunk = net_chunk(num_nets);
         let positions = design.positions();
         let inv_g = 1.0 / self.gamma;
-        pool.for_uneven_chunks_mut(
+        Pool::global().for_uneven_chunks_mut(
             pin_grad,
             &view.chunk_pins,
             || (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new()),
@@ -741,19 +737,19 @@ mod tests {
         for gamma in [0.05, 2.0, 50.0] {
             let mut want = vec![Point::default(); design.num_cells()];
             per_net_oracle(design, gamma, &mut want);
-            for pool in [Pool::serial(), Pool::new(4)] {
+            for threads in [1, 4] {
                 let mut got = vec![Point::default(); design.num_cells()];
-                WaModel::new(gamma).accumulate_gradient_with(
-                    design,
-                    &mut got,
-                    pool,
-                    &mut WaScratch::new(),
-                );
+                rdp_par::with_local_threads(threads, || {
+                    WaModel::new(gamma).accumulate_gradient_with(
+                        design,
+                        &mut got,
+                        &mut WaScratch::new(),
+                    )
+                });
                 for (ci, (g, w)) in got.iter().zip(&want).enumerate() {
                     assert!(
                         g.x.to_bits() == w.x.to_bits() && g.y.to_bits() == w.y.to_bits(),
-                        "{label}: γ={gamma} threads={} cell {ci}: {g:?} vs oracle {w:?}",
-                        pool.threads()
+                        "{label}: γ={gamma} threads={threads} cell {ci}: {g:?} vs oracle {w:?}"
                     );
                 }
             }
@@ -840,8 +836,10 @@ mod tests {
         for d in [&a, &b, &a] {
             let mut got = vec![Point::default(); d.num_cells()];
             let mut want = vec![Point::default(); d.num_cells()];
-            wa.accumulate_gradient_with(d, &mut got, Pool::serial(), &mut shared);
-            wa.accumulate_gradient_with(d, &mut want, Pool::serial(), &mut WaScratch::new());
+            rdp_par::with_local_threads(1, || {
+                wa.accumulate_gradient_with(d, &mut got, &mut shared);
+                wa.accumulate_gradient_with(d, &mut want, &mut WaScratch::new());
+            });
             assert_eq!(got, want, "design `{}` with a shared scratch", d.name());
         }
     }

@@ -28,22 +28,14 @@ pub fn detailed_place_obs(design: &mut Design, _cfg: &DetailedConfig, obs: &Coll
 }
 
 /// Detailed placement that moves cells by their **virtual widths** (see
-/// [`crate::legalize_virtual`]): the congestion-driven spacing from
-/// inflation is preserved through the swap and shift moves.
+/// [`crate::legalize_virtual_obs`]): the congestion-driven spacing from
+/// inflation is preserved through the swap and shift moves. A
+/// `"detailed_place"` span is recorded on `obs`, and the HPWL
+/// improvement as the `detailed_hpwl_gain` gauge.
 ///
 /// # Panics
 ///
 /// Panics if `virtual_widths.len() != design.num_cells()`.
-pub fn detailed_place_virtual(
-    design: &mut Design,
-    cfg: &DetailedConfig,
-    virtual_widths: &[f64],
-) -> f64 {
-    detailed_place_virtual_obs(design, cfg, virtual_widths, &Collector::disabled())
-}
-
-/// [`detailed_place_virtual`] with a `"detailed_place"` span recorded on
-/// `obs`; the HPWL improvement is recorded as `detailed_hpwl_gain`.
 pub fn detailed_place_virtual_obs(
     design: &mut Design,
     _cfg: &DetailedConfig,

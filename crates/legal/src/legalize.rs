@@ -69,23 +69,15 @@ pub fn legalize_obs(design: &mut Design, _cfg: &LegalizeConfig, obs: &Collector)
 /// Falls back to plain [`legalize`] when the virtual widths do not fit
 /// (e.g. a pathological ratio set on a full die).
 ///
+/// A `"legalize"` span is recorded on `obs`. The cells the virtual-width
+/// pass could not place are added to the `legalize_virtual_failed`
+/// counter; when there are any, a `"legalize_virtual_fallback"` instant
+/// is emitted and the plain pass is used instead. The returned report's
+/// `failed` count is added to the `legalize_failed` counter.
+///
 /// # Panics
 ///
 /// Panics if `virtual_widths.len() != design.num_cells()`.
-pub fn legalize_virtual(
-    design: &mut Design,
-    cfg: &LegalizeConfig,
-    virtual_widths: &[f64],
-) -> LegalizeReport {
-    legalize_virtual_obs(design, cfg, virtual_widths, &Collector::disabled())
-}
-
-/// [`legalize_virtual`] with a `"legalize"` span recorded on `obs`. The
-/// cells the virtual-width pass could not place are added to the
-/// `legalize_virtual_failed` counter; when there are any, a
-/// `"legalize_virtual_fallback"` instant is emitted and the plain pass is
-/// used instead. The returned report's `failed` count is added to the
-/// `legalize_failed` counter.
 pub fn legalize_virtual_obs(
     design: &mut Design,
     _cfg: &LegalizeConfig,

@@ -30,10 +30,7 @@ mod segments;
 
 pub use check::{check_legality, LegalityReport};
 pub use detailed::{
-    detailed_place, detailed_place_obs, detailed_place_virtual, detailed_place_virtual_obs,
-    DetailedConfig,
+    detailed_place, detailed_place_obs, detailed_place_virtual_obs, DetailedConfig,
 };
-pub use legalize::{
-    legalize, legalize_obs, legalize_virtual, legalize_virtual_obs, LegalizeConfig, LegalizeReport,
-};
+pub use legalize::{legalize, legalize_obs, legalize_virtual_obs, LegalizeConfig, LegalizeReport};
 pub use segments::{build_segments, Segment};

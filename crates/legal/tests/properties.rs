@@ -2,7 +2,7 @@
 //! harness).
 
 use rdp_db::{Cell, CellId, Design, DesignBuilder, Point, Rect, RoutingSpec, Row};
-use rdp_legal::{check_legality, legalize, legalize_virtual, legalize_virtual_obs, LegalizeConfig};
+use rdp_legal::{check_legality, legalize, legalize_virtual_obs, LegalizeConfig};
 use rdp_obs::Collector;
 use rdp_testkit::{prop_assert, prop_assert_eq, prop_check, range, select, vecs, PropConfig};
 
@@ -76,7 +76,12 @@ fn legalize_virtual_keeps_spacing() {
         |(cells, extra): (Vec<(f64, f64, f64)>, f64)| {
             let mut d = design_with(cells);
             let widths: Vec<f64> = d.cells().iter().map(|c| c.w * extra).collect();
-            let report = legalize_virtual(&mut d, &LegalizeConfig::default(), &widths);
+            let report = legalize_virtual_obs(
+                &mut d,
+                &LegalizeConfig::default(),
+                &widths,
+                &Collector::disabled(),
+            );
             prop_assert_eq!(report.failed, 0);
             let check = check_legality(&d);
             prop_assert!(check.is_legal(), "{:?}", check);

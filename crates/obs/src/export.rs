@@ -191,7 +191,7 @@ mod tests {
         }
         c.instant("guard_warning", 1, "router congestion non-finite");
         c.instant("rollback", 2, "divergence");
-        c.counter_add("route_batches", 7);
+        c.counter_add("route_maze_rerouted", 7);
         c.gauge_set("gamma", 1.5);
         c.observe("wa_grad", 0.25);
         c.series_push("hpwl", 0, 123.0);
@@ -235,7 +235,7 @@ mod tests {
         assert_eq!(
             v.get("counters")
                 .unwrap()
-                .get("route_batches")
+                .get("route_maze_rerouted")
                 .unwrap()
                 .as_f64()
                 .unwrap(),

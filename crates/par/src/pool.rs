@@ -59,9 +59,11 @@ pub fn global_threads() -> usize {
     resolved
 }
 
-/// Overrides the global thread count (clamped to ≥ 1). Intended for
-/// benchmarks and determinism tests that compare thread counts within
-/// one process; production callers should prefer `RDP_THREADS`.
+/// Overrides the global thread count (clamped to ≥ 1) for the whole
+/// process. Intended for benchmarks that fix one width per process;
+/// production callers should prefer `RDP_THREADS`, and code that
+/// compares widths within one process pins each with
+/// [`with_local_threads`].
 pub fn set_global_threads(threads: usize) {
     GLOBAL_THREADS.store(threads.max(1), Ordering::Relaxed);
 }

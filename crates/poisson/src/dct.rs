@@ -229,19 +229,17 @@ pub fn idxst_with(coeffs: &[f64], out: &mut [f64], scratch: &mut DctScratch) {
 /// `A[u,v] = Σ_{n,m} x[n,m]·cos(πu(n+½)/nx)·cos(πv(m+½)/ny)`,
 /// returned row-major with `u` along x.
 ///
+/// Rows and columns are independent 1-D transforms written to disjoint
+/// output windows on [`Pool::global`], so the result is bit-identical
+/// for any thread count.
+///
 /// # Panics
 ///
 /// Panics if either dimension is not a power of two or the buffer size is
 /// inconsistent.
 pub fn dct2_2d(data: &[f64], nx: usize, ny: usize) -> Vec<f64> {
-    dct2_2d_with(data, nx, ny, Pool::global())
-}
-
-/// [`dct2_2d`] on an explicit pool. Rows and columns are independent
-/// 1-D transforms written to disjoint output windows, so the result is
-/// bit-identical for any thread count.
-pub fn dct2_2d_with(data: &[f64], nx: usize, ny: usize, pool: Pool) -> Vec<f64> {
     assert_eq!(data.len(), nx * ny);
+    let pool = Pool::global();
     // Row pass: transform each row into its own window.
     let mut rows = vec![0.0; nx * ny];
     let row_chunk = chunk_len(ny, 32, 4);

@@ -11,8 +11,9 @@
 //!   `E = −∇ψ` on the bin grid.
 //!
 //! The crate operates on plain `&[f64]` row-major buffers so it can be
-//! reused outside the placement stack. Transforms and solves accept an
-//! optional [`rdp_par::Pool`] (`*_with` variants); results are
+//! reused outside the placement stack. The 2-D transform and the solve
+//! run on [`rdp_par::Pool::global`], whose width `RDP_THREADS`,
+//! `set_global_threads` or a `with_local_threads` scope sets; results are
 //! bit-identical for any thread count — see the `rdp-par` crate docs for
 //! the determinism contract.
 //!
@@ -35,9 +36,7 @@ mod fft;
 mod solver;
 
 pub use complex::Complex;
-pub use dct::{
-    dct2, dct2_2d, dct2_2d_with, dct2_with, idct, idct_with, idxst, idxst_with, DctScratch,
-};
+pub use dct::{dct2, dct2_2d, dct2_with, idct, idct_with, idxst, idxst_with, DctScratch};
 pub use fft::{
     fft_in_place, fft_in_place_tw, fill_twiddles, ifft_in_place, ifft_unnormalized_in_place,
     ifft_unnormalized_in_place_tw, is_power_of_two,

@@ -148,27 +148,20 @@ impl PoissonSolver {
     /// The mean of `rho` is implicitly removed (the DC mode is dropped),
     /// enforcing the compatibility condition; callers may pass any map.
     ///
+    /// Every 1-D transform inside the solve operates on its own row or
+    /// column window of [`Pool::global`], so the result is bit-identical
+    /// for any thread count.
+    ///
     /// # Panics
     ///
     /// Panics if `rho.len() != nx * ny`.
     pub fn solve(&self, rho: &[f64]) -> PoissonSolution {
-        self.solve_with(rho, Pool::global())
-    }
-
-    /// [`PoissonSolver::solve`] on an explicit pool.
-    ///
-    /// Every 1-D transform inside the solve operates on its own row or
-    /// column window, so the result is bit-identical for any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rho.len() != nx * ny`.
-    pub fn solve_with(&self, rho: &[f64], pool: Pool) -> PoissonSolution {
         let (nx, ny) = (self.nx, self.ny);
         assert_eq!(rho.len(), nx * ny, "density buffer size mismatch");
+        let pool = Pool::global();
 
         // Forward analysis: A[u,v] = Σ ρ cos·cos  (row-major, u along x).
-        let a = crate::dct::dct2_2d_with(rho, nx, ny, pool);
+        let a = crate::dct::dct2_2d(rho, nx, ny);
 
         // Series coefficients of ψ: the inverse-DCT normalization 4/(nx·ny)
         // and the ½ weights at u=0 / v=0 cancel against the full-weight
@@ -214,7 +207,7 @@ impl PoissonSolver {
     /// ∂/∂x factor). Each row of the result is an independent 1-D inverse
     /// transform, so rows parallelize with no change to per-element
     /// arithmetic. A per-`v` weight is applied by the caller scaling the
-    /// returned rows (constant along a row — see `solve_with`).
+    /// returned rows (constant along a row — see `solve`).
     fn pass1(&self, q: &[f64], bx: Basis, weight_x: Option<&[f64]>, pool: Pool) -> Vec<f64> {
         let (nx, ny) = (self.nx, self.ny);
         let mut t = vec![0.0; nx * ny];

@@ -52,4 +52,4 @@ pub use capacity::CapacityMaps;
 pub use maps::RouteMaps;
 pub use maze::{astar, MazePath, MazeStep};
 pub use router::{GlobalRouter, RouteResult, RouterConfig};
-pub use rudy::{rudy_map, rudy_map_with};
+pub use rudy::rudy_map;

@@ -27,11 +27,6 @@ const COST_SHARPNESS: f64 = 6.0;
 /// Vias added per pin for the connection from the pin layer up into the
 /// routing layers.
 const PIN_VIA: f64 = 0.5;
-/// Upper bound on the number of segments whose candidate paths are
-/// evaluated concurrently. Batches only group segments whose effect
-/// regions are pairwise disjoint, so any value (including 1, which forces
-/// fully serial routing) produces bit-identical results.
-const PARALLEL_BATCH: usize = 64;
 
 /// Effort settings of [`GlobalRouter`]. The cost and capacity model is
 /// fixed; these three settings are what the in-loop congestion
@@ -161,39 +156,6 @@ struct SegRoute {
     detour: f64,
 }
 
-/// Inclusive G-cell rectangle used for batch-conflict tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BinRect {
-    x0: usize,
-    x1: usize,
-    y0: usize,
-    y1: usize,
-}
-
-impl BinRect {
-    fn of(a: (usize, usize), b: (usize, usize)) -> Self {
-        BinRect {
-            x0: a.0.min(b.0),
-            x1: a.0.max(b.0),
-            y0: a.1.min(b.1),
-            y1: a.1.max(b.1),
-        }
-    }
-
-    fn union(self, o: BinRect) -> BinRect {
-        BinRect {
-            x0: self.x0.min(o.x0),
-            x1: self.x1.max(o.x1),
-            y0: self.y0.min(o.y0),
-            y1: self.y1.max(o.y1),
-        }
-    }
-
-    fn intersects(&self, o: &BinRect) -> bool {
-        self.x0 <= o.x1 && o.x0 <= self.x1 && self.y0 <= o.y1 && o.y0 <= self.y1
-    }
-}
-
 /// A two-pin segment in G-cell coordinates.
 type Seg = ((usize, usize), (usize, usize));
 
@@ -208,23 +170,6 @@ struct NetDecomp {
     pin_vias: f64,
     /// RSMT wirelength of the net in microns.
     net_len: f64,
-}
-
-/// One two-pin routing task in the flattened per-pass work list.
-#[derive(Debug, Clone, Copy)]
-struct SegTask {
-    /// Net (request) index.
-    ri: usize,
-    /// Segment index within the net.
-    si: usize,
-    a: (usize, usize),
-    b: (usize, usize),
-    /// Bounding box of `a`/`b`: every straight/L/Z candidate lies inside.
-    seg_rect: BinRect,
-    /// For the first segment of a net: the net's overall segment bbox,
-    /// covering every cell its rip-up can touch (pattern paths never leave
-    /// their segment bbox).
-    rip_rect: Option<BinRect>,
 }
 
 /// Adds (`sign = 1.0`) or subtracts (`sign = -1.0`) a pattern path's
@@ -267,30 +212,6 @@ fn apply_maze(maps: &mut RouteMaps, steps: &[MazeStep]) {
         }
         prev_dir = Some(step.horizontal);
     }
-}
-
-/// Flattens per-net segments into the task list the pass loop walks.
-/// `cells[ri]` are net `ri`'s segments; task order is flat (net, segment)
-/// order, which fixes the serial commit order.
-fn build_tasks(cells: &[&[Seg]]) -> Vec<SegTask> {
-    let mut tasks: Vec<SegTask> = Vec::new();
-    for (ri, segs) in cells.iter().enumerate() {
-        let net_rect = segs
-            .iter()
-            .map(|&(a, b)| BinRect::of(a, b))
-            .reduce(BinRect::union);
-        for (si, &(a, b)) in segs.iter().enumerate() {
-            tasks.push(SegTask {
-                ri,
-                si,
-                a,
-                b,
-                seg_rect: BinRect::of(a, b),
-                rip_rect: if si == 0 { net_rect } else { None },
-            });
-        }
-    }
-    tasks
 }
 
 /// Builds a [`RouteResult`] from the per-net decomposition and committed
@@ -343,25 +264,23 @@ impl GlobalRouter {
 
     /// Routes the design on its G-cell grid.
     ///
-    /// Net decomposition and candidate-path evaluation run on the global
-    /// [`Pool`]; demand commits stay sequential in net order, and parallel
-    /// batches only group segments with disjoint effect regions, so the
-    /// result is bit-identical to a fully serial route for any thread
-    /// count.
+    /// Net decomposition runs on [`Pool::global`] in fixed chunks; the
+    /// pattern passes price and commit every segment serially in
+    /// (net, segment) order, so the result is bit-identical for any
+    /// thread count.
     pub fn route(&self, design: &Design) -> RouteResult {
         self.route_obs(design, &Collector::disabled())
     }
 
     /// [`route`](GlobalRouter::route) with observability: the decomposition,
-    /// per-pass rip-up batches, and the maze phase are recorded as spans,
-    /// plus batch/maze counters. Results are identical to
+    /// each pattern pass and the maze phase are recorded as spans, plus
+    /// the maze reroute counter. Results are identical to
     /// [`route`](GlobalRouter::route).
     pub fn route_obs(&self, design: &Design, obs: &Collector) -> RouteResult {
         let grid = design.gcell_grid();
-        let pool = Pool::global();
         let caps = CapacityMaps::build(design);
         let mut maps = RouteMaps::new(caps, VIA_WEIGHT);
-        let decomp = self.decompose(design, &grid, pool, obs);
+        let decomp = self.decompose(design, &grid, obs);
 
         // Commit pin vias once in net order, independent of pass structure.
         for d in &decomp {
@@ -371,9 +290,8 @@ impl GlobalRouter {
         }
 
         let cells: Vec<&[Seg]> = decomp.iter().map(|d| d.cells.as_slice()).collect();
-        let tasks = build_tasks(&cells);
         let mut committed: Vec<Vec<SegRoute>> = vec![Vec::new(); decomp.len()];
-        self.route_tasks(&mut maps, &tasks, &mut committed, pool, obs);
+        self.pattern_passes(&mut maps, &cells, &mut committed, obs);
         let maze_rerouted = self.maze_phase(&mut maps, &grid, &cells, &mut committed, obs);
         obs.counter_add("route_maze_rerouted", maze_rerouted as u64);
         summarize(maps, &decomp, &committed, maze_rerouted)
@@ -404,118 +322,48 @@ impl GlobalRouter {
 
     /// Decomposes every net in parallel (fixed chunking, results in net
     /// order).
-    fn decompose(
-        &self,
-        design: &Design,
-        grid: &GridSpec,
-        pool: Pool,
-        obs: &Collector,
-    ) -> Vec<NetDecomp> {
+    fn decompose(&self, design: &Design, grid: &GridSpec, obs: &Collector) -> Vec<NetDecomp> {
         let _span = obs.span("route_decompose", "route");
         let n = design.num_nets();
         let chunk = chunk_len(n, 64, 32);
-        pool.map_chunks(n, chunk, |_ci, range| {
-            range
-                .map(|ni| self.decompose_net(design, grid, ni))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+        Pool::global()
+            .map_chunks(n, chunk, |_ci, range| {
+                range
+                    .map(|ni| self.decompose_net(design, grid, ni))
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
-    /// The pattern pass loop: pass 0 routes every task in flat order,
-    /// passes 1.. rip up and reroute. `committed[ri]` must start empty and
-    /// receives net `ri`'s segment routes. Batch scratch is hoisted and
-    /// reused across all batches of all passes.
-    fn route_tasks(
+    /// The pattern passes: pass 0 routes every segment, passes 1.. rip up
+    /// each net and reroute it against the then-current demand. Segments
+    /// are priced against the live maps and committed one at a time in
+    /// (net, segment) order. `committed[ri]` must start empty and receives
+    /// net `ri`'s segment routes.
+    fn pattern_passes(
         &self,
         maps: &mut RouteMaps,
-        tasks: &[SegTask],
+        cells: &[&[Seg]],
         committed: &mut [Vec<SegRoute>],
-        pool: Pool,
         obs: &Collector,
     ) {
-        let batch_cap = PARALLEL_BATCH;
-        let mut rects: Vec<BinRect> = Vec::new();
-        let mut paths: Vec<Path> = Vec::new();
         for pass in 0..self.cfg.passes.max(1) {
             let _pass_span = obs.span_iter("route_pass", "route", pass as i64);
-            let mut batches_this_pass = 0u64;
-            let mut i = 0;
-            while i < tasks.len() {
-                // Grow a batch of segments whose effect regions (candidate
-                // bbox, plus this pass's rip-up region for a net's first
-                // segment) are pairwise disjoint. Disjointness means no
-                // batch member's commit or rip-up can change another
-                // member's candidate costs, so evaluating the whole batch
-                // against the frozen maps is exactly the serial result.
-                rects.clear();
-                let mut j = i;
-                'grow: while j < tasks.len() && j - i < batch_cap {
-                    let t = &tasks[j];
-                    let rip = if pass > 0 { t.rip_rect } else { None };
-                    if j > i {
-                        for r in &rects {
-                            if t.seg_rect.intersects(r) || rip.map_or(false, |o| o.intersects(r)) {
-                                break 'grow;
-                            }
-                        }
-                    }
-                    rects.push(t.seg_rect);
-                    if let Some(r) = rip {
-                        rects.push(r);
-                    }
-                    j += 1;
+            for (segs, routes) in cells.iter().zip(committed.iter_mut()) {
+                for seg in routes.drain(..) {
+                    apply_path(maps, &seg.path, -1.0);
                 }
-
-                // Rip up batch nets in order (first-segment tasks only).
-                if pass > 0 {
-                    for t in &tasks[i..j] {
-                        if t.si == 0 {
-                            for seg in &committed[t.ri] {
-                                apply_path(maps, &seg.path, -1.0);
-                            }
-                            committed[t.ri].clear();
-                        }
-                    }
-                }
-
-                // Evaluate candidate paths against the frozen maps.
-                let batch = &tasks[i..j];
-                paths.clear();
-                if batch.len() >= 16 && pool.threads() > 1 {
-                    let frozen: &RouteMaps = maps;
-                    let parts =
-                        pool.map_chunks(batch.len(), chunk_len(batch.len(), 8, 4), |_ci, range| {
-                            range
-                                .map(|k| self.best_path(frozen, batch[k].a, batch[k].b))
-                                .collect::<Vec<_>>()
-                        });
-                    for part in parts {
-                        paths.extend(part);
-                    }
-                } else {
-                    let frozen: &RouteMaps = maps;
-                    paths.extend(batch.iter().map(|t| self.best_path(frozen, t.a, t.b)));
-                }
-
-                // Commit sequentially in flat (net, segment) order.
-                for (t, &path) in batch.iter().zip(paths.iter()) {
+                for &(a, b) in segs.iter() {
+                    let path = self.best_path(maps, a, b);
                     apply_path(maps, &path, 1.0);
-                    debug_assert_eq!(committed[t.ri].len(), t.si);
-                    committed[t.ri].push(SegRoute {
+                    routes.push(SegRoute {
                         path,
                         ..SegRoute::default()
                     });
                 }
-                batches_this_pass += 1;
-                if obs.is_enabled() {
-                    obs.observe("route_batch_size", (j - i) as f64);
-                }
-                i = j;
             }
-            obs.counter_add("route_batches", batches_this_pass);
         }
     }
 

@@ -14,19 +14,14 @@ use rdp_par::{chunk_len, Pool};
 ///
 /// Returns wire density in demand units per G-cell area; comparable in
 /// spirit (not in absolute units) to the router's demand maps.
-pub fn rudy_map(design: &Design, grid: &GridSpec) -> Map2d<f64> {
-    rudy_map_with(design, grid, Pool::global())
-}
-
-/// [`rudy_map`] on an explicit pool.
 ///
-/// Nets are binned into per-chunk partial maps (chunk boundaries depend
-/// only on the net count) merged in chunk order, so the result is
-/// bit-identical for any thread count.
-pub fn rudy_map_with(design: &Design, grid: &GridSpec, pool: Pool) -> Map2d<f64> {
+/// Nets are binned on [`Pool::global`] into per-chunk partial maps
+/// (chunk boundaries depend only on the net count) merged in chunk
+/// order, so the result is bit-identical for any thread count.
+pub fn rudy_map(design: &Design, grid: &GridSpec) -> Map2d<f64> {
     let num_nets = design.num_nets();
     let chunk = chunk_len(num_nets, 16, 128);
-    let partials = pool.map_chunks(num_nets, chunk, |_ci, range| {
+    let partials = Pool::global().map_chunks(num_nets, chunk, |_ci, range| {
         let mut map = Map2d::new(grid.nx(), grid.ny());
         for ni in range {
             rudy_net(design, grid, ni, &mut map);

@@ -32,6 +32,11 @@ cargo build --release --offline
 echo "==> cargo doc --workspace --no-deps --offline  (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+# Clippy's correctness and suspicious groups fail the gate; the style,
+# complexity and perf groups are not enforced.
+echo "==> cargo clippy --workspace --all-targets  (-D clippy::correctness -D clippy::suspicious)"
+cargo clippy --workspace --all-targets --offline -- -A clippy::all -D clippy::correctness -D clippy::suspicious
+
 # Every example must still run to completion: they are the documented
 # entry points for downstream code, and nothing else executes them.
 # Each takes under a second in release.

@@ -21,7 +21,8 @@ fi
 # RDP_THREADS=1 here and in scripts/regress.sh: rows on the process-wide
 # pool then measure the serial kernels whatever the caller's RDP_THREADS,
 # so the gate compares the same configuration it recorded (rows ending
-# _t1/_t2/_t4 name their pool explicitly and ignore the variable).
+# _t1/_t4 pin their width with with_local_threads, and pool_region_t2
+# opens its own 2-wide pool, so they ignore the variable).
 for suite in "${suites[@]}"; do
     echo "==> rebaseline: bench $suite ($samples samples)"
     RDP_THREADS=1 RDP_BENCH_DIR="$baselines" RDP_BENCH_SAMPLES="$samples" \

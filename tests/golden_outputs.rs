@@ -23,7 +23,7 @@ use rdp::db::{CellKind, Design, Dir, Map2d};
 use rdp::drc::{evaluate, EvalConfig, EvalReport};
 use rdp::gen::{generate_named, scenario_by_name, scenario_matrix, Scale};
 use rdp::legal::{
-    detailed_place, detailed_place_virtual, legalize, legalize_virtual, DetailedConfig,
+    detailed_place, detailed_place_virtual_obs, legalize, legalize_virtual_obs, DetailedConfig,
     LegalizeConfig,
 };
 use rdp::obs::Collector;
@@ -339,8 +339,9 @@ fn post_dp_hash(mut d: Design, inflate: bool) -> u64 {
             .enumerate()
             .map(|(i, c)| c.w * (1.0 + 0.1 * (i % 3) as f64))
             .collect();
-        legalize_virtual(&mut d, &LegalizeConfig::default(), &widths);
-        detailed_place_virtual(&mut d, &DetailedConfig::default(), &widths)
+        let obs = Collector::disabled();
+        legalize_virtual_obs(&mut d, &LegalizeConfig::default(), &widths, &obs);
+        detailed_place_virtual_obs(&mut d, &DetailedConfig::default(), &widths, &obs)
     } else {
         legalize(&mut d, &LegalizeConfig::default());
         detailed_place(&mut d, &DetailedConfig::default())
@@ -500,10 +501,11 @@ fn global_route_maps_match_golden_hashes() {
 /// flow.
 #[test]
 fn evaluation_reports_match_golden_hashes() {
-    const GOLDEN: [(&str, u64); 3] = [
+    const GOLDEN: [(&str, u64); 4] = [
         ("baseline", 0xeab44c79fe4e7099),
         ("macro_obstructed", 0x436aebdae2ac0ede),
         ("pci_bridge32_a", 0xd1b61b50b69e5079),
+        ("fft_1", 0xfebb0fc3900ed314),
     ];
     let got: Vec<(String, u64)> = GOLDEN
         .iter()

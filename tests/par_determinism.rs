@@ -3,17 +3,17 @@
 //!
 //! This is the workspace's parallelism contract (see `crates/par`): fixed
 //! chunking, per-chunk scratch, and ordered reduction make the FP
-//! operation sequence independent of how many threads execute it. The
-//! kernel tests compare explicit 1-thread vs 4-thread pools; the
-//! end-to-end test flips the process-global pool (`RDP_THREADS`
-//! override) around whole placements.
+//! operation sequence independent of how many threads execute it. Each
+//! test pins the width of [`Pool::global`](rdp::par::Pool::global) with
+//! `with_local_threads` and compares a 1-thread run with wider ones, from
+//! single kernels up to whole placements and routes.
 
 use rdp::core::{run_flow, DensityModel, PlacerPreset, RoutabilityConfig, WaModel, WaScratch};
 use rdp::db::Point;
 use rdp::gen::{generate, GenParams};
-use rdp::par::{set_global_threads, Pool};
+use rdp::par::with_local_threads;
 use rdp::poisson::PoissonSolver;
-use rdp::route::{rudy_map_with, GlobalRouter};
+use rdp::route::{rudy_map, GlobalRouter};
 
 fn test_design() -> rdp::db::Design {
     generate(
@@ -44,20 +44,22 @@ fn point_bits(v: &[Point]) -> Vec<(u64, u64)> {
 fn wa_wirelength_and_gradient_thread_invariant() {
     let design = test_design();
     let wa = WaModel::new(2.0);
-    let serial = Pool::serial();
-    let par = Pool::new(4);
 
     assert_eq!(
-        wa.wirelength_with(&design, serial).to_bits(),
-        wa.wirelength_with(&design, par).to_bits(),
+        with_local_threads(1, || wa.wirelength(&design)).to_bits(),
+        with_local_threads(4, || wa.wirelength(&design)).to_bits(),
         "WA wirelength differs between 1 and 4 threads"
     );
 
     let mut g1 = vec![Point::default(); design.num_cells()];
     let mut g4 = vec![Point::default(); design.num_cells()];
     let mut scratch = WaScratch::new();
-    wa.accumulate_gradient_with(&design, &mut g1, serial, &mut scratch);
-    wa.accumulate_gradient_with(&design, &mut g4, par, &mut scratch);
+    with_local_threads(1, || {
+        wa.accumulate_gradient_with(&design, &mut g1, &mut scratch)
+    });
+    with_local_threads(4, || {
+        wa.accumulate_gradient_with(&design, &mut g4, &mut scratch)
+    });
     assert_eq!(
         point_bits(&g1),
         point_bits(&g4),
@@ -69,11 +71,9 @@ fn wa_wirelength_and_gradient_thread_invariant() {
 fn density_field_and_gradient_thread_invariant() {
     let design = test_design();
     let model = DensityModel::new(&design);
-    let serial = Pool::serial();
-    let par = Pool::new(4);
 
-    let f1 = model.compute_with(&design, None, None, 0.9, serial);
-    let f4 = model.compute_with(&design, None, None, 0.9, par);
+    let f1 = with_local_threads(1, || model.compute(&design, None, None, 0.9));
+    let f4 = with_local_threads(4, || model.compute(&design, None, None, 0.9));
     assert_eq!(bits(f1.density.as_slice()), bits(f4.density.as_slice()));
     assert_eq!(bits(f1.psi.as_slice()), bits(f4.psi.as_slice()));
     assert_eq!(bits(f1.ex.as_slice()), bits(f4.ex.as_slice()));
@@ -82,8 +82,12 @@ fn density_field_and_gradient_thread_invariant() {
 
     let mut g1 = vec![Point::default(); design.num_cells()];
     let mut g4 = vec![Point::default(); design.num_cells()];
-    let p1 = model.accumulate_gradient_with(&design, &f1, None, 1.7, &mut g1, serial);
-    let p4 = model.accumulate_gradient_with(&design, &f4, None, 1.7, &mut g4, par);
+    let p1 = with_local_threads(1, || {
+        model.accumulate_gradient(&design, &f1, None, 1.7, &mut g1)
+    });
+    let p4 = with_local_threads(4, || {
+        model.accumulate_gradient(&design, &f4, None, 1.7, &mut g4)
+    });
     assert_eq!(p1.to_bits(), p4.to_bits());
     assert_eq!(point_bits(&g1), point_bits(&g4));
 }
@@ -94,9 +98,9 @@ fn poisson_solution_thread_invariant() {
     let rho: Vec<f64> = (0..64 * 32)
         .map(|i| (((i * 37) % 23) as f64) - 11.0)
         .collect();
-    let s1 = solver.solve_with(&rho, Pool::serial());
+    let s1 = with_local_threads(1, || solver.solve(&rho));
     for threads in [2, 4, 7] {
-        let sn = solver.solve_with(&rho, Pool::new(threads));
+        let sn = with_local_threads(threads, || solver.solve(&rho));
         assert_eq!(bits(&s1.psi), bits(&sn.psi), "psi @ {threads} threads");
         assert_eq!(bits(&s1.ex), bits(&sn.ex), "ex @ {threads} threads");
         assert_eq!(bits(&s1.ey), bits(&sn.ey), "ey @ {threads} threads");
@@ -108,14 +112,14 @@ fn poisson_solution_thread_invariant() {
 /// bit-identical across pool sizes.
 #[test]
 fn dct_2d_thread_invariant() {
-    use rdp::poisson::dct2_2d_with;
+    use rdp::poisson::dct2_2d;
     let (nx, ny) = (128, 64);
     let data: Vec<f64> = (0..nx * ny)
         .map(|i| (((i * 131) % 97) as f64) / 9.7 - 5.0)
         .collect();
-    let c1 = dct2_2d_with(&data, nx, ny, Pool::serial());
+    let c1 = with_local_threads(1, || dct2_2d(&data, nx, ny));
     for threads in [2, 4] {
-        let cn = dct2_2d_with(&data, nx, ny, Pool::new(threads));
+        let cn = with_local_threads(threads, || dct2_2d(&data, nx, ny));
         assert_eq!(bits(&c1), bits(&cn), "dct2_2d @ {threads} threads");
     }
 }
@@ -180,7 +184,7 @@ fn wa_lanes_track_scalar_reference() {
         ref_total += (reference::wa_1d(&xs, gamma) + reference::wa_1d(&ys, gamma)) * net.weight;
     }
 
-    let lanes = wa.wirelength_with(&design, Pool::serial());
+    let lanes = with_local_threads(1, || wa.wirelength(&design));
     let rel = (lanes - ref_total).abs() / ref_total.abs().max(1.0);
     assert!(
         rel < 1e-12,
@@ -192,30 +196,26 @@ fn wa_lanes_track_scalar_reference() {
 fn rudy_map_thread_invariant() {
     let design = test_design();
     let grid = design.gcell_grid();
-    let m1 = rudy_map_with(&design, &grid, Pool::serial());
-    let m4 = rudy_map_with(&design, &grid, Pool::new(4));
+    let m1 = with_local_threads(1, || rudy_map(&design, &grid));
+    let m4 = with_local_threads(4, || rudy_map(&design, &grid));
     assert_eq!(bits(m1.as_slice()), bits(m4.as_slice()));
 }
 
-/// The route and full global placement use the process-global pool, so
-/// this test flips it around complete runs. Safe even under the parallel
-/// test harness: every kernel is thread-count invariant, so concurrent
-/// tests observing the flipped global still produce identical results.
+/// A whole global placement and a route of its result, at 1 and at 4
+/// threads.
 #[test]
 fn route_and_placement_thread_invariant_end_to_end() {
-    let route_of = |d: &rdp::db::Design| GlobalRouter::default().route(d);
     let xplace = RoutabilityConfig::preset(PlacerPreset::Xplace);
-
-    set_global_threads(1);
-    let mut d1 = test_design();
-    let stats1 = run_flow(&mut d1, &xplace).unwrap();
-    let r1 = route_of(&d1);
-
-    set_global_threads(4);
-    let mut d4 = test_design();
-    let stats4 = run_flow(&mut d4, &xplace).unwrap();
-    let r4 = route_of(&d4);
-    set_global_threads(1);
+    let place_and_route = |threads: usize| {
+        with_local_threads(threads, || {
+            let mut d = test_design();
+            let stats = run_flow(&mut d, &xplace).unwrap();
+            let r = GlobalRouter::default().route(&d);
+            (d, stats, r)
+        })
+    };
+    let (d1, stats1, r1) = place_and_route(1);
+    let (d4, stats4, r4) = place_and_route(4);
 
     assert_eq!(stats1.gp_iterations, stats4.gp_iterations);
     assert_eq!(
